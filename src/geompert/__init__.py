@@ -21,6 +21,7 @@ from .bellpoly import (
 from .corrections import (
     LinearCrosscheck,
     PerturbationSeries,
+    build_all_series,
     build_series,
     crosscheck_linear,
     eigenvalue_corrections,
@@ -101,6 +102,7 @@ __all__ = [
     "SpectrumCurve",
     "WordPolynomial",
     "bell_commutative",
+    "build_all_series",
     "build_series",
     "builtin_model",
     "crosscheck_linear",

@@ -134,23 +134,27 @@ def evaluate_words(
 ) -> np.ndarray:
     """Apply a word polynomial to a vector: sum_w c_w P_{i1} ... P_{ir} v.
 
-    `assign` maps each symbol index to a square matrix of matching dimension.
+    `v` may also be an N x m block, whose columns are then transformed
+    together.  `assign` maps each symbol index to a square matrix of matching
+    dimension; every symbol is validated once, before any word is applied.
     """
     v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
+    if v.ndim not in (1, 2):
+        raise DimensionMismatch(f"expected a vector or a block, got shape {v.shape}")
+    dim = v.shape[0]
+    for letter in dict.fromkeys(x for w in wp.words for x in reversed(w.letters)):
+        if letter not in assign:
+            raise MissingSymbol(f"no matrix assigned to symbol P_{letter}")
+        shape = assign[letter].shape
+        if shape != (dim, dim):
+            raise DimensionMismatch(
+                f"symbol P_{letter} has shape {shape}, expected {(dim, dim)}"
+            )
     out = np.zeros_like(v)
     for word in wp.words:
         acc = v
         for letter in reversed(word.letters):
-            if letter not in assign:
-                raise MissingSymbol(f"no matrix assigned to symbol P_{letter}")
-            mat = assign[letter]
-            if mat.shape != (v.size, v.size):
-                raise DimensionMismatch(
-                    f"symbol P_{letter} has shape {mat.shape}, expected {(v.size, v.size)}"
-                )
-            acc = mat @ acc
+            acc = assign[letter] @ acc
         out = out + word.coefficient * acc
     return out
 

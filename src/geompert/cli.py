@@ -14,7 +14,7 @@ geompert models list | export NAME
 Exit codes: 0 pass, 1 report verdict fail, 2 bad input (usage, schema,
 malformed matrices), 3 degenerate spectrum, 4 numerical/oracle failure.
 The GEOMPERT_GAP_TOL environment variable (a decimal string) overrides the
-degeneracy threshold.
+degeneracy threshold; a value that is not finite and positive exits 2.
 """
 
 from __future__ import annotations

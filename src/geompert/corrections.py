@@ -1,31 +1,35 @@
 """Eigenvalue and eigenstate perturbation series from solved generators.
 
-State corrections follow the transport recursion
+One kernel serves every state.  The columns `cols` of the right frame V
+form the block S^(0) = V[:, cols], and the transport recursion
+|n^(k)> = -(i/k) sum_j K_0^(j-1) |n^(k-j)> runs on the whole block:
 
-    |n^(k)> = -(i/k) sum_{j=1..k} K_0^(j-1) |n^(k-j)>,   k >= 1,
+    S^(k) = -(i/k) sum_{j=1..k} K_0^(j-1) S^(k-j),   k >= 1,
 
-whose closed-form solution is a dual Bell word polynomial in the K_0
-coefficients,
+so column c of S^(k) is |cols[c]^(k)>.  Its closed form is a dual Bell word
+polynomial in the K_0 coefficients, applied once per grade to the block:
 
-    |n^(k)> = BB_k(0! (-i K_0^(0)), 1! (-i K_0^(1)), ..., (k-1)! (-i K_0^(k-1))) |n^(0)> / k!.
-
-Both routes are implemented and must agree to roundoff.
+    S^(k) = BB_k(0! (-i K_0^(0)), ..., (k-1)! (-i K_0^(k-1))) S^(0) / k!.
 
 Eigenvalue corrections come from the eigenflow generator K_1.  Matching
-powers of q in K_1 |n> = (dh_n/dq) |n> gives
+powers of q in K_1 |n> = (dh_n/dq) |n> and contracting with the dual vector
+<<n| = <<n^(0)| isolates h_n^(k):
 
-    sum_{j=1..k} (K_1^(j-1) - j h_n^(j)) |n^(k-j)> = 0,
+    h_n^(k) = ( [[K_1^(k-1)]]_nn + sum_{j=1..k-1} ( <<n| K_1^(j-1) |n^(k-j)>
+                                     - j h_n^(j) <<n|n^(k-j)> ) ) / k.
 
-and contracting with the dual vector <<n^(0)| isolates h_n^(k):
+With the dual rows W_c = W[cols], the kernel first builds small tables:
 
-    h_n^(k) = ( [[K_1^(k-1)]]_nn
-                + sum_{j=1..k-1} ( <<n^(0)| K_1^(j-1) |n^(k-j)>
-                                   - j h_n^(j) <<n^(0)|n^(k-j)> ) ) / k.
+    R_j     = W_c K_1^(j)        rows, once per order j,
+    T[j, m] = diag(R_j S^(m))    pair table, one batched matmul,
+    D[m]    = diag(W_c S^(m)),
 
-The production path reuses the stored state corrections; a second path
-rebuilds the same sum from the Bell word polynomials and serves as a cross
-check.  Eigenvalues are gauge invariant: diagonal gauge choices for K_0
-drop out of h_n^(k) identically, while the state corrections do change.
+so that h^(k) = (T[k-1, 0] + sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k
+touches only vectors of length len(cols).  The same contraction runs on the
+recursion blocks (production) and on the Bell blocks (cross check); the two
+must agree to roundoff.  Diagonal gauge choices for K_0 change the state
+corrections but drop out of h_n^(k) identically.  The per-state functions
+are one-column views of the kernel; `build_all_series` takes all N columns.
 
 For a strictly linear family H_0 + q H_1 the first three corrections reduce
 to closed forms in either [[K_1^(j)]] or [[H_1]] alone; `rs_linear_corrections`
@@ -79,59 +83,73 @@ def _require_order(gens: GeneratorSeries, order: int) -> None:
         )
 
 
+def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
+    """The block kernel: state blocks S^(0..order) and h^(0..order) of `cols`.
+
+    `states` supplies the blocks instead of the transport recursion (the Bell
+    route); the contraction reads only S^(0..order-1).  Returns the list of
+    (N, m) state blocks and the (order + 1, m) eigenvalue corrections.
+    """
+    _require_order(gens, order)
+    frame = gens.frame
+    if states is None:
+        states = [frame.right[:, cols]]
+        for k in range(1, order + 1):
+            acc = gens.k0[0] @ states[k - 1]
+            for j in range(2, k + 1):
+                acc += gens.k0[j - 1] @ states[k - j]
+            states.append((-1j / k) * acc)
+    w = frame.left[cols]
+    h = np.zeros((order + 1, w.shape[0]), dtype=np.complex128)
+    h[0] = frame.eigenvalues[cols]
+    if order:
+        s = np.stack(states[:order])  # (order, N, m)
+        rows = np.stack([w @ gens.k1[j] for j in range(order)])  # (order, m, N)
+        # pair[c, j, m] = R_j[c] . S^(m)[:, c]
+        pair = rows.transpose(1, 0, 2) @ s.transpose(2, 1, 0)
+        overlap = np.einsum("cn,knc->kc", w, s)
+        for k in range(1, order + 1):
+            acc = pair[:, k - 1, 0].copy()
+            for j in range(1, k):
+                acc += pair[:, j - 1, k - j] - j * h[j] * overlap[k - j]
+            h[k] = acc / k
+    return states, h
+
+
+def _bell_block(gens: GeneratorSeries, cols, order: int) -> list[np.ndarray]:
+    """State blocks S^(0..order) from the dual Bell words, one pass per grade."""
+    _require_order(gens, order)
+    assign = {r: factorial(r - 1) * -1j * gens.k0[r - 1] for r in range(1, order + 1)}
+    v0 = gens.frame.right[:, cols]
+    out = [v0]
+    for k in range(1, order + 1):
+        out.append(evaluate_words(dual_bell_words(k), assign, v0) / factorial(k))
+    return out
+
+
 def state_corrections_recursive(
     gens: GeneratorSeries, n: int, order: int
 ) -> list[np.ndarray]:
     """State corrections |n^(0)>..|n^(order)> by direct recursion."""
-    _require_order(gens, order)
-    vecs = [np.array(gens.frame.right[:, n])]
-    for k in range(1, order + 1):
-        acc = np.zeros_like(vecs[0])
-        for j in range(1, k + 1):
-            acc += gens.k0[j - 1] @ vecs[k - j]
-        vecs.append((-1j / k) * acc)
-    return vecs
-
-
-def _bell_assignment(gens: GeneratorSeries, grade: int) -> dict[int, np.ndarray]:
-    return {
-        r: factorial(r - 1) * (-1j) * gens.k0[r - 1] for r in range(1, grade + 1)
-    }
+    states, _ = _series_block(gens, [n], order)
+    return [s[:, 0] for s in states]
 
 
 def state_corrections_bell(
     gens: GeneratorSeries, n: int, order: int
 ) -> list[np.ndarray]:
     """State corrections via the dual Bell closed form (equals the recursion)."""
-    _require_order(gens, order)
-    v0 = np.array(gens.frame.right[:, n])
-    out = [v0]
-    for k in range(1, order + 1):
-        words = dual_bell_words(k)
-        vec = evaluate_words(words, _bell_assignment(gens, k), v0)
-        out.append(vec / factorial(k))
-    return out
+    return [s[:, 0] for s in _bell_block(gens, [n], order)]
 
 
 def eigenvalue_corrections(gens: GeneratorSeries, n: int, order: int) -> np.ndarray:
     """Eigenvalue corrections h_n^(0)..h_n^(order).
 
     Index k of the returned array holds h_n^(k); entry 0 is the frame
-    eigenvalue.  Production path: dual-vector contraction against the stored
-    state corrections.
+    eigenvalue.  Production path: dual-vector contraction against the
+    recursion's state corrections.
     """
-    _require_order(gens, order)
-    wn = gens.frame.left[n, :]
-    states = state_corrections_recursive(gens, n, max(order - 1, 0))
-    h = np.zeros(order + 1, dtype=np.complex128)
-    h[0] = gens.frame.eigenvalues[n]
-    for k in range(1, order + 1):
-        s = wn @ (gens.k1[k - 1] @ states[0])
-        for j in range(1, k):
-            s += wn @ (gens.k1[j - 1] @ states[k - j])
-            s -= j * h[j] * (wn @ states[k - j])
-        h[k] = s / k
-    return h
+    return _series_block(gens, [n], order)[1][:, 0]
 
 
 def eigenvalue_corrections_bell(
@@ -139,39 +157,56 @@ def eigenvalue_corrections_bell(
 ) -> np.ndarray:
     """Eigenvalue corrections rebuilt from dual Bell word polynomials.
 
-    Same recursion as `eigenvalue_corrections` but with every state
+    Same contraction as `eigenvalue_corrections` but with every state
     correction re-derived as BB_m / m! acting on |n^(0)>; cross-check path.
     """
     _require_order(gens, order)
-    wn = gens.frame.left[n, :]
-    v0 = np.array(gens.frame.right[:, n])
-    bell_vecs = [v0]
-    for m in range(1, order):
-        words = dual_bell_words(m)
-        bell_vecs.append(evaluate_words(words, _bell_assignment(gens, m), v0))
-    h = np.zeros(order + 1, dtype=np.complex128)
-    h[0] = gens.frame.eigenvalues[n]
-    for k in range(1, order + 1):
-        s = wn @ (gens.k1[k - 1] @ v0)
-        for j in range(1, k):
-            m = k - j
-            s += (wn @ (gens.k1[j - 1] @ bell_vecs[m])) / factorial(m)
-            s -= j * h[j] * (wn @ bell_vecs[m]) / factorial(m)
-        h[k] = s / k
-    return h
+    states = _bell_block(gens, [n], max(order - 1, 0))
+    return _series_block(gens, [n], order, states)[1][:, 0]
+
+
+def _series_views(gens: GeneratorSeries, cols, order: int) -> list[PerturbationSeries]:
+    states, h = _series_block(gens, cols, order)
+    per_state = np.stack(states).transpose(2, 0, 1).copy()  # (m, order + 1, N)
+    values = h.T.copy()
+    return [
+        PerturbationSeries(
+            state=int(n),
+            order=order,
+            eigenvalue_corrections=values[c],
+            state_corrections=tuple(per_state[c]),
+            gauge=gens.gauge,
+        )
+        for c, n in enumerate(cols)
+    ]
 
 
 def build_series(gens: GeneratorSeries, n: int, order: int) -> PerturbationSeries:
     """Assemble the full per-state series (production routes)."""
-    vecs = state_corrections_recursive(gens, n, order)
-    h = eigenvalue_corrections(gens, n, order)
-    return PerturbationSeries(
-        state=n,
-        order=order,
-        eigenvalue_corrections=h,
-        state_corrections=tuple(vecs),
-        gauge=gens.gauge,
-    )
+    return _series_views(gens, [n], order)[0]
+
+
+def build_all_series(gens: GeneratorSeries, order: int) -> list[PerturbationSeries]:
+    """Every state's series from one kernel call over all N frame columns."""
+    return _series_views(gens, range(gens.frame.dim), order)
+
+
+def _rs_closed_forms(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h^(1..3) of every state from the frame matrix `a` of H_1, shape (N, 3).
+
+    `a` is W H_1 V in the biorthogonal frame, or V^dagger H_1 V for the
+    orthonormal reduction; `h` holds the unperturbed eigenvalues.
+    """
+    gaps = h[:, None] - h[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    inv = 1.0 / gaps
+    np.fill_diagonal(inv, 0.0)  # m = n drops out of every sum
+    row = a * inv  # [[H_1]]_nm / (h_n - h_m)
+    col = a.T * inv  # [[H_1]]_mn / (h_n - h_m)
+    first = np.diag(a)
+    second = np.sum(row * a.T, axis=1)
+    third = np.sum((row @ a) * col, axis=1) - first * np.sum(row * col, axis=1)
+    return np.stack([first, second, third], axis=1)
 
 
 def rs_linear_corrections(
@@ -191,40 +226,26 @@ def rs_linear_corrections(
     formulas.
     """
     a = double_bracket(frame, as_complex_matrix(h1))
-    h = frame.eigenvalues
-    mask = np.arange(frame.dim) != n
-    dn = h[n] - h[mask]
-    row = a[n, mask]
-    col = a[mask, n]
-    h1c = a[n, n]
-    h2c = np.sum(row * col / dn)
-    sub = a[np.ix_(mask, mask)]
-    h3c = (row / dn) @ sub @ (col / dn) - h1c * np.sum(row * col / dn ** 2)
+    h1c, h2c, h3c = _rs_closed_forms(a, frame.eigenvalues)[n]
     return complex(h1c), complex(h2c), complex(h3c)
 
 
-def _k1_route_linear(gens: GeneratorSeries, n: int) -> tuple[complex, complex, complex]:
-    """First three corrections of a linear family from [[K_1^(j)]] alone.
+def _k1_route_linear(gens: GeneratorSeries) -> np.ndarray:
+    """h^(1..3) of every state of a linear family from [[K_1^(j)]] alone.
 
-    h^(3) needs the off-diagonal second-order elements divided by the
-    first-order correction differences; those elements vanish linearly with
-    the same differences, so coincident first-order corrections contribute
-    nothing (guarded explicitly).
+    Returns shape (N, 3).  h^(3) needs the off-diagonal second-order elements
+    divided by the first-order correction differences; those elements vanish
+    linearly with the same differences, so coincident first-order corrections
+    contribute nothing (guarded explicitly).
     """
-    frame = gens.frame
-    b0 = double_bracket(frame, gens.k1[0])
-    b1 = double_bracket(frame, gens.k1[1])
-    b2 = double_bracket(frame, gens.k1[2])
+    b0, b1, b2 = (double_bracket(gens.frame, gens.k1[j]) for j in range(3))
     first = np.diag(b0)
-    h1c = first[n]
-    h2c = b1[n, n] / 2.0
-    mask = np.arange(frame.dim) != n
-    dh1 = first[mask] - first[n]
-    num = b1[n, mask] * b1[mask, n]
+    dh1 = first[None, :] - first[:, None]  # h_m^(1) - h_n^(1) at [n, m]
     scale = float(np.abs(first).max()) + 1.0
     safe = np.abs(dh1) > 1e-13 * scale
-    h3c = b2[n, n] / 3.0 - np.sum(num[safe] / dh1[safe]) / 3.0
-    return complex(h1c), complex(h2c), complex(h3c)
+    ratio = np.divide(b1 * b1.T, dh1, out=np.zeros_like(dh1), where=safe)
+    third = np.diag(b2) / 3.0 - ratio.sum(axis=1) / 3.0
+    return np.stack([first, np.diag(b1) / 2.0, third], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,14 +282,11 @@ def crosscheck_linear(
         )
     frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
     gens = solve_generators(hamiltonian, frame, 2)
-    dim = frame.dim
-    route_a = np.zeros((dim, 3), dtype=np.complex128)
-    route_b = np.zeros((dim, 3), dtype=np.complex128)
-    route_c = np.zeros((dim, 3), dtype=np.complex128)
-    for n in range(dim):
-        route_a[n] = eigenvalue_corrections(gens, n, 3)[1:]
-        route_b[n] = _k1_route_linear(gens, n)
-        route_c[n] = rs_linear_corrections(frame, hamiltonian.term(1), n)
+    route_a = _series_block(gens, range(frame.dim), 3)[1][1:].T
+    route_b = _k1_route_linear(gens)
+    route_c = _rs_closed_forms(
+        double_bracket(frame, hamiltonian.term(1)), frame.eigenvalues
+    )
     dev = np.maximum(
         np.abs(route_a - route_b),
         np.maximum(np.abs(route_a - route_c), np.abs(route_b - route_c)),

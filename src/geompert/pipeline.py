@@ -16,13 +16,11 @@ import numpy as np
 
 from . import __version__
 from .corrections import (
-    build_series,
+    _bell_block,
+    _rs_closed_forms,
+    _series_block,
+    build_all_series,
     crosscheck_linear,
-    eigenvalue_corrections,
-    eigenvalue_corrections_bell,
-    rs_linear_corrections,
-    state_corrections_bell,
-    state_corrections_recursive,
 )
 from .errors import GeompertError, PipelineError, ResidualUnderflow
 from .generators import hierarchy_residuals, solve_generators
@@ -35,7 +33,7 @@ from .oracle import (
     series_residual_order,
     state_ray_residual,
 )
-from .spectral import eigenframe
+from .spectral import double_bracket, eigenframe
 
 ALL_CHECKS = frozenset(
     {
@@ -152,8 +150,10 @@ def _stage(name: str):
     return _Ctx()
 
 
-def _relative(dev: float, scale: float) -> float:
-    return dev / max(1.0, scale)
+def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest per-column max|a - b| relative to max(1, max|a|) of the column."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=0))
+    return float(np.max(np.abs(a - b).max(axis=0) / scale))
 
 
 def _check_hierarchy(hamiltonian, gens) -> dict:
@@ -175,20 +175,11 @@ def _check_hierarchy(hamiltonian, gens) -> dict:
 
 
 def _check_routes(gens, order: int) -> dict:
-    state_dev = 0.0
-    value_dev = 0.0
-    for n in range(gens.frame.dim):
-        rec = state_corrections_recursive(gens, n, order)
-        bell = state_corrections_bell(gens, n, order)
-        for a, b in zip(rec, bell):
-            state_dev = max(
-                state_dev, _relative(float(np.abs(a - b).max()), float(np.abs(a).max()))
-            )
-        ha = eigenvalue_corrections(gens, n, order)
-        hb = eigenvalue_corrections_bell(gens, n, order)
-        value_dev = max(
-            value_dev, _relative(float(np.abs(ha - hb).max()), float(np.abs(ha).max()))
-        )
+    cols = np.arange(gens.frame.dim)
+    rec, ha = _series_block(gens, cols, order)
+    bell, hb = _series_block(gens, cols, order, _bell_block(gens, cols, order))
+    state_dev = max(_worst_relative(a, b) for a, b in zip(rec, bell))
+    value_dev = _worst_relative(ha, hb)
     ok = state_dev <= 1e-12 and value_dev <= 1e-11
     return {
         "status": "pass" if ok else "fail",
@@ -245,7 +236,7 @@ def _check_fd(hamiltonian, series_list, order) -> dict:
         for k in range(1, kc + 1):
             fd = fd_eigenvalue_derivatives(hamiltonian, n, k)
             ref = complex(series.eigenvalue_corrections[k])
-            dev = _relative(abs(fd - ref), abs(ref))
+            dev = abs(fd - ref) / max(1.0, abs(ref))
             worst = max(worst, dev)
             rows.append({"n": n, "k": k, "deviation": dev})
     ok = worst <= 1e-5
@@ -260,34 +251,17 @@ def _check_fd(hamiltonian, series_list, order) -> dict:
 def _check_hermitian(hamiltonian, frame, series_list) -> dict:
     if not hamiltonian.is_hermitian():
         return {"status": "skipped", "reason": "family is not Hermitian"}
-    imag_worst = 0.0
-    ok = True
-    for series in series_list:
-        for h in series.eigenvalue_corrections:
-            allowed = 1e-10 * abs(h.real) + 1e-12
-            imag_worst = max(imag_worst, abs(h.imag) - allowed)
-            if abs(h.imag) > allowed:
-                ok = False
-    detail = {"worst_imag_excess": max(imag_worst, 0.0)}
+    coeffs = np.array([s.eigenvalue_corrections for s in series_list])
+    excess = np.abs(coeffs.imag) - (1e-10 * np.abs(coeffs.real) + 1e-12)
+    ok = bool(np.all(excess <= 0))
+    detail = {"worst_imag_excess": max(float(excess.max()), 0.0)}
     if hamiltonian.degree == 1:
         # orthonormal-frame reduction: the closed forms evaluated with the
         # conjugate-transpose frame must match the biorthogonal ones
-        v = frame.right
-        a = v.conj().T @ hamiltonian.term(1) @ v
-        h = frame.eigenvalues
-        dev = 0.0
-        for n in range(frame.dim):
-            mask = np.arange(frame.dim) != n
-            dn = h[n] - h[mask]
-            row, col = a[n, mask], a[mask, n]
-            t1 = a[n, n]
-            t2 = np.sum(row * col / dn)
-            t3 = (row / dn) @ a[np.ix_(mask, mask)] @ (col / dn) - t1 * np.sum(
-                row * col / dn ** 2
-            )
-            ref = rs_linear_corrections(frame, hamiltonian.term(1), n)
-            for x, y in zip((t1, t2, t3), ref):
-                dev = max(dev, _relative(abs(x - y), abs(y)))
+        v, h1, h = frame.right, hamiltonian.term(1), frame.eigenvalues
+        ortho = _rs_closed_forms(v.conj().T @ h1 @ v, h)
+        ref = _rs_closed_forms(double_bracket(frame, h1), h)
+        dev = float(np.max(np.abs(ortho - ref) / np.maximum(1.0, np.abs(ref))))
         detail["textbook_deviation"] = dev
         detail["textbook_threshold"] = 1e-10
         if dev > 1e-10:
@@ -314,21 +288,11 @@ def _check_gauge(hamiltonian, frame, gens, series_list, order) -> dict:
         for _ in range(gens.order + 1)
     ]
     shifted = solve_generators(hamiltonian, frame, gens.order, k0_diagonals=diags)
-    value_dev = 0.0
-    state_change = 0.0
-    for n, series in enumerate(series_list):
-        h_shifted = eigenvalue_corrections(shifted, n, kc)
-        ref = series.eigenvalue_corrections[: kc + 1]
-        value_dev = max(
-            value_dev,
-            _relative(float(np.abs(h_shifted - ref).max()), float(np.abs(ref).max())),
-        )
-        if kc >= 1:
-            vec = state_corrections_recursive(shifted, n, 1)[1]
-            state_change = max(
-                state_change,
-                float(np.abs(vec - series.state_corrections[1]).max()),
-            )
+    states, h_shifted = _series_block(shifted, np.arange(frame.dim), kc)
+    ref = np.array([s.eigenvalue_corrections[: kc + 1] for s in series_list]).T
+    value_dev = _worst_relative(ref, h_shifted)
+    first = np.array([s.state_corrections[1] for s in series_list]).T
+    state_change = float(np.abs(states[1] - first).max())
     ok = value_dev <= 1e-10
     return {
         "status": "pass" if ok else "fail",
@@ -373,7 +337,7 @@ def run_pipeline(
     with _stage("generators"):
         gens = solve_generators(hamiltonian, frame, max(order, 2))
     with _stage("corrections"):
-        series_list = [build_series(gens, n, order) for n in range(frame.dim)]
+        series_list = build_all_series(gens, order)
 
     results: dict[str, dict] = {}
     if "hierarchy" in checks:
@@ -410,18 +374,21 @@ def run_pipeline(
             q_max, n_points = sweep
             qs = np.linspace(0.0, float(q_max), int(n_points))
             curve = exact_spectrum_sweep(hamiltonian, qs, gap_tol=gap_tol)
+            coeffs = np.array([s.eigenvalue_corrections for s in series_list])
+            powers = curve.qs[:, None] ** np.arange(order + 1)
+            truncated = np.sum(powers[:, None, :] * coeffs[None, :, :], axis=2)
+            residuals = np.abs(curve.values.T - truncated)
             sweep_rows = []
             for i, q in enumerate(curve.qs):
-                for n, series in enumerate(series_list):
+                for n in range(frame.dim):
                     exact = curve.values[n, i]
-                    residual = abs(exact - series.eigenvalue_at(float(q)))
                     sweep_rows.append(
                         {
                             "q": float(q),
                             "n": n,
                             "re": float(exact.real),
                             "im": float(exact.imag),
-                            "residual": float(residual),
+                            "residual": float(residuals[i, n]),
                         }
                     )
 

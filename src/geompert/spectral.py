@@ -53,13 +53,18 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def resolve_gap_tol(gap_tol: float | None = None) -> float:
-    """Degeneracy threshold: explicit argument, else GEOMPERT_GAP_TOL, else default."""
-    if gap_tol is not None:
-        return float(gap_tol)
-    env = os.environ.get(GAP_TOL_ENV)
-    if env is not None:
-        return float(env)
-    return DEFAULT_GAP_TOL
+    """Degeneracy threshold: explicit argument, else GEOMPERT_GAP_TOL, else default.
+
+    Raises ValueError unless the chosen value is finite and positive; NaN,
+    zero or a negative threshold would switch the degeneracy guard off.
+    """
+    source, value = "gap_tol", gap_tol
+    if value is None:
+        source, value = GAP_TOL_ENV, os.environ.get(GAP_TOL_ENV, DEFAULT_GAP_TOL)
+    tol = float(value)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source} must be finite and positive, got {value!r}")
+    return tol
 
 
 def min_pairwise_gap(values: np.ndarray) -> float:

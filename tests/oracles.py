@@ -188,3 +188,45 @@ def worked_low_order_corrections(gens, n):
         + 4j * dsb(k00) * h2
     ) / 6
     return h1, h2, h3
+
+
+def seeded_quadratic_family(seed, n):
+    """H_0 = diag(0..N-1) + 0.01 randn, H_1 complex Gaussian, H_2 real
+    Gaussian, all drawn from numpy's default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    h0 = np.diag(np.arange(n, dtype=float)) + 0.01 * rng.standard_normal((n, n))
+    h1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h2 = rng.standard_normal((n, n))
+    return PolynomialHamiltonian([h0, h1, h2])
+
+
+# ---------------------------------------------------------------------------
+# per-state series loops, one state at a time: the reference for the block
+# kernel, which reorders the same sums
+# ---------------------------------------------------------------------------
+
+
+def reference_state_corrections(gens, n, order):
+    """|n^(0)>..|n^(order)> by the transport recursion on a single vector."""
+    vecs = [np.array(gens.frame.right[:, n])]
+    for k in range(1, order + 1):
+        acc = np.zeros_like(vecs[0])
+        for j in range(1, k + 1):
+            acc += gens.k0[j - 1] @ vecs[k - j]
+        vecs.append((-1j / k) * acc)
+    return vecs
+
+
+def reference_eigenvalue_corrections(gens, n, order):
+    """h_n^(0)..h_n^(order) by the dual-vector contraction on a single state."""
+    wn = gens.frame.left[n, :]
+    states = reference_state_corrections(gens, n, max(order - 1, 0))
+    h = np.zeros(order + 1, dtype=np.complex128)
+    h[0] = gens.frame.eigenvalues[n]
+    for k in range(1, order + 1):
+        s = wn @ (gens.k1[k - 1] @ states[0])
+        for j in range(1, k):
+            s += wn @ (gens.k1[j - 1] @ states[k - j])
+            s -= j * h[j] * (wn @ states[k - j])
+        h[k] = s / k
+    return h

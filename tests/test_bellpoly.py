@@ -154,6 +154,12 @@ class TestEvaluateWords:
         assign = {1: np.eye(3, dtype=complex), 2: np.eye(2, dtype=complex)}
         with pytest.raises(g.DimensionMismatch):
             g.evaluate_words(g.dual_bell_words(2), assign, np.ones(3))
+        with pytest.raises(g.DimensionMismatch):
+            g.evaluate_words(g.dual_bell_words(2), assign, np.ones((3, 2)))
+        # only vectors and N x m blocks are accepted
+        square = {1: np.eye(3, dtype=complex), 2: np.eye(3, dtype=complex)}
+        with pytest.raises(g.DimensionMismatch):
+            g.evaluate_words(g.dual_bell_words(2), square, np.ones((3, 2, 2)))
 
     def test_word_ordering_respected(self):
         # non-commuting check: P2 P1 enters twice, P1 P2 once
@@ -163,6 +169,13 @@ class TestEvaluateWords:
         out = g.evaluate_words(g.dual_bell_words(2), {1: a, 2: b}, v)
         expected = a @ (a @ v) + b @ v
         assert np.allclose(out, expected)
+        # an N x m block transforms each column as the vector route does
+        block = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
+        out = g.evaluate_words(g.dual_bell_words(2), {1: a, 2: b}, block)
+        assert out.shape == (2, 2)
+        for c in range(2):
+            col = g.evaluate_words(g.dual_bell_words(2), {1: a, 2: b}, block[:, c])
+            assert np.array_equal(out[:, c], col)
 
 
 class TestWordPolynomialInvariants:

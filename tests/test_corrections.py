@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import geompert as g
-from oracles import linear_family, textbook_rs_corrections, worked_low_order_corrections
+from oracles import (
+    linear_family,
+    reference_eigenvalue_corrections,
+    reference_state_corrections,
+    seeded_quadratic_family,
+    textbook_rs_corrections,
+    worked_low_order_corrections,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -177,6 +184,57 @@ class TestBuildSeries:
             (q**k) * series.eigenvalue_corrections[k] for k in range(5)
         )
         assert series.eigenvalue_at(q) == pytest.approx(expected)
+
+
+def _relative(a, b):
+    """max|a - b| relative to max(1, max|b|)."""
+    return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16-deg2"])
+    def test_matches_per_state_reference(self, family):
+        if family in g.BUILTIN_MODELS:
+            ham = g.builtin_model(family).to_hamiltonian()
+        else:
+            ham = seeded_quadratic_family(0, 16)
+        order = 10
+        gens = g.solve_model(ham, order)
+        everything = g.build_all_series(gens, order)
+        assert [s.state for s in everything] == list(range(ham.dim))
+        for n, block in enumerate(everything):
+            assert block.gauge == gens.gauge and block.order == order
+            # the block's columns against the per-state reference loops
+            ref_states = reference_state_corrections(gens, n, order)
+            for a, b in zip(block.state_corrections, ref_states, strict=True):
+                assert _relative(a, b) <= 1e-12
+            ref_h = reference_eigenvalue_corrections(gens, n, order)
+            assert _relative(block.eigenvalue_corrections, ref_h) <= 1e-11
+            # every per-state view against its column of build_all_series
+            single = g.build_series(gens, n, order)
+            for vecs in (
+                g.state_corrections_recursive(gens, n, order),
+                single.state_corrections,
+            ):
+                for a, b in zip(vecs, block.state_corrections, strict=True):
+                    assert _relative(a, b) <= 1e-12
+            for h in (
+                g.eigenvalue_corrections(gens, n, order),
+                single.eigenvalue_corrections,
+            ):
+                assert _relative(h, block.eigenvalue_corrections) <= 1e-11
+
+    def test_all_series_errors(self, toy_gens):
+        with pytest.raises(g.InsufficientOrder):
+            g.build_all_series(toy_gens, toy_gens.order + 2)
+        with pytest.raises(ValueError):
+            g.build_all_series(toy_gens, -1)
+
+    def test_all_series_order_zero(self, toy_gens):
+        everything = g.build_all_series(toy_gens, 0)
+        for n, series in enumerate(everything):
+            assert series.eigenvalue_corrections[0] == toy_gens.frame.eigenvalues[n]
+            assert np.array_equal(series.state_corrections[0], toy_gens.frame.right[:, n])
 
 
 class TestLinearClosedForms:

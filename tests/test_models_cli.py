@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,21 @@ class TestPipeline:
         monkeypatch.setenv("GEOMPERT_GAP_TOL", "1e-7")
         report = run_pipeline(doc, 2, FAST_CHECKS)
         assert report.verdict == "pass"
+        # a value that would switch the degeneracy guard off is bad input:
+        # even a spectrum degenerate to roundoff must not get through
+        degenerate = g.ModelDocument(
+            "flat", [np.diag([1.0, 1.0 + 1e-15]), np.zeros((2, 2))]
+        )
+        model = tmp_path / "flat.json"
+        model.write_text(g.serialize_model(degenerate))
+        for bad in ("nan", "-1", "0", "inf"):
+            monkeypatch.setenv("GEOMPERT_GAP_TOL", bad)
+            with pytest.raises(ValueError):
+                run_pipeline(degenerate, 2, FAST_CHECKS)
+            out = tmp_path / f"out-{bad}"
+            argv = ["expand", "--model", str(model), "--order", "2", "--out", str(out)]
+            assert main(argv) == 2
+            assert not out.exists()
 
     def test_seventeen_digit_serialization(self):
         doc = g.builtin_model("toy-sec5")
@@ -292,10 +309,14 @@ class TestCli:
             main(["expand", "--model", str(model), "--order", "2", "--gauge", "other", "--out", str(tmp_path / "o")])
 
     def test_module_entry_point(self):
+        # the child process imports the same geompert as the test run
+        src = str(Path(g.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "geompert", "models", "list"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == list(g.BUILTIN_MODELS)

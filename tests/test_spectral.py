@@ -28,6 +28,13 @@ class TestValidation:
         monkeypatch.setenv("GEOMPERT_GAP_TOL", "1e-3")
         assert resolve_gap_tol() == 1e-3
         assert resolve_gap_tol(1e-6) == 1e-6  # explicit argument wins
+        # values that would switch the degeneracy guard off are refused
+        for bad in ("nan", "-1", "0", "inf"):
+            monkeypatch.setenv("GEOMPERT_GAP_TOL", bad)
+            with pytest.raises(ValueError):
+                resolve_gap_tol()
+            with pytest.raises(ValueError):
+                resolve_gap_tol(float(bad))
 
 
 class TestEigenframe:
