@@ -2,8 +2,10 @@
 
 Nothing here reuses the perturbative machinery: eigenvalue curves come from
 dense diagonalization of H(q) at sample points, continued in q by nearest-
-neighbor matching anchored at the canonical q = 0 frame.  Truncated series
-are then certified empirically:
+neighbor matching anchored at the canonical q = 0 frame.  A check's grid
+does not depend on the state, so `_continued_sweep` diagonalizes it once for
+all states, from a frame the caller computed once.  Truncated series are
+then certified empirically:
 
 * `series_residual_order` fits the log-log slope of |h_n(q) - truncation|;
   a correct order-K series scales at least like q^(K+1).
@@ -11,6 +13,9 @@ are then certified empirically:
   central differences with one Richardson extrapolation step.
 * `state_ray_residual` measures the angle between the truncated eigenvector
   and the exact one, as rays, so gauge and normalization drop out.
+
+The last two are one-row views of the all-state helpers `_fd_block` and
+`_ray_residual_block`, which the pipeline calls on one sweep per check.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -32,7 +37,7 @@ from .errors import (
     ResidualUnderflow,
 )
 from .generators import PolynomialHamiltonian
-from .spectral import eigenframe, min_pairwise_gap, resolve_gap_tol
+from .spectral import SpectralFrame, eigenframe, min_pairwise_gap, resolve_gap_tol
 
 # residuals below this are roundoff, not signal
 RESIDUAL_FLOOR = 1e-14
@@ -40,6 +45,8 @@ RESIDUAL_FLOOR = 1e-14
 RAY_FLOOR = 1e-13
 _MIN_FIT_POINTS = 5
 _MARGIN_FACTOR = 2.0
+# finite-difference spacing; the stencil also samples at half of it
+_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,20 +61,6 @@ class SpectrumCurve:
     qs: np.ndarray
     values: np.ndarray
     pair_margin: float
-
-
-def _eig_sorted_check(h_q: np.ndarray, q: float, gap_tol: float, want_vectors: bool):
-    if want_vectors:
-        values, vectors = np.linalg.eig(h_q)
-    else:
-        values = np.linalg.eigvals(h_q)
-        vectors = None
-    radius = float(np.max(np.abs(values)))
-    if min_pairwise_gap(values) < gap_tol * max(1.0, radius):
-        raise DegenerateSpectrum(
-            f"spectrum numerically degenerate at q = {q:.6g}"
-        )
-    return values, vectors
 
 
 def _pair_step(prev: np.ndarray, new: np.ndarray, q: float):
@@ -99,35 +92,40 @@ def _pair_step(prev: np.ndarray, new: np.ndarray, q: float):
     return picks, margin
 
 
-def _continued_sweep(
-    hamiltonian: PolynomialHamiltonian,
-    qs: np.ndarray,
-    gap_tol: float,
-    want_vectors: bool,
-):
-    """Eigen-curves over qs, continued outward from the q = 0 frame."""
-    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, qs,
+                     gap_tol: float, want_vectors: bool):
+    """Eigen-curves over qs (every sweep checks its grid here), continued from
+    the q = 0 frame, and exact eigenvectors (state, sample, component) on request."""
+    qs = np.array(qs, dtype=float)  # a copy: the curve freezes it
+    if qs.ndim != 1 or qs.size == 0 or not np.all(np.isfinite(qs)):
+        raise ValueError("qs must be a non-empty 1-D sequence of finite values")
+    if np.any(np.diff(qs) <= 0):
+        raise ValueError("qs must be strictly increasing")
     n = frame.dim
     values = np.zeros((n, qs.size), dtype=np.complex128)
     vectors = np.zeros((n, qs.size, n), dtype=np.complex128) if want_vectors else None
     margin = np.inf
 
-    order_pos = [i for i in range(qs.size) if qs[i] >= 0.0]
-    order_neg = [i for i in range(qs.size) if qs[i] < 0.0][::-1]
-    for chain in (order_pos, order_neg):
+    split = int(np.searchsorted(qs, 0.0))  # first sample at q >= 0
+    for chain in (range(split, qs.size), range(split - 1, -1, -1)):
         prev = frame.eigenvalues
         for i in chain:
             q = float(qs[i])
-            vals, vecs = _eig_sorted_check(
-                hamiltonian.at(q), q, gap_tol, want_vectors
-            )
+            if want_vectors:
+                vals, vecs = np.linalg.eig(hamiltonian.at(q))
+            else:
+                vals = np.linalg.eigvals(hamiltonian.at(q))
+            if min_pairwise_gap(vals) < gap_tol * max(1.0, float(np.max(np.abs(vals)))):
+                raise DegenerateSpectrum(f"spectrum numerically degenerate at q = {q:.6g}")
             picks, step_margin = _pair_step(prev, vals, q)
             margin = min(margin, step_margin)
             values[:, i] = vals[picks]
             if want_vectors:
                 vectors[:, i, :] = vecs[:, picks].T
             prev = values[:, i]
-    return frame, values, vectors, margin
+    for arr in (qs, values):
+        arr.setflags(write=False)
+    return SpectrumCurve(qs=qs, values=values, pair_margin=margin), vectors
 
 
 def exact_spectrum_sweep(
@@ -141,22 +139,25 @@ def exact_spectrum_sweep(
     canonical frame of H_0 and folded outward in both directions, so samples
     should start near zero.  Identical inputs give bitwise-identical curves.
     """
-    qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 1 or qs.size == 0:
-        raise ValueError("qs must be a non-empty 1-D sequence")
-    if np.any(np.diff(qs) <= 0):
-        raise ValueError("qs must be strictly increasing")
     tol = resolve_gap_tol(gap_tol)
-    _, values, _, margin = _continued_sweep(hamiltonian, qs, tol, False)
-    qs = qs.copy()
-    for arr in (qs, values):
-        arr.setflags(write=False)
-    return SpectrumCurve(qs=qs, values=values, pair_margin=margin)
+    frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
+    return _continued_sweep(frame, hamiltonian, qs, tol, False)[0]
 
 
 def log_log_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     """Least-squares slope of log(ys) against log(xs)."""
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def _fit_above_floor(qs: np.ndarray, residual: np.ndarray, floor: float) -> float:
+    """Log-log slope of the residuals at or above `floor` (at least five)."""
+    usable = residual >= floor
+    if int(usable.sum()) < _MIN_FIT_POINTS:
+        raise ResidualUnderflow(
+            f"only {int(usable.sum())} residuals above {floor:g}; "
+            "window too small to measure a slope"
+        )
+    return log_log_slope(qs[usable], residual[usable])
 
 
 def series_residual_order(
@@ -193,13 +194,7 @@ def series_residual_order(
     coeffs = series.eigenvalue_corrections[: order + 1]
     truncated = np.polyval(coeffs[::-1], qs)
     residual = np.abs(curve.values[n, sel] - truncated)
-    usable = residual >= RESIDUAL_FLOOR
-    if int(usable.sum()) < _MIN_FIT_POINTS:
-        raise ResidualUnderflow(
-            f"only {int(usable.sum())} residuals above {RESIDUAL_FLOOR:g}; "
-            "window too small to measure a slope"
-        )
-    return log_log_slope(qs[usable], residual[usable])
+    return _fit_above_floor(qs, residual, RESIDUAL_FLOOR)
 
 
 _STENCILS = {
@@ -210,11 +205,30 @@ _STENCILS = {
 }
 
 
+def _fd_grid(step: float, ks) -> list[float]:
+    """The union of the order-`ks` stencils at spacings step and step/2."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and positive")
+    return sorted({o * h for k in ks for o in _STENCILS[k][0] for h in (step, step / 2)})
+
+
+def _fd_block(curve: SpectrumCurve, step: float, k: int) -> np.ndarray:
+    """h^(k) of every state, from a curve sampled on a `_fd_grid` holding k."""
+    offsets, weights = _STENCILS[k]
+    column = {float(q): i for i, q in enumerate(curve.qs)}
+
+    def stencil(h: float) -> np.ndarray:
+        terms = (w * curve.values[:, column[o * h]] for o, w in zip(offsets, weights))
+        return sum(terms) / h ** k
+
+    return (4.0 * stencil(step / 2) - stencil(step)) / 3.0 / factorial(k)
+
+
 def fd_eigenvalue_derivatives(
     hamiltonian: PolynomialHamiltonian,
     n: int,
     k: int,
-    step: float = 1e-3,
+    step: float = _FD_STEP,
     gap_tol: float | None = None,
 ) -> complex:
     """Finite-difference estimate of the series coefficient h_n^(k).
@@ -225,22 +239,36 @@ def fd_eigenvalue_derivatives(
     """
     if not 1 <= k <= 4:
         raise ValueError("derivative order k must be in 1..4")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    offsets, weights = _STENCILS[k]
+    qs = _fd_grid(step, (k,))
     tol = resolve_gap_tol(gap_tol)
+    frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
+    curve, _ = _continued_sweep(frame, hamiltonian, qs, tol, False)
+    return complex(_fd_block(curve, step, k)[n])
 
-    points = sorted({o * step for o in offsets} | {o * step / 2 for o in offsets})
-    qs = np.array(points)
-    _, values, _, _ = _continued_sweep(hamiltonian, qs, tol, False)
-    lookup = {q: values[n, i] for i, q in enumerate(points)}
 
-    def stencil(h: float) -> complex:
-        return sum(w * lookup[o * h] for o, w in zip(offsets, weights)) / h ** k
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis by batched (1 x N)(N x 1) products: the
+    BLAS dot of `np.vdot` and `np.linalg.norm`, so rows keep a loop's bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    coarse = stencil(step)
-    fine = stencil(step / 2)
-    return complex((4.0 * fine - coarse) / 3.0 / factorial(k))
+
+def _rownorm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_rowdot(x.real, x.real) + _rowdot(x.imag, x.imag))
+
+
+def _ray_residual_block(exact: np.ndarray, corrections: np.ndarray, qs) -> np.ndarray:
+    """(S, Q) ray residuals of the truncations of (S, K+1, N) state corrections
+    against (S, Q, N) exact eigenvectors, from the projection residual, which
+    stays accurate down to roundoff."""
+    # scalar powers: numpy's vector power can differ in the last bit
+    powers = np.array([[q**kk for kk in range(corrections.shape[1])] for q in qs.tolist()])
+    truncated = np.zeros_like(exact)
+    for kk in range(corrections.shape[1]):
+        truncated = truncated + powers[:, kk, None] * corrections[:, None, kk, :]
+    bra = exact.conj()
+    overlap = _rowdot(bra, truncated) / _rowdot(bra, exact)
+    residual = truncated - overlap[:, :, None] * exact
+    return _rownorm(residual) / np.maximum(_rownorm(truncated), 1e-300)
 
 
 def state_ray_residual(
@@ -254,28 +282,14 @@ def state_ray_residual(
     """Sine of the angle between truncated and exact eigenvectors, per q.
 
     Both vectors are compared as rays (overall complex factors ignored), so
-    the result is insensitive to gauge and normalization choices.  Computed
-    from the projection residual, which stays accurate down to roundoff.
+    the result is insensitive to gauge and normalization choices.
     """
     if series.order < order:
         raise InsufficientOrder(
             f"series holds order {series.order}, requested {order}"
         )
-    qs = np.asarray(qs, dtype=float)
-    if np.any(np.diff(qs) <= 0):
-        raise ValueError("qs must be strictly increasing")
     tol = resolve_gap_tol(gap_tol)
-    _, _, vectors, _ = _continued_sweep(hamiltonian, qs, tol, True)
-
-    out = np.zeros(qs.size)
-    for i, q in enumerate(qs):
-        truncated = np.zeros_like(series.state_corrections[0])
-        for kk in range(order + 1):
-            truncated = truncated + (q ** kk) * series.state_corrections[kk]
-        exact = vectors[n, i, :]
-        overlap = np.vdot(exact, truncated) / np.vdot(exact, exact)
-        residual = truncated - overlap * exact
-        out[i] = float(
-            np.linalg.norm(residual) / max(np.linalg.norm(truncated), 1e-300)
-        )
-    return out
+    frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
+    curve, vectors = _continued_sweep(frame, hamiltonian, qs, tol, True)
+    corrections = np.array(series.state_corrections[: order + 1])[None]
+    return _ray_residual_block(vectors[n : n + 1], corrections, curve.qs)[0]

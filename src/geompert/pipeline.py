@@ -2,14 +2,19 @@
 
 A run goes frame -> generators -> per-state series -> enabled checks, and
 only then touches the filesystem (a failing stage emits no partial output).
-Reports are deterministic for fixed input and flags; the only timestamp
-lives in the metadata block, never in the comparison payload.
+The q = 0 frame and the degeneracy threshold are settled once and passed to
+every check; each exact-diagonalization check makes one sweep for all
+states.  Reports are deterministic for fixed input and flags; the timestamp
+and the per-stage timings live in the metadata block, never in the
+comparison payload.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +31,16 @@ from .errors import GeompertError, PipelineError, ResidualUnderflow
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
 from .oracle import (
+    _FD_STEP,
     RAY_FLOOR,
-    exact_spectrum_sweep,
-    fd_eigenvalue_derivatives,
-    log_log_slope,
+    _continued_sweep,
+    _fd_block,
+    _fd_grid,
+    _fit_above_floor,
+    _ray_residual_block,
     series_residual_order,
-    state_ray_residual,
 )
-from .spectral import double_bracket, eigenframe
+from .spectral import double_bracket, eigenframe, resolve_gap_tol
 
 ALL_CHECKS = frozenset(
     {
@@ -137,17 +144,16 @@ def sweep_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, GeompertError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _Ctx()
+@contextmanager
+def _stage(name: str, timings: dict):
+    """Tag library errors with the stage; record its elapsed ms in `timings`."""
+    start = time.perf_counter()
+    try:
+        yield
+    except GeompertError as exc:
+        raise PipelineError(name, exc) from exc
+    finally:
+        timings[name] = (time.perf_counter() - start) * 1e3
 
 
 def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
@@ -190,34 +196,28 @@ def _check_routes(gens, order: int) -> dict:
     }
 
 
-def _filtered_slope(qs: np.ndarray, residuals: np.ndarray, floor: float):
-    usable = residuals >= floor
-    if int(usable.sum()) < 5:
-        return None
-    return log_log_slope(qs[usable], residuals[usable])
+def _slope_or_none(fit, *args):
+    try:
+        return fit(*args)
+    except ResidualUnderflow:
+        return None  # below the noise floor everywhere: better than required
 
 
-def _check_residual_order(hamiltonian, series_list, order, q_lo, q_hi, points) -> dict:
+def _check_residual_order(
+    hamiltonian, frame, series_list, order, q_lo, q_hi, points, gap_tol
+) -> dict:
     kc = min(order, 3)
     qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
-    curve = exact_spectrum_sweep(hamiltonian, qs)
+    curve, vectors = _continued_sweep(frame, hamiltonian, qs, gap_tol, True)
+    corrections = np.array([s.state_corrections[: kc + 1] for s in series_list])
+    rays = _ray_residual_block(vectors, corrections, curve.qs)
     threshold = kc + 0.8
-    value_slopes = []
-    ray_slopes = []
-    ok = True
-    for n, series in enumerate(series_list):
-        try:
-            slope = series_residual_order(curve, series, n, kc, (q_lo, q_hi))
-        except ResidualUnderflow:
-            slope = None  # below the noise floor everywhere: better than required
-        if slope is not None and slope < threshold:
-            ok = False
-        value_slopes.append(slope)
-        rays = state_ray_residual(hamiltonian, series, n, kc, qs)
-        ray = _filtered_slope(qs, rays, RAY_FLOOR)
-        if ray is not None and ray < threshold:
-            ok = False
-        ray_slopes.append(ray)
+    value_slopes = [
+        _slope_or_none(series_residual_order, curve, series, n, kc, (q_lo, q_hi))
+        for n, series in enumerate(series_list)
+    ]
+    ray_slopes = [_slope_or_none(_fit_above_floor, curve.qs, r, RAY_FLOOR) for r in rays]
+    ok = not any(s is not None and s < threshold for s in value_slopes + ray_slopes)
     return {
         "status": "pass" if ok else "fail",
         "order_checked": kc,
@@ -228,17 +228,18 @@ def _check_residual_order(hamiltonian, series_list, order, q_lo, q_hi, points) -
     }
 
 
-def _check_fd(hamiltonian, series_list, order) -> dict:
-    kc = min(order, 3)
-    worst = 0.0
+def _check_fd(hamiltonian, frame, series_list, order, gap_tol) -> dict:
+    ks = range(1, min(order, 3) + 1)
+    grid = _fd_grid(_FD_STEP, ks)
+    curve, _ = _continued_sweep(frame, hamiltonian, grid, gap_tol, False)
+    estimates = {k: _fd_block(curve, _FD_STEP, k) for k in ks}
     rows = []
     for n, series in enumerate(series_list):
-        for k in range(1, kc + 1):
-            fd = fd_eigenvalue_derivatives(hamiltonian, n, k)
+        for k in ks:
             ref = complex(series.eigenvalue_corrections[k])
-            dev = abs(fd - ref) / max(1.0, abs(ref))
-            worst = max(worst, dev)
+            dev = abs(complex(estimates[k][n]) - ref) / max(1.0, abs(ref))
             rows.append({"n": n, "k": k, "deviation": dev})
+    worst = max([0.0] + [row["deviation"] for row in rows])
     ok = worst <= 1e-5
     return {
         "status": "pass" if ok else "fail",
@@ -269,10 +270,10 @@ def _check_hermitian(hamiltonian, frame, series_list) -> dict:
     return {"status": "pass" if ok else "fail", **detail}
 
 
-def _check_linear(hamiltonian) -> dict:
+def _check_linear(hamiltonian, gap_tol) -> dict:
     if hamiltonian.degree != 1:
         return {"status": "skipped", "reason": "family is not linear"}
-    result = crosscheck_linear(hamiltonian)
+    result = crosscheck_linear(hamiltonian, gap_tol=gap_tol)
     return {
         "status": "pass" if result.passed else "fail",
         "max_relative_deviation": result.max_relative_deviation,
@@ -321,6 +322,7 @@ def run_pipeline(
     `checks` selects the verification steps; unknown names raise ValueError.
     When `out_dir` is given, report.json and series.csv (plus sweep.csv when
     sweep data was requested) are written there after everything succeeds.
+    `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -330,79 +332,60 @@ def run_pipeline(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
 
-    with _stage("validate"):
+    timings: dict[str, float] = {}
+    with _stage("validate", timings):
         hamiltonian = doc.to_hamiltonian()
-    with _stage("eigenframe"):
-        frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
-    with _stage("generators"):
+    with _stage("eigenframe", timings):
+        tol = resolve_gap_tol(gap_tol)
+        frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
+    with _stage("generators", timings):
         gens = solve_generators(hamiltonian, frame, max(order, 2))
-    with _stage("corrections"):
+    with _stage("corrections", timings):
         series_list = build_all_series(gens, order)
 
+    # in report order; each check runs in its own stage
+    steps = {
+        "hierarchy": lambda: _check_hierarchy(hamiltonian, gens),
+        "route_equivalence": lambda: _check_routes(gens, order),
+        "residual_order": lambda: _check_residual_order(
+            hamiltonian, frame, series_list, order, q_lo, q_hi, points, tol
+        ),
+        "fd_concordance": lambda: _check_fd(hamiltonian, frame, series_list, order, tol),
+        "hermitian_reduction": lambda: _check_hermitian(hamiltonian, frame, series_list),
+        "linear_crosscheck": lambda: _check_linear(hamiltonian, tol),
+        "gauge_invariance": lambda: _check_gauge(
+            hamiltonian, frame, gens, series_list, order
+        ),
+    }
     results: dict[str, dict] = {}
-    if "hierarchy" in checks:
-        with _stage("check:hierarchy"):
-            results["hierarchy"] = _check_hierarchy(hamiltonian, gens)
-    if "route_equivalence" in checks:
-        with _stage("check:route_equivalence"):
-            results["route_equivalence"] = _check_routes(gens, order)
-    if "residual_order" in checks:
-        with _stage("check:residual_order"):
-            results["residual_order"] = _check_residual_order(
-                hamiltonian, series_list, order, q_lo, q_hi, points
-            )
-    if "fd_concordance" in checks:
-        with _stage("check:fd_concordance"):
-            results["fd_concordance"] = _check_fd(hamiltonian, series_list, order)
-    if "hermitian_reduction" in checks:
-        with _stage("check:hermitian_reduction"):
-            results["hermitian_reduction"] = _check_hermitian(
-                hamiltonian, frame, series_list
-            )
-    if "linear_crosscheck" in checks:
-        with _stage("check:linear_crosscheck"):
-            results["linear_crosscheck"] = _check_linear(hamiltonian)
-    if "gauge_invariance" in checks:
-        with _stage("check:gauge_invariance"):
-            results["gauge_invariance"] = _check_gauge(
-                hamiltonian, frame, gens, series_list, order
-            )
+    for name, check in steps.items():
+        if name in checks:
+            with _stage(f"check:{name}", timings):
+                results[name] = check()
 
     sweep_rows = None
     if sweep is not None:
-        with _stage("sweep"):
+        with _stage("sweep", timings):
             q_max, n_points = sweep
             qs = np.linspace(0.0, float(q_max), int(n_points))
-            curve = exact_spectrum_sweep(hamiltonian, qs, gap_tol=gap_tol)
+            curve, _ = _continued_sweep(frame, hamiltonian, qs, tol, False)
             coeffs = np.array([s.eigenvalue_corrections for s in series_list])
             powers = curve.qs[:, None] ** np.arange(order + 1)
             truncated = np.sum(powers[:, None, :] * coeffs[None, :, :], axis=2)
             residuals = np.abs(curve.values.T - truncated)
-            sweep_rows = []
-            for i, q in enumerate(curve.qs):
-                for n in range(frame.dim):
-                    exact = curve.values[n, i]
-                    sweep_rows.append(
-                        {
-                            "q": float(q),
-                            "n": n,
-                            "re": float(exact.real),
-                            "im": float(exact.imag),
-                            "residual": float(residuals[i, n]),
-                        }
-                    )
+            sweep_rows = [
+                {"q": float(q), "n": n, "re": float(v.real), "im": float(v.imag),
+                 "residual": float(r)}
+                for q, exact, res in zip(curve.qs, curve.values.T, residuals)
+                for n, (v, r) in enumerate(zip(exact, res))
+            ]
 
-    verdict = "pass"
-    for res in results.values():
-        if res["status"] == "fail":
-            verdict = "fail"
-
-    series_rows = []
-    for n, series in enumerate(series_list):
-        for k, h in enumerate(series.eigenvalue_corrections):
-            series_rows.append(
-                {"n": n, "k": k, "re": float(h.real), "im": float(h.imag)}
-            )
+    verdict = "fail" if any(r["status"] == "fail" for r in results.values()) else "pass"
+    series_rows = [
+        {"n": n, "k": k, "re": float(h.real), "im": float(h.imag)}
+        for n, series in enumerate(series_list)
+        for k, h in enumerate(series.eigenvalue_corrections)
+    ]
 
     report = Report(
         model=doc.name,
@@ -427,12 +410,13 @@ def run_pipeline(
             "tool": f"geompert {__version__}",
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "model_metadata": dict(sorted(doc.metadata.items())),
+            "timings": timings,
         },
         sweep_rows=sweep_rows,
     )
 
     if out_dir is not None:
-        with _stage("write"):
+        with _stage("write", timings):
             _write_outputs(report, out_dir)
     return report
 

@@ -8,9 +8,12 @@ references for the recursion engines.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
-from geompert import PolynomialHamiltonian, double_bracket
+from geompert import PolynomialHamiltonian, double_bracket, exact_spectrum_sweep
+from geompert.oracle import _STENCILS
 
 
 def spaced_values(rng, n, spacing=1.0, jitter=0.2, complex_part=True):
@@ -230,3 +233,37 @@ def reference_eigenvalue_corrections(gens, n, order):
             s -= j * h[j] * (wn @ states[k - j])
         h[k] = s / k
     return h
+
+
+# ---------------------------------------------------------------------------
+# per-state oracle loops, one state (and for finite differences one sweep) at
+# a time: the reference for the all-state helpers, which read every state
+# from one sweep per check
+# ---------------------------------------------------------------------------
+
+
+def reference_ray_residual(vectors, corrections, qs):
+    """Ray residuals of one state, one q at a time; `vectors` is (Q, N)."""
+    out = np.zeros(len(qs))
+    for i, q in enumerate(qs):
+        truncated = np.zeros_like(corrections[0])
+        for kk, vec in enumerate(corrections):
+            truncated = truncated + (q**kk) * vec
+        exact = vectors[i]
+        overlap = np.vdot(exact, truncated) / np.vdot(exact, exact)
+        residual = truncated - overlap * exact
+        out[i] = np.linalg.norm(residual) / max(np.linalg.norm(truncated), 1e-300)
+    return out
+
+
+def reference_fd_derivative(hamiltonian, n, k, step=1e-3):
+    """h_n^(k) from the order-k stencil alone, swept on its own points."""
+    offsets, weights = _STENCILS[k]
+    points = sorted({o * step for o in offsets} | {o * step / 2 for o in offsets})
+    curve = exact_spectrum_sweep(hamiltonian, points)
+    lookup = {q: curve.values[n, i] for i, q in enumerate(points)}
+
+    def stencil(h):
+        return sum(w * lookup[o * h] for o, w in zip(offsets, weights)) / h**k
+
+    return complex((4.0 * stencil(step / 2) - stencil(step)) / 3.0 / factorial(k))

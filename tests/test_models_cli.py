@@ -214,6 +214,34 @@ class TestPipeline:
             assert main(argv) == 2
             assert not out.exists()
 
+    def test_gap_tol_argument_reaches_every_check(self, monkeypatch):
+        # the argument overrides a bad environment value in every stage,
+        # not only in the eigenframe and the sweep
+        monkeypatch.setenv("GEOMPERT_GAP_TOL", "nan")
+        for name in ("toy-sec5", "hermitian-2level"):
+            report = run_pipeline(
+                g.builtin_model(name), 3, ALL_CHECKS, sweep=(0.1, 5), gap_tol=1e-8
+            )
+            assert report.verdict == "pass"
+        with pytest.raises(ValueError):
+            run_pipeline(g.builtin_model("toy-sec5"), 3, {"hierarchy"})
+
+    def test_stage_timings_in_metadata(self, tmp_path):
+        report = run_pipeline(
+            g.builtin_model("toy-sec5"), 2, ALL_CHECKS, sweep=(0.1, 4)
+        )
+        timings = report.metadata["timings"]
+        expected = ["validate", "eigenframe", "generators", "corrections"]
+        expected += [f"check:{name}" for name in (
+            "hierarchy", "route_equivalence", "residual_order", "fd_concordance",
+            "hermitian_reduction", "linear_crosscheck", "gauge_invariance",
+        )]
+        assert list(timings) == expected + ["sweep"]
+        assert all(isinstance(ms, float) and ms >= 0 for ms in timings.values())
+        written = run_pipeline(g.builtin_model("toy-sec5"), 2, FAST_CHECKS, tmp_path)
+        assert "timings" in json.loads((tmp_path / "report.json").read_text())["metadata"]
+        assert written.metadata["timings"]["write"] >= 0
+
     def test_seventeen_digit_serialization(self):
         doc = g.builtin_model("toy-sec5")
         report = run_pipeline(doc, 2, FAST_CHECKS)
@@ -301,6 +329,16 @@ class TestCli:
         assert lines[0] == "q,n,re,im,residual"
         assert len(lines) == 1 + 6 * 2
         assert (out / "report.json").exists()
+
+    def test_non_finite_grid_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "nan"
+        argv = ["sweep", "--model", "toy-sec5", "--q-max", "nan", "--points", "4"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        for flag in ("--q-lo", "--q-hi"):
+            argv = ["verify", "--model", "toy-sec5", "--order", "2", flag, "nan"]
+            assert main(argv) == 2
 
     def test_gauge_flag_restricted(self, tmp_path, capsys):
         model = tmp_path / "toy.json"

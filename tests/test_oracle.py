@@ -1,9 +1,24 @@
+import sys
+
 import numpy as np
 import pytest
 
 import geompert as g
-from geompert.oracle import RAY_FLOOR
-from oracles import linear_family
+from geompert.oracle import (
+    RAY_FLOOR,
+    _continued_sweep,
+    _fd_block,
+    _fd_grid,
+    _fit_above_floor,
+    _ray_residual_block,
+)
+from geompert.pipeline import ALL_CHECKS, run_pipeline
+from oracles import (
+    linear_family,
+    reference_fd_derivative,
+    reference_ray_residual,
+    seeded_quadratic_family,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -58,6 +73,20 @@ class TestSweep:
     def test_requires_increasing(self, toy):
         with pytest.raises(ValueError):
             g.exact_spectrum_sweep(toy, [0.1, 0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "qs",
+        [[], [[1e-3, 2e-3]], [0.0, np.nan], [np.nan] * 4, [1e-3, np.inf]],
+    )
+    def test_rejects_bad_grid(self, toy, toy_gens, qs):
+        # a NaN sample sits in neither continuation chain and NaN steps
+        # compare False, so without the guard it came back as a zero "exact"
+        # eigenvalue; a 2-D grid failed inside numpy instead
+        with pytest.raises(ValueError):
+            g.exact_spectrum_sweep(toy, qs)
+        series = g.build_series(toy_gens, 1, 2)
+        with pytest.raises(ValueError):
+            g.state_ray_residual(toy, series, 1, 2, qs)
 
     def test_degenerate_sample_rejected(self):
         # eigenvalues q and 1-q cross at q = 1/2
@@ -181,6 +210,11 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             g.fd_eigenvalue_derivatives(toy, 0, 5)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1e-3])
+    def test_rejects_bad_step(self, toy, step):
+        with pytest.raises(ValueError):
+            g.fd_eigenvalue_derivatives(toy, 0, 2, step=step)
+
     def test_degenerate_stencil_rejected(self):
         # crossing at q = 0.05 sits inside the default stencil of width 2e-3
         # only if the step is enlarged
@@ -236,3 +270,81 @@ class TestRayResidual:
         # both series remain order-2 accurate
         assert g.log_log_slope(qs, r_base) >= 2.8
         assert g.log_log_slope(qs, r_shift) >= 2.8
+
+
+class TestSharedSweep:
+    """Each check diagonalizes its grid once for all states, from one frame."""
+
+    def test_verify_call_counts(self, monkeypatch):
+        ham = seeded_quadratic_family(0, 6)
+        doc = g.ModelDocument("seeded-N6", list(ham.terms))
+        calls = {"eig": 0, "eigvals": 0, "eigenframe": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        original = g.eigenframe
+        wrapped = counted("eigenframe", original)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("geompert") and getattr(module, "eigenframe", None) is original:
+                monkeypatch.setattr(module, "eigenframe", wrapped)
+
+        points = 25
+        run_pipeline(doc, 3, ALL_CHECKS, points=points)
+        assert calls["eigenframe"] == 1
+        assert calls["eig"] <= 1 + points
+        assert calls["eigvals"] <= 7  # the union of the k = 1..3 stencils
+
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])
+    def test_blocks_match_per_state_loops(self, name):
+        if name == "seeded-N6":
+            ham = seeded_quadratic_family(0, 6)
+        else:
+            ham = g.builtin_model(name).to_hamiltonian()
+        frame = g.eigenframe(ham.term(0))
+        series = g.build_all_series(g.solve_model(ham, 3), 3)
+        tol = 1e-8
+        curve, _ = _continued_sweep(frame, ham, _fd_grid(1e-3, (1, 2, 3)), tol, False)
+        for k in (1, 2, 3):
+            block = _fd_block(curve, 1e-3, k)
+            for n in range(frame.dim):
+                assert complex(block[n]) == reference_fd_derivative(ham, n, k)
+        qs = np.logspace(-4, -2, 25)
+        curve, vectors = _continued_sweep(frame, ham, qs, tol, True)
+        corrections = np.array([s.state_corrections for s in series])
+        rays = _ray_residual_block(vectors, corrections, curve.qs)
+        for n, s in enumerate(series):
+            ref = reference_ray_residual(vectors[n], s.state_corrections, qs)
+            # the same BLAS dot kernels: bit-identical on the measured build;
+            # the bound only allows another build to order a dot differently
+            np.testing.assert_allclose(rays[n], ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", list(g.BUILTIN_MODELS))
+    def test_public_views_match_pipeline(self, name):
+        order, q_lo, q_hi, points = 3, 1e-4, 1e-2, 25
+        ham = g.builtin_model(name).to_hamiltonian()
+        report = run_pipeline(
+            g.builtin_model(name), order, {"residual_order", "fd_concordance"},
+            q_lo=q_lo, q_hi=q_hi, points=points,
+        )
+        series = g.build_all_series(g.solve_model(ham, order), order)
+        entries = iter(report.checks["fd_concordance"]["entries"])
+        for n, s in enumerate(series):
+            for k in (1, 2, 3):
+                ref = complex(s.eigenvalue_corrections[k])
+                dev = abs(g.fd_eigenvalue_derivatives(ham, n, k) - ref) / max(1.0, abs(ref))
+                assert next(entries) == {"n": n, "k": k, "deviation": dev}
+        qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
+        for n, s in enumerate(series):
+            rays = g.state_ray_residual(ham, s, n, order, qs)
+            try:
+                slope = _fit_above_floor(qs, rays, RAY_FLOOR)
+            except g.ResidualUnderflow:
+                slope = None
+            assert report.checks["residual_order"]["ray_slopes"][n] == slope
