@@ -65,13 +65,6 @@ class PerturbationSeries:
         powers = q ** np.arange(self.order + 1)
         return complex(np.sum(powers * self.eigenvalue_corrections))
 
-    def state_at(self, q: float) -> np.ndarray:
-        """Truncated eigenvector sum_{k<=order} q^k |n^(k)> (unnormalized)."""
-        out = np.zeros_like(self.state_corrections[0])
-        for k, vec in enumerate(self.state_corrections):
-            out = out + (q ** k) * vec
-        return out
-
 
 def _require_order(gens: GeneratorSeries, order: int) -> None:
     if order < 0:
@@ -269,24 +262,13 @@ class LinearCrosscheck:
         return self.max_relative_deviation <= self.tolerance
 
 
-def crosscheck_linear(
-    hamiltonian: PolynomialHamiltonian,
-    *,
-    tolerance: float = 1e-10,
-    gap_tol: float | None = None,
-) -> LinearCrosscheck:
-    """Compare the three linear-family routes to h^(1..3) for every state."""
-    if hamiltonian.degree != 1:
-        raise DegreeMismatch(
-            f"expected a linear family (degree 1), got degree {hamiltonian.degree}"
-        )
-    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
-    gens = solve_generators(hamiltonian, frame, 2)
+def _crosscheck(gens: GeneratorSeries, h1, tolerance: float) -> LinearCrosscheck:
+    """The three routes to h^(1..3) on generators of a linear family solved to
+    order >= 2; `h1` is its H_1."""
+    frame = gens.frame
     route_a = _series_block(gens, range(frame.dim), 3)[1][1:].T
     route_b = _k1_route_linear(gens)
-    route_c = _rs_closed_forms(
-        double_bracket(frame, hamiltonian.term(1)), frame.eigenvalues
-    )
+    route_c = _rs_closed_forms(double_bracket(frame, h1), frame.eigenvalues)
     dev = np.maximum(
         np.abs(route_a - route_b),
         np.maximum(np.abs(route_a - route_c), np.abs(route_b - route_c)),
@@ -304,3 +286,18 @@ def crosscheck_linear(
         max_relative_deviation=float(per_state.max()),
         tolerance=tolerance,
     )
+
+
+def crosscheck_linear(
+    hamiltonian: PolynomialHamiltonian,
+    *,
+    tolerance: float = 1e-10,
+    gap_tol: float | None = None,
+) -> LinearCrosscheck:
+    """Compare the three linear-family routes to h^(1..3) for every state."""
+    if hamiltonian.degree != 1:
+        raise DegreeMismatch(
+            f"expected a linear family (degree 1), got degree {hamiltonian.degree}"
+        )
+    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    return _crosscheck(solve_generators(hamiltonian, frame, 2), hamiltonian.term(1), tolerance)

@@ -166,10 +166,8 @@ def solve_generators(
     off = ~np.eye(n, dtype=bool)
 
     # frame representation of each Hamiltonian coefficient (zeros past degree)
-    ah = [
-        double_bracket(frame, hamiltonian.term(j))
-        for j in range(max(degree, order + 1) + 1)
-    ]
+    ah = [double_bracket(frame, m) for m in hamiltonian.terms]
+    ah += [np.zeros((n, n), dtype=np.complex128)] * (order + 2 - len(ah))
 
     k0f: list[np.ndarray] = []
     k1f: list[np.ndarray] = []

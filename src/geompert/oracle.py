@@ -14,8 +14,9 @@ then certified empirically:
 * `state_ray_residual` measures the angle between the truncated eigenvector
   and the exact one, as rays, so gauge and normalization drop out.
 
-The last two are one-row views of the all-state helpers `_fd_block` and
-`_ray_residual_block`, which the pipeline calls on one sweep per check.
+All three are one-row views of the all-state helpers `_value_residual_block`,
+`_fd_block` and `_ray_residual_block`, which the pipeline calls on one sweep
+per check with the coefficients of its one series block.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -160,6 +161,27 @@ def _fit_above_floor(qs: np.ndarray, residual: np.ndarray, floor: float) -> floa
     return log_log_slope(qs[usable], residual[usable])
 
 
+def _value_residual_block(qs: np.ndarray, exact: np.ndarray, coeffs: np.ndarray,
+                          window: tuple[float, float]):
+    """The samples of `qs` inside the window and the (S, Q) residuals of the
+    truncations of (S, K+1) coefficients against (S, len(qs)) exact values."""
+    q_lo, q_hi = float(window[0]), float(window[1])
+    if not (0.0 < q_lo < q_hi):
+        raise ValueError("window must satisfy 0 < q_lo < q_hi")
+    sel = (qs >= q_lo) & (qs <= q_hi)
+    qs = qs[sel]
+    if qs.size == 0:
+        raise ValueError("window contains no curve samples")
+    decades = np.log10(q_hi / q_lo)
+    if decades > 0 and qs.size / decades < 8.0 - 1e-9:
+        raise ValueError("need at least 8 samples per decade in the window")
+    # Horner's rule, step for step as np.polyval
+    truncated = np.zeros_like(qs)
+    for pv in coeffs[:, ::-1].T:
+        truncated = truncated * qs + pv[:, None]
+    return qs, np.abs(exact[:, sel] - truncated)
+
+
 def series_residual_order(
     curve: SpectrumCurve,
     series: PerturbationSeries,
@@ -180,21 +202,9 @@ def series_residual_order(
         raise InsufficientOrder(
             f"series holds order {series.order}, requested {order}"
         )
-    q_lo, q_hi = float(window[0]), float(window[1])
-    if not (0.0 < q_lo < q_hi):
-        raise ValueError("window must satisfy 0 < q_lo < q_hi")
-    sel = (curve.qs >= q_lo) & (curve.qs <= q_hi)
-    qs = curve.qs[sel]
-    if qs.size == 0:
-        raise ValueError("window contains no curve samples")
-    decades = np.log10(q_hi / q_lo)
-    if decades > 0 and qs.size / decades < 8.0 - 1e-9:
-        raise ValueError("need at least 8 samples per decade in the window")
-
-    coeffs = series.eigenvalue_corrections[: order + 1]
-    truncated = np.polyval(coeffs[::-1], qs)
-    residual = np.abs(curve.values[n, sel] - truncated)
-    return _fit_above_floor(qs, residual, RESIDUAL_FLOOR)
+    coeffs = series.eigenvalue_corrections[None, : order + 1]
+    qs, residual = _value_residual_block(curve.qs, curve.values[n : n + 1], coeffs, window)
+    return _fit_above_floor(qs, residual[0], RESIDUAL_FLOOR)
 
 
 _STENCILS = {

@@ -1,12 +1,14 @@
 """Composition of the full expand/verify/sweep pipeline into a Report.
 
-A run goes frame -> generators -> per-state series -> enabled checks, and
-only then touches the filesystem (a failing stage emits no partial output).
-The q = 0 frame and the degeneracy threshold are settled once and passed to
+A run goes frame -> generators -> series block -> enabled checks, and only
+then touches the filesystem (a failing stage emits no partial output).  The
+q = 0 frame, the degeneracy threshold, the generators and one block kernel
+call for all states (state blocks S^(0..K) and eigenvalue corrections
+h^(0..K)) are computed once and passed to the series rows, the sweep and
 every check; each exact-diagonalization check makes one sweep for all
-states.  Reports are deterministic for fixed input and flags; the timestamp
-and the per-stage timings live in the metadata block, never in the
-comparison payload.
+states, and no per-state object is built.  Reports are deterministic for
+fixed input and flags; the timestamp and the per-stage timings live in the
+metadata block, never in the comparison payload.
 """
 
 from __future__ import annotations
@@ -20,25 +22,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .corrections import (
-    _bell_block,
-    _rs_closed_forms,
-    _series_block,
-    build_all_series,
-    crosscheck_linear,
-)
+from .corrections import _bell_block, _crosscheck, _rs_closed_forms, _series_block
 from .errors import GeompertError, PipelineError, ResidualUnderflow
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
 from .oracle import (
     _FD_STEP,
     RAY_FLOOR,
+    RESIDUAL_FLOOR,
     _continued_sweep,
     _fd_block,
     _fd_grid,
     _fit_above_floor,
     _ray_residual_block,
-    series_residual_order,
+    _value_residual_block,
 )
 from .spectral import double_bracket, eigenframe, resolve_gap_tol
 
@@ -180,12 +177,11 @@ def _check_hierarchy(hamiltonian, gens) -> dict:
     }
 
 
-def _check_routes(gens, order: int) -> dict:
+def _check_routes(gens, states, h, order: int) -> dict:
     cols = np.arange(gens.frame.dim)
-    rec, ha = _series_block(gens, cols, order)
     bell, hb = _series_block(gens, cols, order, _bell_block(gens, cols, order))
-    state_dev = max(_worst_relative(a, b) for a, b in zip(rec, bell))
-    value_dev = _worst_relative(ha, hb)
+    state_dev = max(_worst_relative(a, b) for a, b in zip(states, bell))
+    value_dev = _worst_relative(h, hb)
     ok = state_dev <= 1e-12 and value_dev <= 1e-11
     return {
         "status": "pass" if ok else "fail",
@@ -196,27 +192,27 @@ def _check_routes(gens, order: int) -> dict:
     }
 
 
-def _slope_or_none(fit, *args):
+def _slope_or_none(qs, residual, floor):
     try:
-        return fit(*args)
+        return _fit_above_floor(qs, residual, floor)
     except ResidualUnderflow:
         return None  # below the noise floor everywhere: better than required
 
 
 def _check_residual_order(
-    hamiltonian, frame, series_list, order, q_lo, q_hi, points, gap_tol
+    hamiltonian, frame, states, h, order, q_lo, q_hi, points, gap_tol
 ) -> dict:
     kc = min(order, 3)
     qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, gap_tol, True)
-    corrections = np.array([s.state_corrections[: kc + 1] for s in series_list])
+    corrections = np.stack(states[: kc + 1]).transpose(2, 0, 1)  # (state, k, component)
     rays = _ray_residual_block(vectors, corrections, curve.qs)
     threshold = kc + 0.8
-    value_slopes = [
-        _slope_or_none(series_residual_order, curve, series, n, kc, (q_lo, q_hi))
-        for n, series in enumerate(series_list)
-    ]
-    ray_slopes = [_slope_or_none(_fit_above_floor, curve.qs, r, RAY_FLOOR) for r in rays]
+    window_qs, residuals = _value_residual_block(
+        curve.qs, curve.values, h[: kc + 1].T, (q_lo, q_hi)
+    )
+    value_slopes = [_slope_or_none(window_qs, r, RESIDUAL_FLOOR) for r in residuals]
+    ray_slopes = [_slope_or_none(curve.qs, r, RAY_FLOOR) for r in rays]
     ok = not any(s is not None and s < threshold for s in value_slopes + ray_slopes)
     return {
         "status": "pass" if ok else "fail",
@@ -228,15 +224,15 @@ def _check_residual_order(
     }
 
 
-def _check_fd(hamiltonian, frame, series_list, order, gap_tol) -> dict:
+def _check_fd(hamiltonian, frame, h, order, gap_tol) -> dict:
     ks = range(1, min(order, 3) + 1)
     grid = _fd_grid(_FD_STEP, ks)
     curve, _ = _continued_sweep(frame, hamiltonian, grid, gap_tol, False)
     estimates = {k: _fd_block(curve, _FD_STEP, k) for k in ks}
     rows = []
-    for n, series in enumerate(series_list):
+    for n in range(frame.dim):
         for k in ks:
-            ref = complex(series.eigenvalue_corrections[k])
+            ref = complex(h[k, n])
             dev = abs(complex(estimates[k][n]) - ref) / max(1.0, abs(ref))
             rows.append({"n": n, "k": k, "deviation": dev})
     worst = max([0.0] + [row["deviation"] for row in rows])
@@ -249,11 +245,10 @@ def _check_fd(hamiltonian, frame, series_list, order, gap_tol) -> dict:
     }
 
 
-def _check_hermitian(hamiltonian, frame, series_list) -> dict:
+def _check_hermitian(hamiltonian, frame, h) -> dict:
     if not hamiltonian.is_hermitian():
         return {"status": "skipped", "reason": "family is not Hermitian"}
-    coeffs = np.array([s.eigenvalue_corrections for s in series_list])
-    excess = np.abs(coeffs.imag) - (1e-10 * np.abs(coeffs.real) + 1e-12)
+    excess = np.abs(h.imag) - (1e-10 * np.abs(h.real) + 1e-12)
     ok = bool(np.all(excess <= 0))
     detail = {"worst_imag_excess": max(float(excess.max()), 0.0)}
     if hamiltonian.degree == 1:
@@ -270,10 +265,10 @@ def _check_hermitian(hamiltonian, frame, series_list) -> dict:
     return {"status": "pass" if ok else "fail", **detail}
 
 
-def _check_linear(hamiltonian, gap_tol) -> dict:
+def _check_linear(hamiltonian, gens) -> dict:
     if hamiltonian.degree != 1:
         return {"status": "skipped", "reason": "family is not linear"}
-    result = crosscheck_linear(hamiltonian, gap_tol=gap_tol)
+    result = _crosscheck(gens, hamiltonian.term(1), tolerance=1e-10)
     return {
         "status": "pass" if result.passed else "fail",
         "max_relative_deviation": result.max_relative_deviation,
@@ -281,19 +276,18 @@ def _check_linear(hamiltonian, gap_tol) -> dict:
     }
 
 
-def _check_gauge(hamiltonian, frame, gens, series_list, order) -> dict:
+def _check_gauge(hamiltonian, frame, states, h, order) -> dict:
+    # the order-kc series reads the generators of orders 0..kc-1 only
     kc = min(order, 3)
     rng = np.random.default_rng(_GAUGE_SEED)
     diags = [
         0.5 * (rng.standard_normal(frame.dim) + 1j * rng.standard_normal(frame.dim))
-        for _ in range(gens.order + 1)
+        for _ in range(kc)
     ]
-    shifted = solve_generators(hamiltonian, frame, gens.order, k0_diagonals=diags)
-    states, h_shifted = _series_block(shifted, np.arange(frame.dim), kc)
-    ref = np.array([s.eigenvalue_corrections[: kc + 1] for s in series_list]).T
-    value_dev = _worst_relative(ref, h_shifted)
-    first = np.array([s.state_corrections[1] for s in series_list]).T
-    state_change = float(np.abs(states[1] - first).max())
+    shifted = solve_generators(hamiltonian, frame, kc - 1, k0_diagonals=diags)
+    shifted_states, h_shifted = _series_block(shifted, np.arange(frame.dim), kc)
+    value_dev = _worst_relative(h[: kc + 1], h_shifted)
+    state_change = float(np.abs(shifted_states[1] - states[1]).max())
     ok = value_dev <= 1e-10
     return {
         "status": "pass" if ok else "fail",
@@ -341,21 +335,19 @@ def run_pipeline(
     with _stage("generators", timings):
         gens = solve_generators(hamiltonian, frame, max(order, 2))
     with _stage("corrections", timings):
-        series_list = build_all_series(gens, order)
+        states, h = _series_block(gens, np.arange(frame.dim), order)
 
     # in report order; each check runs in its own stage
     steps = {
         "hierarchy": lambda: _check_hierarchy(hamiltonian, gens),
-        "route_equivalence": lambda: _check_routes(gens, order),
+        "route_equivalence": lambda: _check_routes(gens, states, h, order),
         "residual_order": lambda: _check_residual_order(
-            hamiltonian, frame, series_list, order, q_lo, q_hi, points, tol
+            hamiltonian, frame, states, h, order, q_lo, q_hi, points, tol
         ),
-        "fd_concordance": lambda: _check_fd(hamiltonian, frame, series_list, order, tol),
-        "hermitian_reduction": lambda: _check_hermitian(hamiltonian, frame, series_list),
-        "linear_crosscheck": lambda: _check_linear(hamiltonian, tol),
-        "gauge_invariance": lambda: _check_gauge(
-            hamiltonian, frame, gens, series_list, order
-        ),
+        "fd_concordance": lambda: _check_fd(hamiltonian, frame, h, order, tol),
+        "hermitian_reduction": lambda: _check_hermitian(hamiltonian, frame, h),
+        "linear_crosscheck": lambda: _check_linear(hamiltonian, gens),
+        "gauge_invariance": lambda: _check_gauge(hamiltonian, frame, states, h, order),
     }
     results: dict[str, dict] = {}
     for name, check in steps.items():
@@ -369,7 +361,7 @@ def run_pipeline(
             q_max, n_points = sweep
             qs = np.linspace(0.0, float(q_max), int(n_points))
             curve, _ = _continued_sweep(frame, hamiltonian, qs, tol, False)
-            coeffs = np.array([s.eigenvalue_corrections for s in series_list])
+            coeffs = h.T.copy()  # contiguous: np.sum's pairing follows the layout
             powers = curve.qs[:, None] ** np.arange(order + 1)
             truncated = np.sum(powers[:, None, :] * coeffs[None, :, :], axis=2)
             residuals = np.abs(curve.values.T - truncated)
@@ -382,9 +374,9 @@ def run_pipeline(
 
     verdict = "fail" if any(r["status"] == "fail" for r in results.values()) else "pass"
     series_rows = [
-        {"n": n, "k": k, "re": float(h.real), "im": float(h.imag)}
-        for n, series in enumerate(series_list)
-        for k, h in enumerate(series.eigenvalue_corrections)
+        {"n": n, "k": k, "re": float(value.real), "im": float(value.imag)}
+        for n, series in enumerate(h.T)
+        for k, value in enumerate(series)
     ]
 
     report = Report(
@@ -399,7 +391,7 @@ def run_pipeline(
         },
         frame_summary={
             "eigenvalues": [
-                [float(h.real), float(h.imag)] for h in frame.eigenvalues
+                [float(e.real), float(e.imag)] for e in frame.eigenvalues
             ],
             "min_gap": float(frame.min_gap),
         },

@@ -102,12 +102,6 @@ class SpectralFrame:
     left: np.ndarray
     min_gap: float
 
-    def right_vector(self, n: int) -> np.ndarray:
-        return self.right[:, n]
-
-    def left_vector(self, n: int) -> np.ndarray:
-        return self.left[n, :]
-
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
     """Unit 2-norm columns with the first significant component real positive."""

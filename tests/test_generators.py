@@ -129,6 +129,19 @@ class TestSolveGenerators:
         with pytest.raises(g.DimensionMismatch):
             g.solve_generators(toy, frame, 1)
 
+    def test_brackets_only_the_terms(self, toy, toy_frame, monkeypatch):
+        calls = []
+        original = g.generators.double_bracket
+
+        def counted(frame, a):
+            calls.append(a)
+            return original(frame, a)
+
+        monkeypatch.setattr(g.generators, "double_bracket", counted)
+        gens = g.solve_generators(toy, toy_frame, 10)
+        assert len(calls) == len(toy.terms) == 3
+        assert g.hierarchy_residuals(toy, gens).max() < 1e-12
+
     def test_custom_diagonals_recorded(self, toy, toy_frame):
         diags = [np.ones(2)] * 3
         gens = g.solve_generators(toy, toy_frame, 2, k0_diagonals=diags)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geompert as g
+from geompert.cli import main
 from geompert.oracle import (
     RAY_FLOOR,
     _continued_sweep,
@@ -11,6 +12,7 @@ from geompert.oracle import (
     _fd_grid,
     _fit_above_floor,
     _ray_residual_block,
+    _value_residual_block,
 )
 from geompert.pipeline import ALL_CHECKS, run_pipeline
 from oracles import (
@@ -272,34 +274,73 @@ class TestRayResidual:
         assert g.log_log_slope(qs, r_shift) >= 2.8
 
 
+def _record_calls(monkeypatch):
+    """Record the positional arguments of every exact diagonalization, frame,
+    generator solve, series kernel call and Bell block run after this call,
+    and fail on any per-state series object."""
+    calls = {}
+
+    def recorded(name, fn):
+        calls[name] = []
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    for name in ("eigenframe", "solve_generators", "_series_block", "_bell_block"):
+        original = getattr(g.corrections, name)
+        wrapped = recorded(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("geompert") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+
+    def no_series(*_args, **_kwargs):
+        raise AssertionError("built a per-state series object")
+
+    monkeypatch.setattr(g.PerturbationSeries, "__init__", no_series)
+    return calls
+
+
+def _recursions(calls) -> int:
+    # a kernel call given state blocks (a fourth argument) only contracts them
+    return sum(len(args) < 4 for args in calls["_series_block"])
+
+
 class TestSharedSweep:
-    """Each check diagonalizes its grid once for all states, from one frame."""
+    """Each check diagonalizes its grid once for all states, from one frame,
+    and reads the run's one generator solve and one series block."""
 
-    def test_verify_call_counts(self, monkeypatch):
-        ham = seeded_quadratic_family(0, 6)
-        doc = g.ModelDocument("seeded-N6", list(ham.terms))
-        calls = {"eig": 0, "eigvals": 0, "eigenframe": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("eig", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        original = g.eigenframe
-        wrapped = counted("eigenframe", original)
-        for key, module in list(sys.modules.items()):
-            if key.startswith("geompert") and getattr(module, "eigenframe", None) is original:
-                monkeypatch.setattr(module, "eigenframe", wrapped)
-
+    @pytest.mark.parametrize("name", ["seeded-N6", "random-linear-N4-seed7"])
+    def test_verify_call_counts(self, monkeypatch, name):
+        if name == "seeded-N6":
+            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 6).terms))
+        else:
+            doc = g.builtin_model(name)
+        calls = _record_calls(monkeypatch)
         points = 25
         run_pipeline(doc, 3, ALL_CHECKS, points=points)
-        assert calls["eigenframe"] == 1
-        assert calls["eig"] <= 1 + points
-        assert calls["eigvals"] <= 7  # the union of the k = 1..3 stencils
+        assert len(calls["eigenframe"]) == 1
+        assert len(calls["eig"]) <= 1 + points
+        assert len(calls["eigvals"]) <= 7  # the union of the k = 1..3 stencils
+        # the run's solve, then the gauge check's to order kc - 1 = 2
+        assert [args[2] for args in calls["solve_generators"]] == [3, 2]
+        # the run's block and the gauge check's block, plus the linear
+        # crosscheck's order-3 recursion route; the route check reuses the run's
+        linear = doc.to_hamiltonian().degree == 1
+        assert _recursions(calls) == (3 if linear else 2)
+        assert len(calls["_bell_block"]) == 1
+
+    def test_expand_runs_the_recursion_once(self, monkeypatch, tmp_path):
+        calls = _record_calls(monkeypatch)
+        argv = ["expand", "--model", "toy-sec5", "--order", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert _recursions(calls) == 1
+        assert len(calls["_bell_block"]) == 1
+        assert [args[2] for args in calls["solve_generators"]] == [5]
 
     @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])
     def test_blocks_match_per_state_loops(self, name):
@@ -324,6 +365,13 @@ class TestSharedSweep:
             # the same BLAS dot kernels: bit-identical on the measured build;
             # the bound only allows another build to order a dot differently
             np.testing.assert_allclose(rays[n], ref, rtol=0, atol=1e-15)
+        coeffs = np.array([s.eigenvalue_corrections for s in series])
+        window_qs, residuals = _value_residual_block(qs, curve.values, coeffs, (2e-4, 5e-3))
+        sel = (qs >= 2e-4) & (qs <= 5e-3)
+        assert np.array_equal(window_qs, qs[sel])
+        for n in range(frame.dim):
+            ref = np.abs(curve.values[n, sel] - np.polyval(coeffs[n, ::-1], qs[sel]))
+            assert np.array_equal(residuals[n], ref)
 
     @pytest.mark.parametrize("name", list(g.BUILTIN_MODELS))
     def test_public_views_match_pipeline(self, name):
@@ -341,7 +389,13 @@ class TestSharedSweep:
                 dev = abs(g.fd_eigenvalue_derivatives(ham, n, k) - ref) / max(1.0, abs(ref))
                 assert next(entries) == {"n": n, "k": k, "deviation": dev}
         qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
+        curve = g.exact_spectrum_sweep(ham, qs)
         for n, s in enumerate(series):
+            try:
+                slope = g.series_residual_order(curve, s, n, order, (q_lo, q_hi))
+            except g.ResidualUnderflow:
+                slope = None
+            assert report.checks["residual_order"]["eigenvalue_slopes"][n] == slope
             rays = g.state_ray_residual(ham, s, n, order, qs)
             try:
                 slope = _fit_above_floor(qs, rays, RAY_FLOOR)
