@@ -13,6 +13,7 @@ from .bellpoly import (
     OperatorWord,
     WordPolynomial,
     bell_commutative,
+    dual_bell_coefficients,
     dual_bell_words,
     evaluate_words,
     evaluate_words_scalar,
@@ -107,6 +108,7 @@ __all__ = [
     "builtin_model",
     "crosscheck_linear",
     "double_bracket",
+    "dual_bell_coefficients",
     "dual_bell_words",
     "eigenframe",
     "eigenvalue_corrections",

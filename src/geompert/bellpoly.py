@@ -12,6 +12,9 @@ Three layers of the same recursion live here:
   longer commute, so B_k becomes a polynomial over *words* (ordered products)
   with the new letter prepended on the left:
   BB_{m+1} = sum_{j=0..m} C(m,j) P_{j+1} BB_{m-j},  BB_0 = identity word.
+  Its integer coefficients, in lexicographic word order, come from one cached
+  table per grade (`dual_bell_coefficients`), which the word polynomials and
+  the grade-stack kernel of `corrections._bell_block` both read.
 
 The word form is what resolves eigenstate corrections in closed form; the
 scalar forms double as its self-test oracle, since assigning commuting
@@ -25,6 +28,7 @@ Fraction inputs is exact).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -106,25 +110,57 @@ class WordPolynomial:
         return {w.letters: w.coefficient for w in self.words}
 
 
+# Bell number B_26 exceeds 2^63 - 1, and every coefficient of BB_k is at most
+# B_k (their sum), so the int64 table is exact up to this grade.
+MAX_WORD_GRADE = 25
+
+
+@cache
+def dual_bell_coefficients(k: int) -> np.ndarray:
+    """Coefficients of BB_k's 2^(k-1) words in lexicographic word order.
+
+    The words of BB_k are the compositions of k.  In lexicographic order they
+    run first letter `a` ascending, then BB_{k-a}'s words, and the recursion
+    BB_k = sum_a C(k-1, a-1) P_a BB_{k-a} combines no like terms, so the table
+    is the concatenation over `a` of C(k-1, a-1) times BB_{k-a}'s table.
+    Cached per grade; the returned int64 array is read-only.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if k > MAX_WORD_GRADE:
+        raise ValueError(
+            f"grade {k} exceeds {MAX_WORD_GRADE}: BB_k coefficients overflow int64"
+        )
+    if k == 0:
+        table = np.ones(1, dtype=np.int64)
+    else:
+        table = np.concatenate(
+            [comb(k - 1, a - 1) * dual_bell_coefficients(k - a) for a in range(1, k + 1)]
+        )
+    table.flags.writeable = False
+    return table
+
+
+@cache
 def dual_bell_words(k: int) -> WordPolynomial:
     """The grade-k dual non-commutative Bell polynomial BB_k.
 
     BB_0 is the identity word; BB_2 = P1 P1 + P2;
     BB_3 = P1 P1 P1 + P1 P2 + 2 P2 P1 + P3.  Every letter multiset of BB_k is
     a composition of k, so BB_k has exactly 2^(k-1) words for k >= 1.
+    Coefficients come from `dual_bell_coefficients`; cached per grade.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    levels: list[dict[tuple[int, ...], int]] = [{(): 1}]
-    for m in range(k):
-        new: dict[tuple[int, ...], int] = {}
-        for j in range(m + 1):
-            weight = comb(m, j)
-            for letters, coeff in levels[m - j].items():
-                word = (j + 1,) + letters
-                new[word] = new.get(word, 0) + weight * coeff
-        levels.append(new)
-    return WordPolynomial.from_terms(k, levels[k])
+    coefficients = dual_bell_coefficients(k).tolist()
+    if k == 0:
+        letters = [()]
+    else:
+        letters = [
+            (a,) + w.letters for a in range(1, k + 1) for w in dual_bell_words(k - a).words
+        ]
+    return WordPolynomial(
+        grade=k,
+        words=tuple(OperatorWord(coefficient=c, letters=w) for c, w in zip(coefficients, letters)),
+    )
 
 
 def evaluate_words(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import (
     DegenerateSpectrum,
@@ -41,6 +42,7 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERICAL = 4
 
 
+@cache  # parse_args keeps no state on the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geompert",

@@ -44,7 +44,7 @@ from math import factorial
 
 import numpy as np
 
-from .bellpoly import dual_bell_words, evaluate_words
+from .bellpoly import dual_bell_coefficients
 from .errors import DegreeMismatch, InsufficientOrder
 from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
 from .spectral import SpectralFrame, as_complex_matrix, double_bracket, eigenframe
@@ -110,13 +110,57 @@ def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
 
 
 def _bell_block(gens: GeneratorSeries, cols, order: int) -> list[np.ndarray]:
-    """State blocks S^(0..order) from the dual Bell words, one pass per grade."""
+    """State blocks S^(k) = BB_k(P_1, ..., P_k) S^(0) / k!, k = 0..order, with
+    P_a = (a-1)! (-i K_0^(a-1)), every word of every grade applied on its own.
+
+    The words of BB_k in lexicographic order are P_a w for a = 1..k and w
+    running over BB_{k-a}'s words in the same order.  So the vectors of all
+    grade-k words form one stack, the concatenation over `a` of P_a applied
+    to the grade-(k-a) stack: k batched matmuls per grade instead of one
+    product per word letter.  Each word vector is the same product chain as
+    applying the word letter by letter, and the coefficient-weighted sum runs
+    over the words in the same order, so the blocks equal the word-by-word
+    evaluation (`bellpoly.evaluate_words`) bit for bit.
+
+    Why every word stays: applying the BB recursion to a vector with the
+    partial sums memoized *is* the transport recursion, term for term, since
+    C(m,j) j! / (m+1)! = m! / ((m-j)! (m+1)!).  Folding the words into
+    per-grade sums would make this route a second copy of the recursion, not
+    a check of it; its only independent content is the word combinatorics.
+    The time therefore grows like 2^order N^2 m.  Memory: the stacks of
+    grades < order hold 2^(order-1) blocks of N x m, and one first-letter
+    chunk of at most 2^(order-2) more is scaled and summed at a time, about
+    3 * 2^(order-2) N m complex numbers in all (200 MB at N = m = 64,
+    order 12).
+    """
     _require_order(gens, order)
-    assign = {r: factorial(r - 1) * -1j * gens.k0[r - 1] for r in range(1, order + 1)}
+    coefficients = [dual_bell_coefficients(k).astype(np.complex128) for k in range(order + 1)]
+    symbols = [None] + [factorial(a - 1) * -1j * gens.k0[a - 1] for a in range(1, order + 1)]
     v0 = gens.frame.right[:, cols]
+    stacks = [v0[None]]  # grade 0: the identity word
+    # chunk[0] carries the running sum, chunk[1:] one first letter's terms
+    chunk = np.empty((1 + 2 ** max(order - 2, 0), *v0.shape), dtype=np.complex128)
     out = [v0]
     for k in range(1, order + 1):
-        out.append(evaluate_words(dual_bell_words(k), assign, v0) / factorial(k))
+        words = np.empty((2 ** (k - 1), *v0.shape), dtype=np.complex128) if k < order else None
+        total = np.zeros_like(v0)
+        start = 0
+        for a in range(1, k + 1):
+            stop = start + stacks[k - a].shape[0]
+            terms = chunk[1 : 1 + stop - start]
+            target = terms if words is None else words[start:stop]
+            np.matmul(symbols[a], stacks[k - a], out=target)
+            np.multiply(target, coefficients[k][start:stop, None, None], out=terms)
+            chunk[0] = total
+            # sum as real pairs: one word axis that is never the inner loop
+            # keeps numpy's reduction sequential (a 1 x 1 block would go pairwise)
+            total = np.add.reduce(chunk[: 1 + stop - start].view(np.float64), axis=0).view(
+                np.complex128
+            )
+            start = stop
+        if words is not None:
+            stacks.append(words)
+        out.append(total / factorial(k))
     return out
 
 

@@ -84,7 +84,10 @@ def _parse_matrix(raw, dim: int, path: str) -> np.ndarray:
                 cell,
                 "expected a 2-element real array [re, im]",
             )
-            re, im = float(entry[0]), float(entry[1])
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:  # an integer too large for a float
+                raise NonFiniteEntry(f"{cell}: entry is not finite") from None
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise NonFiniteEntry(f"{cell}: entry is not finite")
             out[i, j] = complex(re, im)
@@ -97,7 +100,7 @@ def parse_model(text) -> ModelDocument:
         text = text.decode("utf-8")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer over Python's digit limit
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
 
     _require(isinstance(raw, dict), "$", "expected a JSON object")

@@ -8,7 +8,7 @@ references for the recursion engines.
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -233,6 +233,45 @@ def reference_eigenvalue_corrections(gens, n, order):
             s -= j * h[j] * (wn @ states[k - j])
         h[k] = s / k
     return h
+
+
+# ---------------------------------------------------------------------------
+# dual Bell words from their defining recursion, applied one word and one
+# letter at a time: the reference for the coefficient table and the
+# grade-stack kernel
+# ---------------------------------------------------------------------------
+
+
+def reference_bell_terms(k):
+    """BB_k as {letters: coefficient}, built by the like-term-combining
+    recursion BB_{m+1} = sum_j C(m, j) P_{j+1} BB_{m-j}, sorted by letters."""
+    levels = [{(): 1}]
+    for m in range(k):
+        new = {}
+        for j in range(m + 1):
+            weight = comb(m, j)
+            for letters, coeff in levels[m - j].items():
+                word = (j + 1,) + letters
+                new[word] = new.get(word, 0) + weight * coeff
+        levels.append(new)
+    return dict(sorted(levels[k].items()))
+
+
+def reference_bell_blocks(gens, cols, order):
+    """BB_k(P_1..P_k) V[:, cols] / k! for k = 0..order, P_r = (r-1)! (-i K_0^(r-1)),
+    each word applied letter by letter and added to a zero block in order."""
+    assign = {r: factorial(r - 1) * -1j * gens.k0[r - 1] for r in range(1, order + 1)}
+    v0 = gens.frame.right[:, cols]
+    out = [v0]
+    for k in range(1, order + 1):
+        total = np.zeros_like(v0)
+        for letters, coeff in reference_bell_terms(k).items():
+            acc = v0
+            for letter in reversed(letters):
+                acc = assign[letter] @ acc
+            total = total + coeff * acc
+        out.append(total / factorial(k))
+    return out
 
 
 # ---------------------------------------------------------------------------

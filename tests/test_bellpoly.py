@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import geompert as g
-from geompert.bellpoly import WordPolynomial
+from geompert.bellpoly import MAX_WORD_GRADE, WordPolynomial
+from oracles import reference_bell_terms
 
 
 def power_sums(roots, k):
@@ -123,6 +124,37 @@ class TestDualBellWords:
             collapsed = g.evaluate_words_scalar(g.dual_bell_words(k), p)
             ref = g.bell_commutative(k, list(p))
             assert abs(collapsed - ref) <= 1e-12 * max(1, abs(ref))
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("k", range(0, 13))
+    def test_matches_defining_recursion_in_order(self, k):
+        ref = reference_bell_terms(k)
+        table = g.dual_bell_coefficients(k)
+        assert table.dtype == np.int64
+        assert table.tolist() == list(ref.values())
+        wp = g.dual_bell_words(k)
+        assert [w.letters for w in wp.words] == list(ref)
+        assert [w.coefficient for w in wp.words] == list(ref.values())
+        assert all(type(w.coefficient) is int for w in wp.words)
+
+    def test_cached_and_read_only(self):
+        table = g.dual_bell_coefficients(6)
+        assert g.dual_bell_coefficients(6) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 7
+        assert g.dual_bell_words(6) is g.dual_bell_words(6)
+
+    def test_grade_limits(self):
+        for k in (-1, MAX_WORD_GRADE + 1):
+            with pytest.raises(ValueError):
+                g.dual_bell_coefficients(k)
+            with pytest.raises(ValueError):
+                g.dual_bell_words(k)
+        # every coefficient is at most the Bell number B_k, their sum
+        assert g.bell_commutative(MAX_WORD_GRADE, [1] * MAX_WORD_GRADE) < 2**63
+        assert g.bell_commutative(MAX_WORD_GRADE + 1, [1] * (MAX_WORD_GRADE + 1)) >= 2**63
 
 
 class TestEvaluateWords:

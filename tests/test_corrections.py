@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import geompert as g
+from geompert.corrections import _bell_block
 from oracles import (
     linear_family,
+    reference_bell_blocks,
     reference_eigenvalue_corrections,
     reference_state_corrections,
     seeded_quadratic_family,
@@ -235,6 +237,24 @@ class TestBlockKernel:
         for n, series in enumerate(everything):
             assert series.eigenvalue_corrections[0] == toy_gens.frame.eigenvalues[n]
             assert np.array_equal(series.state_corrections[0], toy_gens.frame.right[:, n])
+
+
+class TestBellGradeStacks:
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N6"])
+    def test_bit_identical_to_word_by_word(self, family):
+        if family in g.BUILTIN_MODELS:
+            ham = g.builtin_model(family).to_hamiltonian()
+        else:
+            ham = seeded_quadratic_family(0, 6)
+        gens = g.solve_model(ham, 10)
+        for cols in (np.arange(ham.dim), [ham.dim - 1]):
+            ref = reference_bell_blocks(gens, cols, 10)
+            for order in range(11):
+                blocks = _bell_block(gens, cols, order)
+                assert len(blocks) == order + 1
+                for a, b in zip(blocks, ref):
+                    # bytes compare signs of zero too
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestLinearClosedForms:

@@ -68,6 +68,17 @@ class TestParseModel:
         with pytest.raises(g.NonFiniteEntry):
             g.parse_model(raw)
 
+    @pytest.mark.parametrize("cell", ["[1{zeros}, 0]", "[0, -1{zeros}]"])
+    def test_integer_too_large_for_a_float(self, cell):
+        raw = TOY_JSON.replace("[0, 0]", cell.format(zeros="0" * 400), 1)
+        with pytest.raises(g.NonFiniteEntry, match=r"terms\[0\]\.matrix\[0\]\[0\]"):
+            g.parse_model(raw)
+
+    def test_integer_over_the_digit_limit(self):
+        raw = TOY_JSON.replace("[0, 0]", "[1" + "0" * 5000 + ", 0]", 1)
+        with pytest.raises(g.SchemaError, match="invalid JSON"):
+            g.parse_model(raw)
+
     def test_duplicate_order(self):
         raw = json.dumps(
             {
@@ -319,6 +330,25 @@ class TestCli:
         model = tmp_path / "bad.json"
         model.write_text("{}")
         assert main(["expand", "--model", str(model), "--order", "2", "--out", str(tmp_path / "o")]) == 2
+
+    def test_oversized_integer_exit_code(self, tmp_path, capsys):
+        model = tmp_path / "huge.json"
+        model.write_text(TOY_JSON.replace("[0, 0]", "[1" + "0" * 400 + ", 0]", 1))
+        out = tmp_path / "o"
+        assert main(["expand", "--model", str(model), "--order", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteEntry"
+
+    def test_parser_built_once(self, capsys):
+        from geompert.cli import _build_parser
+
+        parser = _build_parser()
+        assert main(["models", "list"]) == 0
+        assert main(["verify", "--model", "toy-sec5", "--order", "2", "--points", "20"]) == 0
+        assert _build_parser() is parser
+        # the cached parser keeps no state between calls: defaults come back
+        args = parser.parse_args(["verify", "--model", "m", "--order", "2"])
+        assert (args.q_lo, args.q_hi, args.points) == (1e-4, 1e-2, 25)
 
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sweep"

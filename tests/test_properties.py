@@ -1,12 +1,14 @@
-"""Property tests of the block series kernel on random well-separated families."""
+"""Property tests of the block series kernel and of the Bell route's grade-stack kernel."""
+
+from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geompert as g
 from geompert.corrections import _bell_block, _series_block
-from oracles import linear_family
+from oracles import linear_family, reference_bell_blocks
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, derandomize=True, database=None
@@ -66,3 +68,27 @@ def test_eigenvalues_invariant_under_diagonal_gauge(case):
     h_base = np.array([s.eigenvalue_corrections for s in base]).T
     h_shifted = np.array([s.eigenvalue_corrections for s in shifted]).T
     assert _column_relative(h_shifted, h_base) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 7))
+@example(2, 1, 1, 7)  # a 1 x 1 block, where numpy would sum the words pairwise
+def test_bell_grade_stacks_equal_word_by_word(seed, dim, width, order):
+    # arbitrary K_0 and blocks, with exact (signed) zeros among the entries
+    rng = np.random.default_rng(seed)
+
+    def entries(*shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.where(rng.random(shape) < 0.2, -0.0, z)
+
+    gens = SimpleNamespace(
+        order=order,
+        k0=[entries(dim, dim) for _ in range(order)],
+        frame=SimpleNamespace(right=entries(dim, width)),
+    )
+    cols = np.arange(width)
+    blocks = _bell_block(gens, cols, order)
+    ref = reference_bell_blocks(gens, cols, order)
+    assert len(blocks) == len(ref) == order + 1
+    for a, b in zip(blocks, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
