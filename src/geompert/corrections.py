@@ -28,8 +28,16 @@ so that h^(k) = (T[k-1, 0] + sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k
 touches only vectors of length len(cols).  The same contraction runs on the
 recursion blocks (production) and on the Bell blocks (cross check); the two
 must agree to roundoff.  Diagonal gauge choices for K_0 change the state
-corrections but drop out of h_n^(k) identically.  The per-state functions
-are one-column views of the kernel; `build_all_series` takes all N columns.
+corrections but drop out of h_n^(k) identically.
+
+Production series come from one all-state block per (solve, order):
+`_all_block` runs the kernel on all N columns at the first request for an
+order and memoizes the read-only result on the `GeneratorSeries`.  The
+per-state functions (`build_series`, `eigenvalue_corrections`,
+`state_corrections_recursive`) copy their column out of it, so a loop over
+all states costs one kernel call, and `build_all_series` returns the same
+columns bit for bit.  The Bell route stays per call and unmemoized: its
+independence from the recursion is what the route check tests.
 
 For a strictly linear family H_0 + q H_1 the first three corrections reduce
 to closed forms in either [[K_1^(j)]] or [[H_1]] alone; `rs_linear_corrections`
@@ -47,7 +55,7 @@ import numpy as np
 from .bellpoly import dual_bell_coefficients
 from .errors import DegreeMismatch, InsufficientOrder
 from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
-from .spectral import SpectralFrame, as_complex_matrix, double_bracket, eigenframe
+from .spectral import SpectralFrame, as_complex_matrix, double_bracket, eigenframe, require_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +70,17 @@ class PerturbationSeries:
 
     def eigenvalue_at(self, q: float) -> complex:
         """Truncated eigenvalue sum_{k<=order} q^k h^(k)."""
-        powers = q ** np.arange(self.order + 1)
-        return complex(np.sum(powers * self.eigenvalue_corrections))
+        return complex(_horner(self.eigenvalue_corrections[None], np.array([q]))[0, 0])
+
+
+def _horner(coeffs: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Truncations sum_k qs^k coeffs[s, k] of (S, K+1) coefficients at every
+    sample, shape (S, len(qs)), by Horner's rule step for step as np.polyval.
+    Every truncated series in the package is evaluated here."""
+    out = np.zeros_like(qs)
+    for c in coeffs[:, ::-1].T:
+        out = out * qs + c[:, None]
+    return out
 
 
 def _require_order(gens: GeneratorSeries, order: int) -> None:
@@ -164,18 +181,53 @@ def _bell_block(gens: GeneratorSeries, cols, order: int) -> list[np.ndarray]:
     return out
 
 
+def _all_block(gens: GeneratorSeries, order: int):
+    """The all-state block of `order`: read-only state blocks S^(0..order)
+    (a tuple of N x N) and h^(0..order) (order + 1, N).
+
+    The first request for an order runs `_series_block` on every column; the
+    block is memoized on `gens`, so each (solve, order) runs the recursion
+    and contraction once.  It holds (order + 1) N^2 complex numbers.
+    """
+    block = gens._blocks.get(order)
+    if block is None:
+        states, h = _series_block(gens, np.arange(gens.frame.dim), order)
+        for a in (*states, h):
+            a.setflags(write=False)
+        # concurrent first requests may both compute; every caller gets the first stored
+        block = gens._blocks.setdefault(order, (tuple(states), h))
+    return block
+
+
+def _columns(gens: GeneratorSeries, cols: slice, order: int):
+    """Read-only copies of the columns `cols` of the all-state block: state
+    corrections (m, order + 1, N) and eigenvalue corrections (m, order + 1)."""
+    states, h = _all_block(gens, order)
+    per_state = np.ascontiguousarray(np.stack([s[:, cols] for s in states]).transpose(2, 0, 1))
+    values = np.ascontiguousarray(h[:, cols].T)
+    for a in (per_state, values):
+        a.setflags(write=False)
+    return per_state, values
+
+
+def _column_of(gens: GeneratorSeries, n) -> slice:
+    """The column slice of state `n`, which must be an integer 0 <= n < N."""
+    n = require_state(n, gens.frame.dim)
+    return slice(n, n + 1)
+
+
 def state_corrections_recursive(
     gens: GeneratorSeries, n: int, order: int
 ) -> list[np.ndarray]:
     """State corrections |n^(0)>..|n^(order)> by direct recursion."""
-    states, _ = _series_block(gens, [n], order)
-    return [s[:, 0] for s in states]
+    return list(_columns(gens, _column_of(gens, n), order)[0][0])
 
 
 def state_corrections_bell(
     gens: GeneratorSeries, n: int, order: int
 ) -> list[np.ndarray]:
     """State corrections via the dual Bell closed form (equals the recursion)."""
+    n = require_state(n, gens.frame.dim)
     return [s[:, 0] for s in _bell_block(gens, [n], order)]
 
 
@@ -186,7 +238,7 @@ def eigenvalue_corrections(gens: GeneratorSeries, n: int, order: int) -> np.ndar
     eigenvalue.  Production path: dual-vector contraction against the
     recursion's state corrections.
     """
-    return _series_block(gens, [n], order)[1][:, 0]
+    return _columns(gens, _column_of(gens, n), order)[1][0]
 
 
 def eigenvalue_corrections_bell(
@@ -197,35 +249,34 @@ def eigenvalue_corrections_bell(
     Same contraction as `eigenvalue_corrections` but with every state
     correction re-derived as BB_m / m! acting on |n^(0)>; cross-check path.
     """
+    n = require_state(n, gens.frame.dim)
     _require_order(gens, order)
     states = _bell_block(gens, [n], max(order - 1, 0))
     return _series_block(gens, [n], order, states)[1][:, 0]
 
 
-def _series_views(gens: GeneratorSeries, cols, order: int) -> list[PerturbationSeries]:
-    states, h = _series_block(gens, cols, order)
-    per_state = np.stack(states).transpose(2, 0, 1).copy()  # (m, order + 1, N)
-    values = h.T.copy()
+def _series_views(gens: GeneratorSeries, cols: slice, order: int) -> list[PerturbationSeries]:
+    per_state, values = _columns(gens, cols, order)
     return [
         PerturbationSeries(
-            state=int(n),
+            state=n,
             order=order,
             eigenvalue_corrections=values[c],
             state_corrections=tuple(per_state[c]),
             gauge=gens.gauge,
         )
-        for c, n in enumerate(cols)
+        for c, n in enumerate(range(gens.frame.dim)[cols])
     ]
 
 
 def build_series(gens: GeneratorSeries, n: int, order: int) -> PerturbationSeries:
     """Assemble the full per-state series (production routes)."""
-    return _series_views(gens, [n], order)[0]
+    return _series_views(gens, _column_of(gens, n), order)[0]
 
 
 def build_all_series(gens: GeneratorSeries, order: int) -> list[PerturbationSeries]:
-    """Every state's series from one kernel call over all N frame columns."""
-    return _series_views(gens, range(gens.frame.dim), order)
+    """Every state's series, read from the all-state block of `order`."""
+    return _series_views(gens, slice(None), order)
 
 
 def _rs_closed_forms(a: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -262,6 +313,7 @@ def rs_linear_corrections(
     With a Hermitian frame these are the textbook Rayleigh-Schroedinger
     formulas.
     """
+    n = require_state(n, frame.dim)
     a = double_bracket(frame, as_complex_matrix(h1))
     h1c, h2c, h3c = _rs_closed_forms(a, frame.eigenvalues)[n]
     return complex(h1c), complex(h2c), complex(h3c)
@@ -310,7 +362,7 @@ def _crosscheck(gens: GeneratorSeries, h1, tolerance: float) -> LinearCrosscheck
     """The three routes to h^(1..3) on generators of a linear family solved to
     order >= 2; `h1` is its H_1."""
     frame = gens.frame
-    route_a = _series_block(gens, range(frame.dim), 3)[1][1:].T
+    route_a = _all_block(gens, 3)[1][1:].T
     route_b = _k1_route_linear(gens)
     route_c = _rs_closed_forms(double_bracket(frame, h1), frame.eigenvalues)
     dev = np.maximum(

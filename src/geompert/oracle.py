@@ -30,7 +30,7 @@ from math import factorial
 
 import numpy as np
 
-from .corrections import PerturbationSeries
+from .corrections import PerturbationSeries, _horner
 from .errors import (
     DegenerateSpectrum,
     InsufficientOrder,
@@ -38,7 +38,7 @@ from .errors import (
     ResidualUnderflow,
 )
 from .generators import PolynomialHamiltonian
-from .spectral import SpectralFrame, eigenframe, min_pairwise_gap, resolve_gap_tol
+from .spectral import SpectralFrame, eigenframe, min_pairwise_gap, require_state, resolve_gap_tol
 
 # residuals below this are roundoff, not signal
 RESIDUAL_FLOOR = 1e-14
@@ -175,11 +175,7 @@ def _value_residual_block(qs: np.ndarray, exact: np.ndarray, coeffs: np.ndarray,
     decades = np.log10(q_hi / q_lo)
     if decades > 0 and qs.size / decades < 8.0 - 1e-9:
         raise ValueError("need at least 8 samples per decade in the window")
-    # Horner's rule, step for step as np.polyval
-    truncated = np.zeros_like(qs)
-    for pv in coeffs[:, ::-1].T:
-        truncated = truncated * qs + pv[:, None]
-    return qs, np.abs(exact[:, sel] - truncated)
+    return qs, np.abs(exact[:, sel] - _horner(coeffs, qs))
 
 
 def series_residual_order(
@@ -198,6 +194,7 @@ def series_residual_order(
     fit; if fewer than five usable points remain the window cannot support a
     slope estimate and ResidualUnderflow is raised.
     """
+    n = require_state(n, curve.values.shape[0])
     if series.order < order:
         raise InsufficientOrder(
             f"series holds order {series.order}, requested {order}"
@@ -247,6 +244,7 @@ def fd_eigenvalue_derivatives(
     combined by one Richardson extrapolation, divided by k!.  The whole
     stencil must stay inside the non-degenerate region.
     """
+    n = require_state(n, hamiltonian.dim)
     if not 1 <= k <= 4:
         raise ValueError("derivative order k must be in 1..4")
     qs = _fd_grid(step, (k,))
@@ -294,6 +292,7 @@ def state_ray_residual(
     Both vectors are compared as rays (overall complex factors ignored), so
     the result is insensitive to gauge and normalization choices.
     """
+    n = require_state(n, hamiltonian.dim)
     if series.order < order:
         raise InsufficientOrder(
             f"series holds order {series.order}, requested {order}"

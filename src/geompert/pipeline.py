@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .corrections import _bell_block, _crosscheck, _rs_closed_forms, _series_block
+from .corrections import (
+    _all_block,
+    _bell_block,
+    _crosscheck,
+    _horner,
+    _rs_closed_forms,
+    _series_block,
+)
 from .errors import GeompertError, PipelineError, ResidualUnderflow
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
@@ -285,7 +292,7 @@ def _check_gauge(hamiltonian, frame, states, h, order) -> dict:
         for _ in range(kc)
     ]
     shifted = solve_generators(hamiltonian, frame, kc - 1, k0_diagonals=diags)
-    shifted_states, h_shifted = _series_block(shifted, np.arange(frame.dim), kc)
+    shifted_states, h_shifted = _all_block(shifted, kc)
     value_dev = _worst_relative(h[: kc + 1], h_shifted)
     state_change = float(np.abs(shifted_states[1] - states[1]).max())
     ok = value_dev <= 1e-10
@@ -325,6 +332,11 @@ def run_pipeline(
     unknown = set(checks) - ALL_CHECKS
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if "residual_order" in checks and not 0 < q_lo < q_hi < np.inf:
+        raise ValueError(
+            f"residual window must satisfy finite 0 < q_lo < q_hi, "
+            f"got q_lo = {q_lo!r}, q_hi = {q_hi!r}"
+        )
 
     timings: dict[str, float] = {}
     with _stage("validate", timings):
@@ -335,7 +347,7 @@ def run_pipeline(
     with _stage("generators", timings):
         gens = solve_generators(hamiltonian, frame, max(order, 2))
     with _stage("corrections", timings):
-        states, h = _series_block(gens, np.arange(frame.dim), order)
+        states, h = _all_block(gens, order)
 
     # in report order; each check runs in its own stage
     steps = {
@@ -361,10 +373,7 @@ def run_pipeline(
             q_max, n_points = sweep
             qs = np.linspace(0.0, float(q_max), int(n_points))
             curve, _ = _continued_sweep(frame, hamiltonian, qs, tol, False)
-            coeffs = h.T.copy()  # contiguous: np.sum's pairing follows the layout
-            powers = curve.qs[:, None] ** np.arange(order + 1)
-            truncated = np.sum(powers[:, None, :] * coeffs[None, :, :], axis=2)
-            residuals = np.abs(curve.values.T - truncated)
+            residuals = np.abs(curve.values - _horner(h.T, curve.qs)).T
             sweep_rows = [
                 {"q": float(q), "n": n, "re": float(v.real), "im": float(v.imag),
                  "residual": float(r)}

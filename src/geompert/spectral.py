@@ -67,6 +67,18 @@ def resolve_gap_tol(gap_tol: float | None = None) -> float:
     return tol
 
 
+def require_state(n, dim: int) -> int:
+    """`n` as a state index: an integer 0 <= n < dim (a bool is not one).
+
+    Raises IndexError naming `n` and `dim`, so a negative index never wraps
+    around to another state.
+    """
+    integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not (integral and 0 <= n < dim):
+        raise IndexError(f"state index n = {n!r} must be an integer with 0 <= n < N = {dim}")
+    return int(n)
+
+
 def min_pairwise_gap(values: np.ndarray) -> float:
     """Smallest |h_i - h_j| over i != j (inf for fewer than two values)."""
     values = np.asarray(values)

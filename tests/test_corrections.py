@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,119 @@ class TestBlockKernel:
         for n, series in enumerate(everything):
             assert series.eigenvalue_corrections[0] == toy_gens.frame.eigenvalues[n]
             assert np.array_equal(series.state_corrections[0], toy_gens.frame.right[:, n])
+
+
+class TestAllStateBlock:
+    """Per-state views read one memoized all-state block per (solve, order)."""
+
+    @staticmethod
+    def _count_blocks(monkeypatch):
+        calls = []
+        original = g.corrections._series_block
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(g.corrections, "_series_block", counted)
+        return calls
+
+    def test_readme_loop_runs_one_block_per_order(self, monkeypatch):
+        ham = seeded_quadratic_family(0, 16)
+        gens = g.solve_model(ham, 6)
+        calls = self._count_blocks(monkeypatch)
+        for n in range(ham.dim):
+            g.build_series(gens, n, 6)
+            g.eigenvalue_corrections(gens, n, 6)
+            g.state_corrections_recursive(gens, n, 6)
+        g.build_all_series(gens, 6)
+        assert len(calls) == 1
+        for n in range(ham.dim):
+            g.build_series(gens, n, 4)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16-deg2"])
+    def test_views_equal_all_series_bit_for_bit(self, family):
+        if family in g.BUILTIN_MODELS:
+            ham = g.builtin_model(family).to_hamiltonian()
+        else:
+            ham = seeded_quadratic_family(0, 16)
+        order = 8
+        gens = g.solve_model(ham, order)
+        everything = g.build_all_series(gens, order)
+        for n, block in enumerate(everything):
+            single = g.build_series(gens, n, order)
+            assert single.state == n and single.order == order
+            for h in (single.eigenvalue_corrections, g.eigenvalue_corrections(gens, n, order)):
+                assert h.tobytes() == block.eigenvalue_corrections.tobytes()
+            for vecs in (single.state_corrections, g.state_corrections_recursive(gens, n, order)):
+                assert len(vecs) == order + 1
+                for a, b in zip(vecs, block.state_corrections):
+                    assert a.shape == (ham.dim,) and a.tobytes() == b.tobytes()
+
+    def test_returned_arrays_are_read_only(self, toy_gens):
+        before = g.eigenvalue_corrections(toy_gens, 1, 4).copy()
+        states_before = [v.copy() for v in g.state_corrections_recursive(toy_gens, 1, 4)]
+        arrays = [
+            g.eigenvalue_corrections(toy_gens, 1, 4),
+            g.state_corrections_recursive(toy_gens, 1, 4)[2],
+            g.build_series(toy_gens, 1, 4).eigenvalue_corrections,
+            g.build_series(toy_gens, 1, 4).state_corrections[1],
+            g.build_all_series(toy_gens, 4)[1].eigenvalue_corrections,
+            g.build_all_series(toy_gens, 4)[1].state_corrections[3],
+        ]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 7.0
+        assert np.array_equal(g.eigenvalue_corrections(toy_gens, 1, 4), before)
+        assert np.array_equal(g.build_all_series(toy_gens, 4)[1].eigenvalue_corrections, before)
+        for a, b in zip(g.state_corrections_recursive(toy_gens, 1, 4), states_before):
+            assert np.array_equal(a, b)
+
+    def test_replace_starts_an_empty_memo(self, toy_gens):
+        original = g.build_series(toy_gens, 1, 3)
+        zero = tuple(np.zeros_like(m) for m in toy_gens.k0)
+        frozen = dataclasses.replace(toy_gens, k0=zero)
+        assert frozen._blocks == {} and toy_gens._blocks
+        for k, vec in enumerate(g.build_series(frozen, 1, 3).state_corrections):
+            assert np.any(vec != 0) if k == 0 else np.all(vec == 0)
+        again = g.build_series(toy_gens, 1, 3)
+        assert again.state_corrections[1].tobytes() == original.state_corrections[1].tobytes()
+        assert np.any(original.state_corrections[1] != 0)
+
+
+class TestStateIndex:
+    """Every per-state function takes an integer 0 <= n < N and nothing else."""
+
+    @pytest.mark.parametrize("n", [-1, 2, 7, True, False, 1.0, np.float64(0.0), "0"])
+    def test_rejected(self, toy, toy_frame, toy_gens, n):
+        series = g.build_series(toy_gens, 1, 2)
+        curve = g.exact_spectrum_sweep(toy, np.logspace(-3, -1, 17))
+        calls = [
+            lambda: g.build_series(toy_gens, n, 2),
+            lambda: g.eigenvalue_corrections(toy_gens, n, 2),
+            lambda: g.state_corrections_recursive(toy_gens, n, 2),
+            lambda: g.state_corrections_bell(toy_gens, n, 2),
+            lambda: g.eigenvalue_corrections_bell(toy_gens, n, 2),
+            lambda: g.rs_linear_corrections(toy_frame, toy.term(1), n),
+            lambda: g.series_residual_order(curve, series, n, 2, (1e-3, 1e-1)),
+            lambda: g.state_ray_residual(toy, series, n, 2, [1e-3, 1e-2]),
+            lambda: g.fd_eigenvalue_derivatives(toy, n, 1),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError, match=re.escape(f"n = {n!r}") + ".*N = 2"):
+                call()
+
+    def test_numpy_integers_accepted(self, toy, toy_gens):
+        n = np.int64(1)
+        assert g.build_series(toy_gens, n, 2).state == 1
+        assert type(g.build_series(toy_gens, n, 2).state) is int
+        assert np.array_equal(
+            g.eigenvalue_corrections(toy_gens, n, 2), g.eigenvalue_corrections(toy_gens, 1, 2)
+        )
+        assert g.fd_eigenvalue_derivatives(toy, np.int32(1), 1) == g.fd_eigenvalue_derivatives(
+            toy, 1, 1
+        )
 
 
 class TestBellGradeStacks:

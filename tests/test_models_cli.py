@@ -370,6 +370,20 @@ class TestCli:
             argv = ["verify", "--model", "toy-sec5", "--order", "2", flag, "nan"]
             assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "window", [["--q-lo", "0"], ["--q-lo", "-1"], ["--q-lo", "1e-2", "--q-hi", "1e-4"]]
+    )
+    def test_verify_bad_window_exit_code(self, capsys, window):
+        # rejected before the grid is built: no numpy warning, one diagnostic line
+        assert main(["verify", "--model", "toy-sec5", "--order", "2", *window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert "0 < q_lo < q_hi" in err["message"]
+        assert f"q_lo = {float(window[1])!r}" in err["message"]
+
     def test_gauge_flag_restricted(self, tmp_path, capsys):
         model = tmp_path / "toy.json"
         model.write_text(TOY_JSON)

@@ -328,10 +328,9 @@ class TestSharedSweep:
         assert len(calls["eigvals"]) <= 7  # the union of the k = 1..3 stencils
         # the run's solve, then the gauge check's to order kc - 1 = 2
         assert [args[2] for args in calls["solve_generators"]] == [3, 2]
-        # the run's block and the gauge check's block, plus the linear
-        # crosscheck's order-3 recursion route; the route check reuses the run's
-        linear = doc.to_hamiltonian().degree == 1
-        assert _recursions(calls) == (3 if linear else 2)
+        # the run's block and the gauge check's block; the route check and the
+        # linear crosscheck's order-3 recursion route reuse the run's
+        assert _recursions(calls) == 2
         assert len(calls["_bell_block"]) == 1
 
     def test_expand_runs_the_recursion_once(self, monkeypatch, tmp_path):
