@@ -21,18 +21,20 @@ powers of q in K_1 |n> = (dh_n/dq) |n> and contracting with the dual vector
 With the dual rows W_c = W[cols], the kernel first builds small tables:
 
     R_j     = W_c K_1^(j)        rows, once per order j,
-    T[j, m] = diag(R_j S^(m))    pair table, one batched matmul,
+    T[j, m] = diag(R_j S^(m))    pair table,
     D[m]    = diag(W_c S^(m)),
 
-so that h^(k) = (T[k-1, 0] + sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k
-touches only vectors of length len(cols).  The same contraction runs on the
+each entry one dot product of length N, so that h^(k) = (T[k-1, 0] +
+sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k touches only vectors of length
+len(cols), and no step depends on the order: a lower order's block is a
+prefix of a higher one's, bit for bit.  The same contraction runs on the
 recursion blocks (production) and on the Bell blocks (cross check); the two
 must agree to roundoff.  Diagonal gauge choices for K_0 change the state
 corrections but drop out of h_n^(k) identically.
 
-Production series come from one all-state block per (solve, order):
-`_all_block` runs the kernel on all N columns at the first request for an
-order and memoizes the read-only result on the `GeneratorSeries`.  The
+Production series come from one all-state block per solve: `_all_block`
+keeps the read-only block of the highest order requested on the
+`GeneratorSeries` and serves every lower order as a prefix slice.  The
 per-state functions (`build_series`, `eigenvalue_corrections`,
 `state_corrections_recursive`) copy their column out of it, so a loop over
 all states costs one kernel call, and `build_all_series` returns the same
@@ -93,40 +95,46 @@ def _require_order(gens: GeneratorSeries, order: int) -> None:
         )
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis: one BLAS dot (that of `np.vdot`) per
+    entry, whatever the batch shape, so each entry keeps a loop's bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
     """The block kernel: state blocks S^(0..order) and h^(0..order) of `cols`.
 
     `states` supplies the blocks instead of the transport recursion (the Bell
-    route); the contraction reads only S^(0..order-1).  Returns the list of
-    (N, m) state blocks and the (order + 1, m) eigenvalue corrections.
+    route); the contraction reads only S^(0..order-1).  Returns the
+    (order + 1, N, m) state blocks and the (order + 1, m) eigenvalue
+    corrections.
     """
     _require_order(gens, order)
     frame = gens.frame
     if states is None:
-        states = [frame.right[:, cols]]
+        states = np.empty((order + 1, frame.dim, len(cols)), dtype=np.complex128)
+        states[0] = frame.right[:, cols]
         for k in range(1, order + 1):
             acc = gens.k0[0] @ states[k - 1]
             for j in range(2, k + 1):
                 acc += gens.k0[j - 1] @ states[k - j]
-            states.append((-1j / k) * acc)
+            states[k] = (-1j / k) * acc
     w = frame.left[cols]
     h = np.zeros((order + 1, w.shape[0]), dtype=np.complex128)
     h[0] = frame.eigenvalues[cols]
-    if order:
-        s = np.stack(states[:order])  # (order, N, m)
-        rows = np.stack([w @ gens.k1[j] for j in range(order)])  # (order, m, N)
-        # pair[c, j, m] = R_j[c] . S^(m)[:, c]
-        pair = rows.transpose(1, 0, 2) @ s.transpose(2, 1, 0)
-        overlap = np.einsum("cn,knc->kc", w, s)
-        for k in range(1, order + 1):
-            acc = pair[:, k - 1, 0].copy()
-            for j in range(1, k):
-                acc += pair[:, j - 1, k - j] - j * h[j] * overlap[k - j]
-            h[k] = acc / k
+    rows = np.stack([w] + [w @ gens.k1[j] for j in range(order)])  # W_c, R_0..R_(order-1)
+    # table[j, m, c] = rows[j][c] . S^(m)[:, c]
+    table = _rowdot(rows[:, None], states[None, :order].transpose(0, 1, 3, 2))
+    overlap, pair = table[0], table[1:]
+    for k in range(1, order + 1):
+        acc = pair[k - 1, 0].copy()
+        for j in range(1, k):
+            acc += pair[j - 1, k - j] - j * h[j] * overlap[k - j]
+        h[k] = acc / k
     return states, h
 
 
-def _bell_block(gens: GeneratorSeries, cols, order: int) -> list[np.ndarray]:
+def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
     """State blocks S^(k) = BB_k(P_1, ..., P_k) S^(0) / k!, k = 0..order, with
     P_a = (a-1)! (-i K_0^(a-1)), every word of every grade applied on its own.
 
@@ -178,32 +186,32 @@ def _bell_block(gens: GeneratorSeries, cols, order: int) -> list[np.ndarray]:
         if words is not None:
             stacks.append(words)
         out.append(total / factorial(k))
-    return out
+    return np.stack(out)
 
 
 def _all_block(gens: GeneratorSeries, order: int):
     """The all-state block of `order`: read-only state blocks S^(0..order)
-    (a tuple of N x N) and h^(0..order) (order + 1, N).
+    (order + 1, N, N) and h^(0..order) (order + 1, N).
 
-    The first request for an order runs `_series_block` on every column; the
-    block is memoized on `gens`, so each (solve, order) runs the recursion
-    and contraction once.  It holds (order + 1) N^2 complex numbers.
+    A prefix of the block memoized on `gens`; an order above it runs
+    `_series_block` on every column and replaces it, so `gens` holds
+    (K + 1) N^2 complex numbers for the highest K requested.  Each call slices
+    the block it read or computed, so a race may recompute, never shorten.
     """
-    block = gens._blocks.get(order)
-    if block is None:
-        states, h = _series_block(gens, np.arange(gens.frame.dim), order)
-        for a in (*states, h):
+    block = gens._block
+    if block is None or not 0 <= order < len(block[1]):  # the kernel checks the order
+        block = _series_block(gens, np.arange(gens.frame.dim), order)
+        for a in block:
             a.setflags(write=False)
-        # concurrent first requests may both compute; every caller gets the first stored
-        block = gens._blocks.setdefault(order, (tuple(states), h))
-    return block
+        object.__setattr__(gens, "_block", block)
+    return block[0][: order + 1], block[1][: order + 1]
 
 
 def _columns(gens: GeneratorSeries, cols: slice, order: int):
     """Read-only copies of the columns `cols` of the all-state block: state
     corrections (m, order + 1, N) and eigenvalue corrections (m, order + 1)."""
     states, h = _all_block(gens, order)
-    per_state = np.ascontiguousarray(np.stack([s[:, cols] for s in states]).transpose(2, 0, 1))
+    per_state = np.ascontiguousarray(states[:, :, cols].transpose(2, 0, 1))
     values = np.ascontiguousarray(h[:, cols].T)
     for a in (per_state, values):
         a.setflags(write=False)
@@ -250,7 +258,6 @@ def eigenvalue_corrections_bell(
     correction re-derived as BB_m / m! acting on |n^(0)>; cross-check path.
     """
     n = require_state(n, gens.frame.dim)
-    _require_order(gens, order)
     states = _bell_block(gens, [n], max(order - 1, 0))
     return _series_block(gens, [n], order, states)[1][:, 0]
 
@@ -365,14 +372,9 @@ def _crosscheck(gens: GeneratorSeries, h1, tolerance: float) -> LinearCrosscheck
     route_a = _all_block(gens, 3)[1][1:].T
     route_b = _k1_route_linear(gens)
     route_c = _rs_closed_forms(double_bracket(frame, h1), frame.eigenvalues)
-    dev = np.maximum(
-        np.abs(route_a - route_b),
-        np.maximum(np.abs(route_a - route_c), np.abs(route_b - route_c)),
-    )
-    scale = np.maximum(
-        1.0,
-        np.max(np.abs(np.stack([route_a, route_b, route_c])), axis=0),
-    )
+    routes = np.stack([route_a, route_b, route_c])
+    dev = np.abs(routes[:, None] - routes[None]).max(axis=(0, 1))  # the worst pair
+    scale = np.maximum(1.0, np.abs(routes).max(axis=0))
     per_state = np.max(dev / scale, axis=1)
     return LinearCrosscheck(
         recursion=route_a,

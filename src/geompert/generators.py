@@ -98,9 +98,9 @@ class GeneratorSeries:
     """Solved generator coefficients K_0^(j), K_1^(j), j = 0..order.
 
     Matrices live in the computational basis; `gauge` records how the
-    residual diagonal freedom of K_0 was fixed.  `_blocks` memoizes the
-    all-state series block of each order requested (`corrections._all_block`);
-    every construction, `dataclasses.replace` included, starts it empty.
+    residual diagonal freedom of K_0 was fixed.  `_block` holds the series
+    block of the highest order requested (`corrections._all_block`); every
+    construction, `dataclasses.replace` included, starts it empty.
     """
 
     order: int
@@ -108,7 +108,7 @@ class GeneratorSeries:
     k1: tuple[np.ndarray, ...]
     gauge: str
     frame: SpectralFrame
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from math import factorial
 
 import numpy as np
 
-from .corrections import PerturbationSeries, _horner
+from .corrections import PerturbationSeries, _horner, _rowdot
 from .errors import (
     DegenerateSpectrum,
     InsufficientOrder,
@@ -178,6 +178,13 @@ def _value_residual_block(qs: np.ndarray, exact: np.ndarray, coeffs: np.ndarray,
     return qs, np.abs(exact[:, sel] - _horner(coeffs, qs))
 
 
+def _require_series_order(series: PerturbationSeries, order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if series.order < order:
+        raise InsufficientOrder(f"series holds order {series.order}, requested {order}")
+
+
 def series_residual_order(
     curve: SpectrumCurve,
     series: PerturbationSeries,
@@ -195,10 +202,7 @@ def series_residual_order(
     slope estimate and ResidualUnderflow is raised.
     """
     n = require_state(n, curve.values.shape[0])
-    if series.order < order:
-        raise InsufficientOrder(
-            f"series holds order {series.order}, requested {order}"
-        )
+    _require_series_order(series, order)
     coeffs = series.eigenvalue_corrections[None, : order + 1]
     qs, residual = _value_residual_block(curve.qs, curve.values[n : n + 1], coeffs, window)
     return _fit_above_floor(qs, residual[0], RESIDUAL_FLOOR)
@@ -247,17 +251,8 @@ def fd_eigenvalue_derivatives(
     n = require_state(n, hamiltonian.dim)
     if not 1 <= k <= 4:
         raise ValueError("derivative order k must be in 1..4")
-    qs = _fd_grid(step, (k,))
-    tol = resolve_gap_tol(gap_tol)
-    frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
-    curve, _ = _continued_sweep(frame, hamiltonian, qs, tol, False)
+    curve = exact_spectrum_sweep(hamiltonian, _fd_grid(step, (k,)), gap_tol)
     return complex(_fd_block(curve, step, k)[n])
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum(a * b) over the last axis by batched (1 x N)(N x 1) products: the
-    BLAS dot of `np.vdot` and `np.linalg.norm`, so rows keep a loop's bits."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _rownorm(x: np.ndarray) -> np.ndarray:
@@ -293,10 +288,7 @@ def state_ray_residual(
     the result is insensitive to gauge and normalization choices.
     """
     n = require_state(n, hamiltonian.dim)
-    if series.order < order:
-        raise InsufficientOrder(
-            f"series holds order {series.order}, requested {order}"
-        )
+    _require_series_order(series, order)
     tol = resolve_gap_tol(gap_tol)
     frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, tol, True)

@@ -161,19 +161,15 @@ def _stage(name: str, timings: dict):
 
 
 def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest per-column max|a - b| relative to max(1, max|a|) of the column."""
-    scale = np.maximum(1.0, np.abs(a).max(axis=0))
-    return float(np.max(np.abs(a - b).max(axis=0) / scale))
+    """Worst max|a - b| per column (along axis -2) over max(1, max|a|) of the column."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=-2))
+    return float(np.max(np.abs(a - b).max(axis=-2) / scale))
 
 
 def _check_hierarchy(hamiltonian, gens) -> dict:
     residuals = hierarchy_residuals(hamiltonian, gens)
-    scale = max(
-        [1.0]
-        + [float(np.abs(m).max()) for m in hamiltonian.terms]
-        + [float(np.abs(m).max()) for m in gens.k0]
-        + [float(np.abs(m).max()) for m in gens.k1]
-    )
+    matrices = (*hamiltonian.terms, *gens.k0, *gens.k1)
+    scale = max([1.0] + [float(np.abs(m).max()) for m in matrices])
     worst = float(residuals.max())
     ok = worst <= 1e-11 * scale
     return {
@@ -187,7 +183,7 @@ def _check_hierarchy(hamiltonian, gens) -> dict:
 def _check_routes(gens, states, h, order: int) -> dict:
     cols = np.arange(gens.frame.dim)
     bell, hb = _series_block(gens, cols, order, _bell_block(gens, cols, order))
-    state_dev = max(_worst_relative(a, b) for a, b in zip(states, bell))
+    state_dev = _worst_relative(states, bell)
     value_dev = _worst_relative(h, hb)
     ok = state_dev <= 1e-12 and value_dev <= 1e-11
     return {
@@ -212,7 +208,7 @@ def _check_residual_order(
     kc = min(order, 3)
     qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, gap_tol, True)
-    corrections = np.stack(states[: kc + 1]).transpose(2, 0, 1)  # (state, k, component)
+    corrections = states[: kc + 1].transpose(2, 0, 1)  # (state, k, component)
     rays = _ray_residual_block(vectors, corrections, curve.qs)
     threshold = kc + 0.8
     window_qs, residuals = _value_residual_block(
@@ -305,6 +301,11 @@ def _check_gauge(hamiltonian, frame, states, h, order) -> dict:
     }
 
 
+def _require_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def run_pipeline(
     doc: ModelDocument,
     order: int,
@@ -337,6 +338,12 @@ def run_pipeline(
             f"residual window must satisfy finite 0 < q_lo < q_hi, "
             f"got q_lo = {q_lo!r}, q_hi = {q_hi!r}"
         )
+    if "residual_order" in checks:
+        _require_count("points", points)
+    if sweep is not None:
+        if not 0 < sweep[0] < np.inf:
+            raise ValueError(f"sweep q_max must be finite and positive, got {sweep[0]!r}")
+        _require_count("sweep points", sweep[1])
 
     timings: dict[str, float] = {}
     with _stage("validate", timings):
@@ -370,8 +377,7 @@ def run_pipeline(
     sweep_rows = None
     if sweep is not None:
         with _stage("sweep", timings):
-            q_max, n_points = sweep
-            qs = np.linspace(0.0, float(q_max), int(n_points))
+            qs = np.linspace(0.0, float(sweep[0]), sweep[1])
             curve, _ = _continued_sweep(frame, hamiltonian, qs, tol, False)
             residuals = np.abs(curve.values - _horner(h.T, curve.qs)).T
             sweep_rows = [

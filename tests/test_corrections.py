@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import geompert as g
-from geompert.corrections import _bell_block
+from geompert.corrections import _bell_block, _series_block
 from oracles import (
     linear_family,
     reference_bell_blocks,
@@ -229,6 +229,21 @@ class TestBlockKernel:
             ):
                 assert _relative(h, block.eigenvalue_corrections) <= 1e-11
 
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16-deg2"])
+    def test_lower_orders_are_prefixes_bit_for_bit(self, family):
+        if family in g.BUILTIN_MODELS:
+            ham = g.builtin_model(family).to_hamiltonian()
+        else:
+            ham = seeded_quadratic_family(0, 16)
+        gens = g.solve_model(ham, 12)
+        cols = np.arange(ham.dim)
+        top_states, top_h = _series_block(gens, cols, 12)
+        for order in range(13):
+            states, h = _series_block(gens, cols, order)
+            assert states.shape == (order + 1, ham.dim, ham.dim)
+            assert states.tobytes() == top_states[: order + 1].tobytes()
+            assert h.tobytes() == top_h[: order + 1].tobytes()
+
     def test_all_series_errors(self, toy_gens):
         with pytest.raises(g.InsufficientOrder):
             g.build_all_series(toy_gens, toy_gens.order + 2)
@@ -243,7 +258,8 @@ class TestBlockKernel:
 
 
 class TestAllStateBlock:
-    """Per-state views read one memoized all-state block per (solve, order)."""
+    """Per-state views read one memoized all-state block per solve; a lower
+    order is a prefix of it."""
 
     @staticmethod
     def _count_blocks(monkeypatch):
@@ -259,7 +275,7 @@ class TestAllStateBlock:
 
     def test_readme_loop_runs_one_block_per_order(self, monkeypatch):
         ham = seeded_quadratic_family(0, 16)
-        gens = g.solve_model(ham, 6)
+        gens = g.solve_model(ham, 8)
         calls = self._count_blocks(monkeypatch)
         for n in range(ham.dim):
             g.build_series(gens, n, 6)
@@ -269,7 +285,10 @@ class TestAllStateBlock:
         assert len(calls) == 1
         for n in range(ham.dim):
             g.build_series(gens, n, 4)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        for n in range(ham.dim):
+            g.build_series(gens, n, 8)
+        assert len(calls) == 2 and gens._block[1].shape == (9, ham.dim)
 
     @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16-deg2"])
     def test_views_equal_all_series_bit_for_bit(self, family):
@@ -313,7 +332,7 @@ class TestAllStateBlock:
         original = g.build_series(toy_gens, 1, 3)
         zero = tuple(np.zeros_like(m) for m in toy_gens.k0)
         frozen = dataclasses.replace(toy_gens, k0=zero)
-        assert frozen._blocks == {} and toy_gens._blocks
+        assert frozen._block is None and toy_gens._block is not None
         for k, vec in enumerate(g.build_series(frozen, 1, 3).state_corrections):
             assert np.any(vec != 0) if k == 0 else np.all(vec == 0)
         again = g.build_series(toy_gens, 1, 3)

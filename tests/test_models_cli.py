@@ -384,6 +384,45 @@ class TestCli:
         assert "0 < q_lo < q_hi" in err["message"]
         assert f"q_lo = {float(window[1])!r}" in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--order", "2", "--points", "-3"], "points"),
+            (["verify", "--order", "2", "--points", "0"], "points"),
+            (["sweep", "--q-max", "0.1", "--points", "0"], "points"),
+            (["sweep", "--q-max", "inf", "--points", "4"], "q_max"),
+            (["sweep", "--q-max", "0", "--points", "4"], "q_max"),
+            (["sweep", "--q-max", "-0.2", "--points", "4"], "q_max"),
+        ],
+    )
+    def test_bad_point_count_or_q_max_exit_code(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # rejected before the frame is built: no numpy warning, one diagnostic line
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if argv[0] == "sweep" else []
+        assert main([*argv, "--model", "toy-sec5", *extra]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert flag in err["message"]
+
+    def test_lower_order_rows_do_not_depend_on_the_order(self, tmp_path):
+        rows = {}
+        for order in (3, 5):
+            out = tmp_path / str(order)
+            argv = ["expand", "--model", "random-linear-N4-seed7", "--order", str(order)]
+            assert main([*argv, "--out", str(out)]) == 0
+            lines = (out / "series.csv").read_text().splitlines()[1:]
+            rows[order] = [line for line in lines if int(line.split(",")[1]) <= 3]
+        assert len(rows[3]) == 4 * 4
+        assert rows[3] == rows[5]
+
     def test_gauge_flag_restricted(self, tmp_path, capsys):
         model = tmp_path / "toy.json"
         model.write_text(TOY_JSON)

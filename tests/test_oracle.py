@@ -166,6 +166,14 @@ class TestResidualOrder:
         with pytest.raises(g.InsufficientOrder):
             g.state_ray_residual(toy, toy_series[1], 1, 5, [1e-3])
 
+    def test_negative_order_rejected(self, toy, toy_series):
+        qs = np.logspace(-4, -2, 25)
+        curve = g.exact_spectrum_sweep(toy, qs)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            g.series_residual_order(curve, toy_series[1], 1, -1, (1e-4, 1e-2))
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            g.state_ray_residual(toy, toy_series[1], 1, -1, qs)
+
 
 class TestFiniteDifferences:
     def test_toy_second_order(self):
@@ -332,6 +340,11 @@ class TestSharedSweep:
         # linear crosscheck's order-3 recursion route reuse the run's
         assert _recursions(calls) == 2
         assert len(calls["_bell_block"]) == 1
+
+    def test_crosscheck_reads_the_run_block_at_a_higher_order(self, monkeypatch):
+        calls = _record_calls(monkeypatch)
+        run_pipeline(g.builtin_model("random-linear-N4-seed7"), 5, {"linear_crosscheck"})
+        assert _recursions(calls) == 1
 
     def test_expand_runs_the_recursion_once(self, monkeypatch, tmp_path):
         calls = _record_calls(monkeypatch)

@@ -52,6 +52,23 @@ def test_bell_block_equals_recursion_block(case):
 
 
 @PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3), st.integers(0, 8))
+def test_lower_orders_are_prefixes(seed, dim, degree, order):
+    rng = np.random.default_rng(seed)
+    ham = linear_family(rng, dim)
+    extra = [
+        0.3 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        for _ in range(degree - 1)
+    ]
+    gens = g.solve_model(g.PolynomialHamiltonian([*ham.terms, *extra]), 8)
+    cols = np.arange(dim)
+    top_states, top_h = _series_block(gens, cols, 8)
+    states, h = _series_block(gens, cols, order)
+    assert h.tobytes() == top_h[: order + 1].tobytes()
+    assert states.tobytes() == top_states[: order + 1].tobytes()
+
+
+@PROPERTY_SETTINGS
 @given(families)
 def test_eigenvalues_invariant_under_diagonal_gauge(case):
     seed, dim, quadratic, order = case
