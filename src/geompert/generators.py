@@ -81,9 +81,31 @@ class PolynomialHamiltonian:
 
     def at(self, q: float) -> np.ndarray:
         """Evaluate H(q)."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for j, m in enumerate(self._terms):
-            out += (q ** j) * m
+        return self.at_block([q])[0]
+
+    def at_block(self, qs) -> np.ndarray:
+        """H(q) at each of `qs`, as a (len(qs), N, N) stack.
+
+        Raises ValueError naming q where a power q^j or an entry of H(q) is
+        not finite.
+        """
+        qs = np.asarray(qs)
+        dtype = np.result_type(qs, float)
+        qs = qs.astype(dtype).tolist()  # python scalars: their pow raises on overflow
+        # scalar powers: numpy's vector power can differ in the last bit
+        powers = np.zeros((len(qs), len(self._terms)), dtype=dtype)
+        for i, q in enumerate(qs):
+            try:
+                powers[i] = [q ** j for j in range(len(self._terms))]
+            except OverflowError:
+                raise ValueError(f"H(q) is not finite at q = {q:.6g}") from None
+        out = np.zeros((len(qs), self.dim, self.dim), dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, m in enumerate(self._terms):
+                out += powers[:, j, None, None] * m
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"H(q) is not finite at q = {qs[int(np.argmin(finite))]:.6g}")
         return out
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:

@@ -21,10 +21,17 @@ per check with the coefficients of its one series block.
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
 silently mislabeling branches.
+
+The sampler is blocked: each block of samples is one H(q) stack, one stacked
+LAPACK call and one batch of pairing tables, and the blocks run on threads
+over the CPUs in the process's affinity mask.  Stacked calls equal
+per-sample calls bit for bit and block sizes depend on N alone, so results
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import factorial
 
@@ -38,7 +45,7 @@ from .errors import (
     ResidualUnderflow,
 )
 from .generators import PolynomialHamiltonian
-from .spectral import SpectralFrame, eigenframe, min_pairwise_gap, require_state, resolve_gap_tol
+from .spectral import SpectralFrame, eigenframe, require_state, resolve_gap_tol
 
 # residuals below this are roundoff, not signal
 RESIDUAL_FLOOR = 1e-14
@@ -64,33 +71,52 @@ class SpectrumCurve:
     pair_margin: float
 
 
-def _pair_step(prev: np.ndarray, new: np.ndarray, q: float):
-    """Match each previous eigenvalue to its nearest successor.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (1 where that is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
 
-    Returns the permutation of `new` and the step margin.  Raises
-    PairingAmbiguous when the runner-up candidate is within a factor 2 of the
-    best one, or when two states claim the same successor.
+
+def _pair_block(prev: np.ndarray, vals: np.ndarray, qs: np.ndarray, gap_tol: float):
+    """Match each row of raw eigenvalues `vals` (b, N), sampled at `qs`, to
+    the same row of `prev` (b, N), the raw eigenvalues of the sample before
+    it: nearest-successor picks (b, N) and the smallest step margin.
+
+    The paired previous row is `prev` permuted, which permutes the rows of the
+    distance table only, so every flag and margin equals the paired step's.
+    Raises, at the first sample where one holds, DegenerateSpectrum for a
+    degenerate spectrum, then PairingAmbiguous when the runner-up candidate
+    is within a factor 2 of the best one or two states claim one successor.
     """
-    n = prev.size
+    n = vals.shape[1]
     if n == 1:
-        return np.array([0]), np.inf
-    dist = np.abs(prev[:, None] - new[None, :])
-    picks = np.argmin(dist, axis=1)
-    part = np.sort(dist, axis=1)
-    best, runner = part[:, 0], part[:, 1]
+        return np.zeros(vals.shape, dtype=np.intp), np.inf
+    gaps = np.abs(vals[:, :, None] - vals[:, None, :])
+    gaps[:, np.arange(n), np.arange(n)] = np.inf
+    degenerate = gaps.min(axis=(1, 2)) < gap_tol * np.maximum(1.0, np.abs(vals).max(axis=1))
+    dist = np.abs(prev[:, :, None] - vals[:, None, :])
+    picks = np.argmin(dist, axis=2)
+    part = np.partition(dist, 1, axis=2)
+    best, runner = part[..., 0], part[..., 1]
     with np.errstate(divide="ignore"):
         ratios = np.where(best > 0, runner / np.maximum(best, 1e-300), np.inf)
-    margin = float(np.min(ratios))
-    if np.any(runner < _MARGIN_FACTOR * best):
-        raise PairingAmbiguous(
-            f"eigenvalue continuation ambiguous at q = {q:.6g} "
-            f"(margin {margin:.3g} < {_MARGIN_FACTOR})"
-        )
-    if len(set(picks.tolist())) != n:
-        raise PairingAmbiguous(
-            f"two states matched the same eigenvalue at q = {q:.6g}"
-        )
-    return picks, margin
+    margins = ratios.min(axis=1)
+    ambiguous = np.any(runner < _MARGIN_FACTOR * best, axis=1)
+    ordered = np.sort(picks, axis=1)
+    twice = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    faulty = degenerate | ambiguous | twice
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        q = float(qs[i])
+        if degenerate[i]:
+            raise DegenerateSpectrum(f"spectrum numerically degenerate at q = {q:.6g}")
+        if ambiguous[i]:
+            raise PairingAmbiguous(
+                f"eigenvalue continuation ambiguous at q = {q:.6g} "
+                f"(margin {float(margins[i]):.3g} < {_MARGIN_FACTOR})"
+            )
+        raise PairingAmbiguous(f"two states matched the same eigenvalue at q = {q:.6g}")
+    return picks, float(margins.min())
 
 
 def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, qs,
@@ -107,23 +133,42 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
     vectors = np.zeros((n, qs.size, n), dtype=np.complex128) if want_vectors else None
     margin = np.inf
 
+    # the smallest block b with b N > 500, above which numpy releases the GIL
+    # in a stacked LAPACK call: only full blocks gain from a thread
+    size = 500 // n + 1
     split = int(np.searchsorted(qs, 0.0))  # first sample at q >= 0
-    for chain in (range(split, qs.size), range(split - 1, -1, -1)):
-        prev = frame.eigenvalues
-        for i in chain:
-            q = float(qs[i])
-            if want_vectors:
-                vals, vecs = np.linalg.eig(hamiltonian.at(q))
-            else:
-                vals = np.linalg.eigvals(hamiltonian.at(q))
-            if min_pairwise_gap(vals) < gap_tol * max(1.0, float(np.max(np.abs(vals)))):
-                raise DegenerateSpectrum(f"spectrum numerically degenerate at q = {q:.6g}")
-            picks, step_margin = _pair_step(prev, vals, q)
-            margin = min(margin, step_margin)
-            values[:, i] = vals[picks]
-            if want_vectors:
-                vectors[:, i, :] = vecs[:, picks].T
-            prev = values[:, i]
+    chains = (np.arange(split, qs.size), np.arange(split - 1, -1, -1))
+    blocks = [chain[s : s + size] for chain in chains for s in range(0, chain.size, size)]
+
+    def diagonalize(block):
+        stack = hamiltonian.at_block(qs[block])
+        if want_vectors:
+            return np.linalg.eig(stack)
+        return np.linalg.eigvals(stack), None
+
+    workers = min(_usable_cpus(), qs.size // size)
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # lazy: ~10 ms to import
+
+        pool = ThreadPoolExecutor(workers)
+    try:
+        results = pool.map(diagonalize, blocks) if pool else map(diagonalize, blocks)
+        for block, (vals, vecs) in zip(blocks, results):
+            if block[0] in (split, split - 1):  # a chain starts at the frame
+                prev, perm = frame.eigenvalues, np.arange(n)
+            before = np.vstack([prev[None], vals[:-1]])  # each sample's raw predecessor
+            picks, step = _pair_block(before, vals, qs[block], gap_tol)
+            margin = min(margin, step)
+            for i, k in enumerate(block.tolist()):
+                perm = picks[i][perm]
+                values[:, k] = vals[i][perm]
+                if want_vectors:
+                    vectors[:, k, :] = vecs[i][:, perm].T
+            prev = vals[-1]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     for arr in (qs, values):
         arr.setflags(write=False)
     return SpectrumCurve(qs=qs, values=values, pair_margin=margin), vectors

@@ -73,7 +73,8 @@ class Report:
     checks: dict
     verdict: str
     metadata: dict
-    sweep_rows: list | None = field(default=None)
+    # the sweep's q (Q,), exact values (Q, N) and series residuals (Q, N)
+    sweep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None)
 
     @property
     def passed(self) -> bool:
@@ -137,14 +138,15 @@ def series_csv(report: Report) -> str:
 
 
 def sweep_csv(report: Report) -> str:
-    if report.sweep_rows is None:
+    if report.sweep is None:
         raise ValueError("report holds no sweep data")
+    qs, values, residuals = report.sweep
     lines = ["q,n,re,im,residual"]
-    for row in report.sweep_rows:
-        lines.append(
-            f"{_fmt(row['q'])},{row['n']},{_fmt(row['re'])},"
-            f"{_fmt(row['im'])},{_fmt(row['residual'])}"
-        )
+    for q, re, im, res in zip(
+        qs.tolist(), values.real.tolist(), values.imag.tolist(), residuals.tolist()
+    ):
+        row = _fmt(q) + ",%d,%.17g,%.17g,%.17g"  # the same digits as _fmt
+        lines.extend(row % cols for cols in zip(range(len(re)), re, im, res))
     return "\n".join(lines) + "\n"
 
 
@@ -340,6 +342,13 @@ def run_pipeline(
         )
     if "residual_order" in checks:
         _require_count("points", points)
+        decades = np.log10(q_hi) - np.log10(q_lo)
+        if points / decades < 8.0 - 1e-9:
+            raise ValueError(
+                f"residual_order needs at least 8 points per decade of the window: "
+                f"points = {points} over q_lo = {q_lo!r} to q_hi = {q_hi!r} "
+                f"({decades:.3g} decades)"
+            )
     if sweep is not None:
         if not 0 < sweep[0] < np.inf:
             raise ValueError(f"sweep q_max must be finite and positive, got {sweep[0]!r}")
@@ -374,18 +383,13 @@ def run_pipeline(
             with _stage(f"check:{name}", timings):
                 results[name] = check()
 
-    sweep_rows = None
+    sweep_arrays = None
     if sweep is not None:
         with _stage("sweep", timings):
             qs = np.linspace(0.0, float(sweep[0]), sweep[1])
             curve, _ = _continued_sweep(frame, hamiltonian, qs, tol, False)
-            residuals = np.abs(curve.values - _horner(h.T, curve.qs)).T
-            sweep_rows = [
-                {"q": float(q), "n": n, "re": float(v.real), "im": float(v.imag),
-                 "residual": float(r)}
-                for q, exact, res in zip(curve.qs, curve.values.T, residuals)
-                for n, (v, r) in enumerate(zip(exact, res))
-            ]
+            residuals = np.abs(curve.values - _horner(h.T, curve.qs))
+            sweep_arrays = (curve.qs, curve.values.T, residuals.T)
 
     verdict = "fail" if any(r["status"] == "fail" for r in results.values()) else "pass"
     series_rows = [
@@ -419,7 +423,7 @@ def run_pipeline(
             "model_metadata": dict(sorted(doc.metadata.items())),
             "timings": timings,
         },
-        sweep_rows=sweep_rows,
+        sweep=sweep_arrays,
     )
 
     if out_dir is not None:
@@ -435,5 +439,5 @@ def _write_outputs(report: Report, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_json(report), encoding="utf-8")
     (out / "series.csv").write_text(series_csv(report), encoding="utf-8")
-    if report.sweep_rows is not None:
+    if report.sweep is not None:
         (out / "sweep.csv").write_text(sweep_csv(report), encoding="utf-8")

@@ -12,8 +12,15 @@ from math import comb, factorial
 
 import numpy as np
 
-from geompert import PolynomialHamiltonian, double_bracket, exact_spectrum_sweep
+from geompert import (
+    DegenerateSpectrum,
+    PairingAmbiguous,
+    PolynomialHamiltonian,
+    double_bracket,
+    exact_spectrum_sweep,
+)
 from geompert.oracle import _STENCILS
+from geompert.spectral import min_pairwise_gap
 
 
 def spaced_values(rng, n, spacing=1.0, jitter=0.2, complex_part=True):
@@ -306,3 +313,66 @@ def reference_fd_derivative(hamiltonian, n, k, step=1e-3):
         return sum(w * lookup[o * h] for o, w in zip(offsets, weights)) / h**k
 
     return complex((4.0 * stencil(step / 2) - stencil(step)) / 3.0 / factorial(k))
+
+
+# ---------------------------------------------------------------------------
+# The exact sampler one sample at a time: per-matrix H(q), eig/eigvals and
+# pairing against the paired previous row
+# ---------------------------------------------------------------------------
+
+
+def reference_at(hamiltonian, q):
+    """H(q) summed term by term in increasing power."""
+    out = np.zeros((hamiltonian.dim, hamiltonian.dim), dtype=np.complex128)
+    for j, m in enumerate(hamiltonian.terms):
+        out += (q**j) * m
+    return out
+
+
+def reference_pair_step(prev, new, q):
+    """The permutation of `new` nearest to `prev`, and the step margin."""
+    n = prev.size
+    if n == 1:
+        return np.array([0]), np.inf
+    dist = np.abs(prev[:, None] - new[None, :])
+    picks = np.argmin(dist, axis=1)
+    part = np.sort(dist, axis=1)
+    best, runner = part[:, 0], part[:, 1]
+    with np.errstate(divide="ignore"):
+        ratios = np.where(best > 0, runner / np.maximum(best, 1e-300), np.inf)
+    margin = float(np.min(ratios))
+    if np.any(runner < 2.0 * best):
+        raise PairingAmbiguous(
+            f"eigenvalue continuation ambiguous at q = {q:.6g} (margin {margin:.3g} < 2.0)"
+        )
+    if len(set(picks.tolist())) != n:
+        raise PairingAmbiguous(f"two states matched the same eigenvalue at q = {q:.6g}")
+    return picks, margin
+
+
+def reference_continued_sweep(frame, hamiltonian, qs, gap_tol, want_vectors):
+    """Values (N, Q), vectors (N, Q, N) or None, and the pair margin, one
+    sample at a time outward from q = 0 in both directions."""
+    qs = np.asarray(qs, dtype=float)
+    n = frame.dim
+    values = np.zeros((n, qs.size), dtype=np.complex128)
+    vectors = np.zeros((n, qs.size, n), dtype=np.complex128) if want_vectors else None
+    margin = np.inf
+    split = int(np.searchsorted(qs, 0.0))
+    for chain in (range(split, qs.size), range(split - 1, -1, -1)):
+        prev = frame.eigenvalues
+        for i in chain:
+            q = float(qs[i])
+            if want_vectors:
+                vals, vecs = np.linalg.eig(reference_at(hamiltonian, q))
+            else:
+                vals = np.linalg.eigvals(reference_at(hamiltonian, q))
+            if min_pairwise_gap(vals) < gap_tol * max(1.0, float(np.max(np.abs(vals)))):
+                raise DegenerateSpectrum(f"spectrum numerically degenerate at q = {q:.6g}")
+            picks, step_margin = reference_pair_step(prev, vals, q)
+            margin = min(margin, step_margin)
+            values[:, i] = vals[picks]
+            if want_vectors:
+                vectors[:, i, :] = vecs[:, picks].T
+            prev = values[:, i]
+    return values, vectors, margin

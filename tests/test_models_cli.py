@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import geompert as g
 from geompert.cli import main
-from geompert.pipeline import ALL_CHECKS, FAST_CHECKS, report_json, run_pipeline
+from geompert.pipeline import ALL_CHECKS, FAST_CHECKS, report_json, run_pipeline, sweep_csv
+from oracles import seeded_quadratic_family
 
 TOY_JSON = json.dumps(
     {
@@ -263,6 +265,38 @@ class TestPipeline:
         third = 1 / 3
         assert float(format(third, ".17g")) == third
 
+    @staticmethod
+    def _row_by_row_csv(report) -> str:
+        """sweep.csv one formatted field at a time, as rows of dicts."""
+        qs, values, residuals = report.sweep
+        rows = [
+            {"q": float(q), "n": n, "re": float(v.real), "im": float(v.imag), "residual": float(r)}
+            for q, exact, res in zip(qs, values, residuals)
+            for n, (v, r) in enumerate(zip(exact, res))
+        ]
+        lines = ["q,n,re,im,residual"]
+        for row in rows:
+            lines.append(
+                f"{format(row['q'], '.17g')},{row['n']},{format(row['re'], '.17g')},"
+                f"{format(row['im'], '.17g')},{format(row['residual'], '.17g')}"
+            )
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name", ["toy-sec5", "seeded-N6"])
+    def test_sweep_csv_matches_row_formatter(self, name):
+        if name == "seeded-N6":
+            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 6).terms))
+        else:
+            doc = g.builtin_model(name)
+        report = run_pipeline(doc, 3, FAST_CHECKS, sweep=(0.1, 20))
+        assert sweep_csv(report) == self._row_by_row_csv(report)
+        # every kind of float the template may meet
+        odd = np.array([0.0, -0.0, 5e-324, -1e-300, 1 / 3, 123456789.12345679, 1e308, np.inf, np.nan])
+        values = np.empty((odd.size, 1), dtype=complex)
+        values.real, values.imag = odd[:, None], odd[::-1, None]
+        report = dataclasses.replace(report, sweep=(odd, values, np.abs(odd)[:, None]))
+        assert sweep_csv(report) == self._row_by_row_csv(report)
+
 
 class TestCli:
     def test_models_list(self, capsys):
@@ -411,6 +445,37 @@ class TestCli:
         err = json.loads(line)
         assert err["error"] == "ValueError"
         assert flag in err["message"]
+
+    def test_overflowing_sweep_exit_code(self, tmp_path, capsys):
+        # q^2 overflows a float from the second sample on: one diagnostic line
+        # and exit 2, not an OverflowError traceback
+        out = tmp_path / "out"
+        argv = ["sweep", "--model", "toy-sec5", "--q-max", "1e200", "--points", "4"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert "not finite at q = 3.33333e+199" in err["message"]
+
+    @pytest.mark.parametrize(
+        "window", [["--points", "10"], ["--points", "20", "--q-lo", "1e-5", "--q-hi", "0.1"]]
+    )
+    def test_point_density_checked_before_the_frame(self, capsys, monkeypatch, window):
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        assert main(["verify", "--model", "toy-sec5", "--order", "2", *window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert f"points = {window[1]}" in err["message"]
+        assert "q_lo = " in err["message"] and "q_hi = " in err["message"]
 
     def test_lower_order_rows_do_not_depend_on_the_order(self, tmp_path):
         rows = {}

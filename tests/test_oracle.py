@@ -17,6 +17,7 @@ from geompert.oracle import (
 from geompert.pipeline import ALL_CHECKS, run_pipeline
 from oracles import (
     linear_family,
+    reference_continued_sweep,
     reference_fd_derivative,
     reference_ray_residual,
     seeded_quadratic_family,
@@ -102,6 +103,107 @@ class TestSweep:
         ham = g.PolynomialHamiltonian([np.diag([0.0, 1.0]), np.diag([1.0, -1.0])])
         with pytest.raises(g.PairingAmbiguous):
             g.exact_spectrum_sweep(ham, [0.2, 0.45])
+
+
+# eigenvalues q and 1 - q cross at q = 1/2, and -q and 1 + q at q = -1/2
+CROSSING = g.PolynomialHamiltonian([np.diag([0.0, 1.0]), np.diag([1.0, -1.0])])
+
+
+def _crossing16(*crossing):
+    """N = 16: the crossing pair's terms, padded by the constants 3, 4, ..., 16,
+    so that a block holds 32 samples."""
+    return g.PolynomialHamiltonian(
+        [np.diag([0.0, 1.0, *range(3, 17)])] + [np.diag([*t, *[0.0] * 14]) for t in crossing]
+    )
+
+def _sampler_case(name):
+    """(family, grid) pairs: grids across q = 0, single samples, N = 1, the
+    toy and seeded families whose grids span several blocks."""
+    if name == "seeded-N16":
+        return seeded_quadratic_family(0, 16), np.linspace(-0.05, 0.08, 90)
+    if name == "seeded-N32":
+        return seeded_quadratic_family(0, 32), np.linspace(-0.02, 0.04, 70)
+    if name == "seeded-N64":
+        return seeded_quadratic_family(0, 64), np.linspace(-0.01, 0.015, 17)
+    if name == "N1":
+        return g.PolynomialHamiltonian([[[2.0]], [[1j]], [[-3.0]]]), np.linspace(-1, 1, 1200)
+    toy = g.toy_model(1.0, 1.0, 1.0)
+    grids = {
+        "toy-across-zero": np.linspace(-0.3, 0.4, 700),
+        "toy-positive": np.logspace(-4, -1, 300),
+        "toy-negative": -np.logspace(-1, -4, 300),
+        "toy-one-sample": [0.05],
+        "toy-one-negative": [-0.05],
+        "toy-origin": [0.0],
+    }
+    return toy, grids[name]
+
+
+class TestBlockedSampler:
+    """The blocked sampler against one eig/eigvals call and one pairing step
+    per sample, bit for bit, on one CPU and on four."""
+
+    CASES = [
+        "toy-across-zero", "toy-positive", "toy-negative", "toy-one-sample",
+        "toy-one-negative", "toy-origin", "N1", "seeded-N16", "seeded-N32", "seeded-N64",
+    ]
+
+    @pytest.mark.parametrize("want_vectors", [False, True])
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_per_sample_loop(self, monkeypatch, name, want_vectors):
+        ham, qs = _sampler_case(name)
+        tol = 1e-8
+        frame = g.eigenframe(ham.term(0), gap_tol=tol)
+        values, vectors, margin = reference_continued_sweep(frame, ham, qs, tol, want_vectors)
+        for cpus in (1, 4):
+            monkeypatch.setattr(g.oracle, "_usable_cpus", lambda: cpus)
+            curve, got = _continued_sweep(frame, ham, qs, tol, want_vectors)
+            assert curve.values.tobytes() == values.tobytes()
+            assert curve.pair_margin == margin
+            if want_vectors:
+                assert got.tobytes() == vectors.tobytes()
+            else:
+                assert got is None
+
+    @pytest.mark.parametrize(
+        "ham, qs",
+        [
+            (CROSSING, [0.1, 0.4999999999]),  # degenerate
+            (CROSSING, [0.2, 0.45]),  # ambiguous
+            # a later block of the forward, then of the backward chain
+            (_crossing16([1.0, -1.0]), np.linspace(-0.6, 0.6, 121)),
+            (_crossing16([-1.0, 1.0]), np.linspace(-0.6, 0.3, 91)),
+            # q^2 and 1 - q^2 cross at both q = +/- sqrt(1/2): the forward chain's first
+            (_crossing16([0.0, 0.0], [1.0, -1.0]), np.linspace(-0.8, 0.8, 161)),
+            # both states' nearest successor is 0.05, each a clear best
+            (g.PolynomialHamiltonian([np.diag([0.0, 0.1]), np.diag([0.05, 9.9])]), [1.0]),
+        ],
+        ids=["degenerate", "ambiguous", "forward", "backward", "both", "twice"],
+    )
+    def test_errors_match_per_sample_loop(self, monkeypatch, ham, qs):
+        frame = g.eigenframe(ham.term(0), gap_tol=1e-8)
+        for want_vectors in (False, True):
+            with pytest.raises(g.GeompertError) as expected:
+                reference_continued_sweep(frame, ham, qs, 1e-8, want_vectors)
+            for cpus in (1, 4):
+                monkeypatch.setattr(g.oracle, "_usable_cpus", lambda: cpus)
+                with pytest.raises(type(expected.value)) as got:
+                    _continued_sweep(frame, ham, qs, 1e-8, want_vectors)
+                assert str(got.value) == str(expected.value)
+
+    def test_overflowing_samples_rejected_before_any_diagonalization(self, toy, monkeypatch):
+        def no_lapack(*_args, **_kwargs):
+            raise AssertionError("diagonalized a non-finite H(q)")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_lapack)
+        # q^2 overflows; then q^2 is finite but 10 q^2 is not
+        with pytest.raises(ValueError, match=r"not finite at q = 1e\+200"):
+            g.exact_spectrum_sweep(toy, [1e200])
+        tenfold = g.PolynomialHamiltonian([np.diag([0.0, 1.0]), 10 * SX])
+        with pytest.raises(ValueError, match=r"not finite at q = 1e\+308"):
+            g.exact_spectrum_sweep(tenfold, [0.0, 1e308])
+        with pytest.raises(ValueError, match=r"not finite at q = -1e\+200"):
+            toy.at(-1e200)
 
 
 class TestResidualOrder:
