@@ -12,10 +12,15 @@ Schema (field names are load-bearing):
 Each matrix is dim x dim, row-major, every entry exactly a 2-element real
 array [re, im].  Orders are distinct and non-negative; order 0 is required;
 missing intermediate orders mean zero matrices.
+
+A matrix is validated in one pass over its cells and converted as one
+float64 array; only a faulty matrix is walked cell by cell, to name its
+first faulty entry in row-major order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -66,32 +71,54 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+# json.loads yields exact int, float and bool: an exact type test is
+# isinstance(x, (int, float)) with bool excluded
+_REAL_TYPES = (int, float)
+
+
+def _is_cell(entry) -> bool:
+    """Whether a decoded matrix entry is a 2-element real array [re, im]."""
+    return (
+        type(entry) is list
+        and len(entry) == 2
+        and type(entry[0]) in _REAL_TYPES
+        and type(entry[1]) in _REAL_TYPES
+    )
+
+
 def _parse_matrix(raw, dim: int, path: str) -> np.ndarray:
+    """The dim x dim complex matrix of one decoded term.
+
+    Every cell is type-checked in one pass and the whole matrix converted in
+    one float64 array; numpy converts a Python int or float exactly as
+    float() does.  Only when that fails is the first faulty cell, in
+    row-major order, located to name it in the error.
+    """
     _require(isinstance(raw, list), path, "expected a matrix (list of rows)")
     if len(raw) != dim or any(
         not isinstance(r, list) or len(r) != dim for r in raw
     ):
         shape = f"{len(raw)}x{len(raw[0]) if raw and isinstance(raw[0], list) else '?'}"
         raise NonSquare(f"{path}: matrix is {shape}, expected {dim}x{dim}")
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    if all(map(_is_cell, itertools.chain.from_iterable(raw))):
+        try:
+            pairs = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer too large for a float
+            pass
+        else:
+            if np.isfinite(pairs).all():
+                return pairs.view(np.complex128)[..., 0]
     for i, row in enumerate(raw):
         for j, entry in enumerate(row):
             cell = f"{path}[{i}][{j}]"
-            _require(
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry),
-                cell,
-                "expected a 2-element real array [re, im]",
-            )
+            _require(_is_cell(entry), cell, "expected a 2-element real array [re, im]")
             try:
-                re, im = float(entry[0]), float(entry[1])
-            except OverflowError:  # an integer too large for a float
-                raise NonFiniteEntry(f"{cell}: entry is not finite") from None
-            if not (math.isfinite(re) and math.isfinite(im)):
+                finite = math.isfinite(entry[0]) and math.isfinite(entry[1])
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise NonFiniteEntry(f"{cell}: entry is not finite")
-            out[i, j] = complex(re, im)
-    return out
+    raise AssertionError("unreachable: a faulty matrix has a faulty cell")
 
 
 def parse_model(text) -> ModelDocument:

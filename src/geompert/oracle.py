@@ -8,15 +8,18 @@ all states, from a frame the caller computed once.  Truncated series are
 then certified empirically:
 
 * `series_residual_order` fits the log-log slope of |h_n(q) - truncation|;
-  a correct order-K series scales at least like q^(K+1).
+  a correct order-K series scales at least like q^(K+1).  `_fit_block`
+  fits every state's slope at once, in closed form (centred least squares
+  over each row's points above the noise floor).
 * `fd_eigenvalue_derivatives` estimates h_n^(k) = (1/k!) d^k h_n / dq^k by
   central differences with one Richardson extrapolation step.
 * `state_ray_residual` measures the angle between the truncated eigenvector
   and the exact one, as rays, so gauge and normalization drop out.
 
-All three are one-row views of the all-state helpers `_value_residual_block`,
-`_fd_block` and `_ray_residual_block`, which the pipeline calls on one sweep
-per check with the coefficients of its one series block.
+All three are one-row views of the all-state helpers `_value_residual_block`
+(with `_fit_block`), `_fd_block` and `_ray_residual_block`, which the
+pipeline calls on one sweep per check with the coefficients of its one
+series block; a row's slope has the same bits alone or in a block.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -190,20 +193,48 @@ def exact_spectrum_sweep(
     return _continued_sweep(frame, hamiltonian, qs, tol, False)[0]
 
 
+def _centred_slopes(x: np.ndarray, y: np.ndarray, usable: np.ndarray) -> np.ndarray:
+    """Least-squares slopes of the rows of y (S, Q) against x (Q,) over the
+    usable points of each row, from centred sums.  Each row's sums run along
+    its own contiguous axis, so a row's slope has the same bits whether it is
+    fitted alone or in a block."""
+    count = usable.sum(axis=1)
+    x = np.where(usable, x, 0.0)
+    y = np.where(usable, y, 0.0)
+    dx = np.where(usable, x - (x.sum(axis=1) / count)[:, None], 0.0)
+    dy = np.where(usable, y - (y.sum(axis=1) / count)[:, None], 0.0)
+    return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+
+
 def log_log_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     """Least-squares slope of log(ys) against log(xs)."""
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    x, y = np.log(xs), np.log(ys)[None]
+    return float(_centred_slopes(x, y, np.ones(y.shape, dtype=bool))[0])
+
+
+def _fit_block(qs: np.ndarray, residuals: np.ndarray, floor: float) -> list:
+    """Log-log slope of each row of residuals (S, Q) over its points at or
+    above `floor`; None for a row with fewer than five such points."""
+    usable = residuals >= floor
+    rows = np.flatnonzero(usable.sum(axis=1) >= _MIN_FIT_POINTS)
+    mask = usable[rows]
+    # ones stand in for the unusable residuals, which may be zero
+    logs = np.log(np.where(mask, residuals[rows], 1.0))
+    slopes: list = [None] * residuals.shape[0]
+    for row, slope in zip(rows.tolist(), _centred_slopes(np.log(qs), logs, mask).tolist()):
+        slopes[row] = slope
+    return slopes
 
 
 def _fit_above_floor(qs: np.ndarray, residual: np.ndarray, floor: float) -> float:
     """Log-log slope of the residuals at or above `floor` (at least five)."""
-    usable = residual >= floor
-    if int(usable.sum()) < _MIN_FIT_POINTS:
+    slope = _fit_block(qs, residual[None], floor)[0]
+    if slope is None:
         raise ResidualUnderflow(
-            f"only {int(usable.sum())} residuals above {floor:g}; "
+            f"only {int((residual >= floor).sum())} residuals above {floor:g}; "
             "window too small to measure a slope"
         )
-    return log_log_slope(qs[usable], residual[usable])
+    return slope
 
 
 def _value_residual_block(qs: np.ndarray, exact: np.ndarray, coeffs: np.ndarray,

@@ -8,13 +8,16 @@ h^(0..K)) are computed once and passed to the series rows, the sweep and
 every check; each exact-diagonalization check makes one sweep for all
 states, and no per-state object is built.  Reports are deterministic for
 fixed input and flags; the timestamp and the per-stage timings live in the
-metadata block, never in the comparison payload.
+metadata block, never in the comparison payload.  Reports are strict JSON,
+written by one writer that dispatches on the exact type of each value; a
+non-finite float raises ValueError rather than being written.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,7 +33,7 @@ from .corrections import (
     _rs_closed_forms,
     _series_block,
 )
-from .errors import GeompertError, PipelineError, ResidualUnderflow
+from .errors import GeompertError, PipelineError
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
 from .oracle import (
@@ -40,7 +43,7 @@ from .oracle import (
     _continued_sweep,
     _fd_block,
     _fd_grid,
-    _fit_above_floor,
+    _fit_block,
     _ray_residual_block,
     _value_residual_block,
 )
@@ -96,33 +99,44 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """JSON with floats rendered to 17 significant digits."""
-    pad = "  " * level
-    inner = "  " * (level + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
+_quote = json.encoder.encode_basestring_ascii  # the escaping of json.dumps
+# the types the writer knows; an instance of a subclass is written as its base
+_JSON_TYPES = (bool, int, float, str, type(None), dict, list, tuple)
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """JSON with floats rendered to 17 significant digits; `pad` is the
+    indentation of the line that holds `obj`.  A non-finite float raises
+    ValueError, since JSON has no literal for it."""
+    kind = type(obj)
+    if kind not in _JSON_TYPES:  # a subclass, such as np.float64 of float
+        kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), None)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize the non-finite float {obj!r}")
         return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + _json_text(v, level + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
+    if kind is str:
+        return _quote(obj)
+    if kind is dict:
         if not obj:
             return "{}"
+        inner = pad + "  "
         items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_json_text(v, level + 1)}"
-            for k, v in obj.items()
+            f"{inner}{_quote(str(k))}: {_json_text(v, inner)}" for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = ",\n".join(inner + _json_text(v, inner) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -197,18 +211,12 @@ def _check_routes(gens, states, h, order: int) -> dict:
     }
 
 
-def _slope_or_none(qs, residual, floor):
-    try:
-        return _fit_above_floor(qs, residual, floor)
-    except ResidualUnderflow:
-        return None  # below the noise floor everywhere: better than required
-
-
 def _check_residual_order(
     hamiltonian, frame, states, h, order, q_lo, q_hi, points, gap_tol
 ) -> dict:
     kc = min(order, 3)
     qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
+    qs[0], qs[-1] = q_lo, q_hi  # logspace can miss either end by an ulp
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, gap_tol, True)
     corrections = states[: kc + 1].transpose(2, 0, 1)  # (state, k, component)
     rays = _ray_residual_block(vectors, corrections, curve.qs)
@@ -216,8 +224,10 @@ def _check_residual_order(
     window_qs, residuals = _value_residual_block(
         curve.qs, curve.values, h[: kc + 1].T, (q_lo, q_hi)
     )
-    value_slopes = [_slope_or_none(window_qs, r, RESIDUAL_FLOOR) for r in residuals]
-    ray_slopes = [_slope_or_none(curve.qs, r, RAY_FLOOR) for r in rays]
+    # a row with too few residuals above the noise floor gets no slope:
+    # it is better than required
+    value_slopes = _fit_block(window_qs, residuals, RESIDUAL_FLOOR)
+    ray_slopes = _fit_block(curve.qs, rays, RAY_FLOOR)
     ok = not any(s is not None and s < threshold for s in value_slopes + ray_slopes)
     return {
         "status": "pass" if ok else "fail",
@@ -412,7 +422,8 @@ def run_pipeline(
             "eigenvalues": [
                 [float(e.real), float(e.imag)] for e in frame.eigenvalues
             ],
-            "min_gap": float(frame.min_gap),
+            # no pair of eigenvalues, no gap
+            "min_gap": float(frame.min_gap) if frame.dim > 1 else None,
         },
         series_rows=series_rows,
         checks=results,

@@ -8,15 +8,20 @@ references for the recursion engines.
 
 from __future__ import annotations
 
+import json
+import math
 from math import comb, factorial
 
 import numpy as np
 
 from geompert import (
     DegenerateSpectrum,
+    NonFiniteEntry,
+    NonSquare,
     PairingAmbiguous,
     PolynomialHamiltonian,
     double_bracket,
+    SchemaError,
     exact_spectrum_sweep,
 )
 from geompert.oracle import _STENCILS
@@ -376,3 +381,67 @@ def reference_continued_sweep(frame, hamiltonian, qs, gap_tol, want_vectors):
                 vectors[:, i, :] = vecs[:, picks].T
             prev = values[:, i]
     return values, vectors, margin
+
+
+# ---------------------------------------------------------------------------
+# Model matrices and report JSON one value at a time: the cell loop and the
+# recursive isinstance writer that the one-pass parse and the type-dispatched
+# writer replace
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_matrix(raw, dim, path):
+    """One decoded model matrix, validated and converted cell by cell."""
+    if not isinstance(raw, list):
+        raise SchemaError(path, "expected a matrix (list of rows)")
+    if len(raw) != dim or any(not isinstance(r, list) or len(r) != dim for r in raw):
+        shape = f"{len(raw)}x{len(raw[0]) if raw and isinstance(raw[0], list) else '?'}"
+        raise NonSquare(f"{path}: matrix is {shape}, expected {dim}x{dim}")
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(raw):
+        for j, entry in enumerate(row):
+            cell = f"{path}[{i}][{j}]"
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            ):
+                raise SchemaError(cell, "expected a 2-element real array [re, im]")
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:
+                raise NonFiniteEntry(f"{cell}: entry is not finite") from None
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise NonFiniteEntry(f"{cell}: entry is not finite")
+            out[i, j] = complex(re, im)
+    return out
+
+
+def reference_json_text(obj, level=0):
+    """Report JSON with floats at 17 significant digits, by isinstance."""
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + reference_json_text(v, level + 1) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {reference_json_text(v, level + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

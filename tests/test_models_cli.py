@@ -7,11 +7,50 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import geompert as g
 from geompert.cli import main
-from geompert.pipeline import ALL_CHECKS, FAST_CHECKS, report_json, run_pipeline, sweep_csv
-from oracles import seeded_quadratic_family
+from geompert.models import _parse_matrix
+from geompert.pipeline import (
+    ALL_CHECKS,
+    FAST_CHECKS,
+    _json_text,
+    report_json,
+    run_pipeline,
+    sweep_csv,
+)
+from oracles import reference_json_text, reference_parse_matrix, seeded_quadratic_family
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+
+
+def _outcome(parse, text, dim=2):
+    """The bits of the parsed matrix, or the class, path and message of the error."""
+    try:
+        matrix = parse(json.loads(text), dim, "terms[0].matrix")
+    except (g.SchemaError, g.NonFiniteEntry, g.NonSquare) as exc:
+        return type(exc), getattr(exc, "path", None), str(exc)
+    return matrix.shape, matrix.view(np.uint64).tolist()
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity literals."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# JSON numbers as a model may hold them: ints (some beyond any float) and
+# finite floats, among them -0.0, subnormals and +/-1e308
+json_numbers = st.one_of(
+    st.integers(-(2**1030), 2**1030),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 TOY_JSON = json.dumps(
     {
@@ -119,6 +158,42 @@ class TestParseModel:
         for name in g.BUILTIN_MODELS:
             doc = g.builtin_model(name)
             assert g.parse_model(g.serialize_model(doc)) == doc
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(json_numbers, min_size=2 * n * n, max_size=2 * n * n))
+    ))
+    @example((2, [0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2**53 + 1, -(2**63)]))
+    @example((1, [2**1024 - 2**970 - 1, 2**1024 - 2**970]))  # the last int below float overflow, then overflow
+    def test_matrix_parse_matches_cell_loop(self, case):
+        dim, numbers = case
+        rows = [
+            [numbers[2 * (i * dim + j) : 2 * (i * dim + j) + 2] for j in range(dim)]
+            for i in range(dim)
+        ]
+        text = json.dumps(rows)
+        assert _outcome(_parse_matrix, text, dim) == _outcome(reference_parse_matrix, text, dim)
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["true", '"1"', "null", "[1, 2, 3]", "[1]", "{}", "[true, 0]", "[0, null]",
+         "[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]", "[1e400, 0]",
+         f"[{10**400}, 0]", f"[0, {-(10**400)}]"],
+    )
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "[[{cell}, [0, 0]], [[0, 0], [0, 0]]]",
+            "[[[0, 0], [0, 0]], [[0, 0], {cell}]]",
+            "[[[0, 0], [NaN, 0]], [[0, 0], {cell}]]",  # a non-finite cell first
+            "[[[0, 0], {cell}], [[true, 0], [0, Infinity]]]",  # a malformed cell after
+        ],
+    )
+    def test_matrix_parse_errors_match_cell_loop(self, cell, layout):
+        text = layout.format(cell=cell)
+        outcome = _outcome(_parse_matrix, text)
+        assert outcome == _outcome(reference_parse_matrix, text)
+        assert outcome[0] in (g.SchemaError, g.NonFiniteEntry)
 
     def test_metadata_round_trip(self):
         raw = json.dumps(
@@ -264,6 +339,58 @@ class TestPipeline:
         assert parsed["frame"]["min_gap"] == report.frame_summary["min_gap"]
         third = 1 / 3
         assert float(format(third, ".17g")) == third
+
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])
+    def test_report_json_matches_reference_writer(self, name):
+        if name == "seeded-N6":
+            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 6).terms))
+        else:
+            doc = g.builtin_model(name)
+        for checks, sweep in ((FAST_CHECKS, None), (ALL_CHECKS, None), (FAST_CHECKS, (0.1, 20))):
+            report = run_pipeline(doc, 3, checks, sweep=sweep)
+            text = report_json(report)
+            assert text == reference_json_text(report.to_dict()) + "\n"
+            _strict_json(text)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.recursive(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                st.text(),
+            ),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.lists(inner, max_size=3).map(tuple),
+                st.dictionaries(st.text(max_size=6), inner, max_size=4),
+            ),
+            max_leaves=30,
+        )
+    )
+    @example({"": [], "\u00e9\u4e2d\U0001f600": {}, "k": ("\x00\"\\", np.float64(-0.0), True, None)})
+    def test_json_text_matches_reference_writer(self, obj):
+        text = _json_text(obj)
+        assert text == reference_json_text(obj)
+        assert text.isascii()
+        _strict_json(text)
+
+    @pytest.mark.parametrize(
+        "obj", [float("inf"), -np.inf, float("nan"), np.float64("nan"), {"a": [1.0, np.inf]}]
+    )
+    def test_json_text_rejects_non_finite_floats(self, obj):
+        with pytest.raises(ValueError, match="non-finite"):
+            _json_text(obj)
+
+    @pytest.mark.parametrize("obj", [np.int64(1), np.bool_(True), 1j, {1, 2}, object(), [b"x"]])
+    def test_json_text_rejects_what_the_reference_rejects(self, obj):
+        with pytest.raises(TypeError):
+            reference_json_text(obj)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _json_text(obj)
 
     @staticmethod
     def _row_by_row_csv(report) -> str:
@@ -487,6 +614,36 @@ class TestCli:
             rows[order] = [line for line in lines if int(line.split(",")[1]) <= 3]
         assert len(rows[3]) == 4 * 4
         assert rows[3] == rows[5]
+
+    @pytest.mark.parametrize("command", ["expand", "verify", "sweep"])
+    def test_one_state_model_writes_strict_json(self, tmp_path, capsys, command):
+        model = tmp_path / "one.json"
+        model.write_text(json.dumps({
+            "name": "one",
+            "dim": 1,
+            "terms": [{"order": 0, "matrix": [[[1.5, 0.25]]]}, {"order": 1, "matrix": [[[0.5, -1]]]}],
+        }))
+        out = tmp_path / "out"
+        argv = {
+            "expand": ["expand", "--order", "3", "--out", str(out)],
+            "verify": ["verify", "--order", "3"],
+            "sweep": ["sweep", "--q-max", "0.1", "--points", "5", "--out", str(out)],
+        }[command]
+        assert main([*argv, "--model", str(model)]) == 0
+        captured = capsys.readouterr()
+        text = captured.out if command == "verify" else (out / "report.json").read_text()
+        report = _strict_json(text)
+        assert report["frame"]["min_gap"] is None
+        assert report["verdict"] == "pass"
+
+    def test_residual_grid_keeps_both_window_ends(self, capsys):
+        # logspace puts its first sample one ulp below q_lo = 1e-5, which
+        # dropped it from the window and failed the per-decade density late
+        argv = ["verify", "--model", "toy-sec5", "--order", "3"]
+        assert main([*argv, "--q-lo", "1e-5", "--q-hi", "1e-2", "--points", "24"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["verdict"] == "pass"
 
     def test_gauge_flag_restricted(self, tmp_path, capsys):
         model = tmp_path / "toy.json"

@@ -11,6 +11,7 @@ from geompert.oracle import (
     _fd_block,
     _fd_grid,
     _fit_above_floor,
+    _fit_block,
     _ray_residual_block,
     _value_residual_block,
 )
@@ -275,6 +276,61 @@ class TestResidualOrder:
             g.series_residual_order(curve, toy_series[1], 1, -1, (1e-4, 1e-2))
         with pytest.raises(ValueError, match="order must be non-negative"):
             g.state_ray_residual(toy, toy_series[1], 1, -1, qs)
+
+
+class TestSlopeFit:
+    """The closed-form block fit against np.polyfit, row by row."""
+
+    @staticmethod
+    def _masked_rows(seed, floor):
+        rng = np.random.default_rng(seed)
+        qs = np.sort(rng.uniform(1e-5, 1e-1, 30))
+        powers = rng.uniform(0.5, 6.0, (14, 1))
+        residuals = rng.uniform(0.1, 10.0, (14, 1)) * qs**powers * np.exp(0.3 * rng.standard_normal((14, 30)))
+        residuals = np.maximum(residuals, 2 * floor)
+        masked = residuals.copy()
+        hidden = rng.random(residuals.shape) < 0.4  # below the floor, or exactly zero
+        masked[hidden] = rng.choice([0.0, floor / 2, floor * (1 - 1e-15)], hidden.sum())
+        masked[0, ::3] = floor  # at the floor is usable
+        for row, kept in ((1, 4), (2, 5), (3, 0), (4, 30)):
+            masked[row] = residuals[row]
+            masked[row, kept:] = 0.0
+        return qs, masked
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("floor", [g.oracle.RESIDUAL_FLOOR, RAY_FLOOR])
+    def test_block_matches_polyfit(self, seed, floor):
+        qs, residuals = self._masked_rows(seed, floor)
+        slopes = _fit_block(qs, residuals, floor)
+        assert len(slopes) == residuals.shape[0]
+        for row, slope in zip(residuals, slopes):
+            usable = row >= floor
+            if usable.sum() < 5:
+                assert slope is None
+                continue
+            ref = np.polyfit(np.log(qs[usable]), np.log(row[usable]), 1)[0]
+            assert isinstance(slope, float)
+            assert abs(slope - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_row_view_is_the_block_row(self, seed):
+        floor = RAY_FLOOR
+        qs, residuals = self._masked_rows(seed, floor)
+        slopes = _fit_block(qs, residuals, floor)
+        for row, slope in zip(residuals, slopes):
+            if slope is None:
+                count = int((row >= floor).sum())
+                with pytest.raises(g.ResidualUnderflow, match=f"only {count} residuals above"):
+                    _fit_above_floor(qs, row, floor)
+            else:
+                assert _fit_above_floor(qs, row, floor) == slope  # bit for bit
+
+    def test_log_log_slope_matches_polyfit(self, rng):
+        xs = np.logspace(-3, 0, 12)
+        ys = 3.0 * xs**2.5 * np.exp(0.1 * rng.standard_normal(12))
+        ref = np.polyfit(np.log(xs), np.log(ys), 1)[0]
+        assert abs(g.log_log_slope(xs, ys) - ref) <= 1e-13 * abs(ref)
+        assert g.log_log_slope(xs, 7.0 * xs**3) == pytest.approx(3.0, rel=1e-14)
 
 
 class TestFiniteDifferences:
