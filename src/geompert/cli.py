@@ -12,7 +12,8 @@ geompert models list | export NAME
     Inspect the built-in models.
 
 Exit codes: 0 pass, 1 report verdict fail, 2 bad input (usage, schema,
-malformed matrices), 3 degenerate spectrum, 4 numerical/oracle failure.
+malformed matrices, a model or output path that cannot be read or written),
+3 degenerate spectrum, 4 numerical/oracle failure.
 The GEOMPERT_GAP_TOL environment variable (a decimal string) overrides the
 degeneracy threshold; a value that is not finite and positive exits 2.
 """
@@ -154,6 +155,9 @@ def main(argv=None) -> int:
         raise AssertionError("unreachable")
     except FileNotFoundError as exc:
         print(json.dumps({"error": "FileNotFound", "message": str(exc)}), file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as exc:  # reading the model, creating or writing the output
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValueError as exc:
         print(json.dumps({"error": "ValueError", "message": str(exc)}), file=sys.stderr)

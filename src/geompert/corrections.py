@@ -1,13 +1,18 @@
 """Eigenvalue and eigenstate perturbation series from solved generators.
 
-One kernel serves every state.  The columns `cols` of the right frame V
-form the block S^(0) = V[:, cols], and the transport recursion
-|n^(k)> = -(i/k) sum_j K_0^(j-1) |n^(k-j)> runs on the whole block:
+One kernel serves every state, and it runs in the eigenframe of H_0.  With
+the frame matrices [[K]] = W K V of the generator solve
+(`GeneratorSeries._k0f`, `._k1f`), the frame coefficients C^(k) = W S^(k)
+of the state block S^(k) (column c is |cols[c]^(k)>) obey the transport
+recursion |n^(k)> = -(i/k) sum_j K_0^(j-1) |n^(k-j)>:
 
-    S^(k) = -(i/k) sum_{j=1..k} K_0^(j-1) S^(k-j),   k >= 1,
+    C^(0) = I[:, cols],
+    C^(k) = -(i/k) ( sum_{j=1..k-1} [[K_0^(j-1)]] C^(k-j) + [[K_0^(k-1)]][:, cols] ),
 
-so column c of S^(k) is |cols[c]^(k)>.  Its closed form is a dual Bell word
-polynomial in the K_0 coefficients, applied once per grade to the block:
+where the j = k term, on C^(0), is a column slice, not a product.  Then
+S = V C is formed once, as one stacked product.  The closed form of S^(k)
+is a dual Bell word polynomial in the K_0 coefficients, applied once per
+grade to the block:
 
     S^(k) = BB_k(0! (-i K_0^(0)), ..., (k-1)! (-i K_0^(k-1))) S^(0) / k!.
 
@@ -18,19 +23,20 @@ powers of q in K_1 |n> = (dh_n/dq) |n> and contracting with the dual vector
     h_n^(k) = ( [[K_1^(k-1)]]_nn + sum_{j=1..k-1} ( <<n| K_1^(j-1) |n^(k-j)>
                                      - j h_n^(j) <<n|n^(k-j)> ) ) / k.
 
-With the dual rows W_c = W[cols], the kernel first builds small tables:
+In the frame both tables are read off the coefficients, for n = cols[c]:
 
-    R_j     = W_c K_1^(j)        rows, once per order j,
-    T[j, m] = diag(R_j S^(m))    pair table,
-    D[m]    = diag(W_c S^(m)),
+    T[j, m, c] = [[K_1^(j)]][n, :] . C^(m)[:, c]    (<<n| K_1^(j) |n^(m)>),
+    D[m, c]    = C^(m)[n, c]                        (<<n|n^(m)>),
 
-each entry one dot product of length N, so that h^(k) = (T[k-1, 0] +
+each T entry one dot product of length N, so that h^(k) = (T[k-1, 0] +
 sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k touches only vectors of length
 len(cols), and no step depends on the order: a lower order's block is a
 prefix of a higher one's, bit for bit.  The same contraction runs on the
-recursion blocks (production) and on the Bell blocks (cross check); the two
-must agree to roundoff.  Diagonal gauge choices for K_0 change the state
-corrections but drop out of h_n^(k) identically.
+recursion's coefficients (production) and on the Bell blocks (cross
+check), which stay in the computational basis, read the views
+`GeneratorSeries.k0`, and are mapped into the frame by one stacked W S; the
+two routes must agree to roundoff.  Diagonal gauge choices for K_0 change
+the state corrections but drop out of h_n^(k) identically.
 
 Production series come from one all-state block per solve: `_all_block`
 keeps the read-only block of the highest order requested on the
@@ -104,28 +110,36 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
     """The block kernel: state blocks S^(0..order) and h^(0..order) of `cols`.
 
-    `states` supplies the blocks instead of the transport recursion (the Bell
-    route); the contraction reads only S^(0..order-1).  Returns the
-    (order + 1, N, m) state blocks and the (order + 1, m) eigenvalue
-    corrections.
+    The recursion runs on the frame coefficients C^(k) = W S^(k), from
+    C^(0) = I[:, cols], and S = V C is formed once at the end.  `states`
+    supplies computational-basis blocks instead (the Bell route); the
+    contraction reads only W S^(0..order-1).  Returns the (order + 1, N, m)
+    state blocks and the (order + 1, m) eigenvalue corrections.
     """
     _require_order(gens, order)
     frame = gens.frame
+    k0f, m = gens._k0f, len(cols)
     if states is None:
-        states = np.empty((order + 1, frame.dim, len(cols)), dtype=np.complex128)
-        states[0] = frame.right[:, cols]
+        coeffs = np.zeros((order + 1, frame.dim, m), dtype=np.complex128)
+        coeffs[0, cols, np.arange(m)] = 1.0
         for k in range(1, order + 1):
-            acc = gens.k0[0] @ states[k - 1]
-            for j in range(2, k + 1):
-                acc += gens.k0[j - 1] @ states[k - j]
-            states[k] = (-1j / k) * acc
-    w = frame.left[cols]
-    h = np.zeros((order + 1, w.shape[0]), dtype=np.complex128)
+            last = k0f[k - 1][:, cols]  # the j = k term K_0^(k-1) C^(0): a column slice
+            if k == 1:
+                acc = last
+            else:
+                acc = k0f[0] @ coeffs[k - 1]
+                for j in range(2, k):
+                    acc += k0f[j - 1] @ coeffs[k - j]
+                acc += last
+            coeffs[k] = (-1j / k) * acc
+        states = frame.right @ coeffs
+    else:
+        coeffs = frame.left @ states[:order]
+    h = np.zeros((order + 1, m), dtype=np.complex128)
     h[0] = frame.eigenvalues[cols]
-    rows = np.stack([w] + [w @ gens.k1[j] for j in range(order)])  # W_c, R_0..R_(order-1)
-    # table[j, m, c] = rows[j][c] . S^(m)[:, c]
-    table = _rowdot(rows[:, None], states[None, :order].transpose(0, 1, 3, 2))
-    overlap, pair = table[0], table[1:]
+    # pair[j, i, c] = [[K_1^(j)]][cols[c], :] . C^(i)[:, c], overlap[i, c] = C^(i)[cols[c], c]
+    pair = _rowdot(gens._k1f[:order, cols][:, None], coeffs[None, :order].transpose(0, 1, 3, 2))
+    overlap = coeffs[:order, cols, np.arange(m)]
     for k in range(1, order + 1):
         acc = pair[k - 1, 0].copy()
         for j in range(1, k):
@@ -334,7 +348,7 @@ def _k1_route_linear(gens: GeneratorSeries) -> np.ndarray:
     linearly with the same differences, so coincident first-order corrections
     contribute nothing (guarded explicitly).
     """
-    b0, b1, b2 = (double_bracket(gens.frame, gens.k1[j]) for j in range(3))
+    b0, b1, b2 = gens._k1f[:3]
     first = np.diag(b0)
     dh1 = first[None, :] - first[:, None]  # h_m^(1) - h_n^(1) at [n, m]
     scale = float(np.abs(first).max()) + 1.0

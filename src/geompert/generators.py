@@ -17,8 +17,10 @@ order ell into elementwise arithmetic in the eigenframe of H_0 (where
         but never eigenvalues).
 
 Each order only consumes strictly lower orders, so the sweep is a single
-forward pass.  Matrices are conjugated back to the computational basis at
-the end.
+forward pass.  The solved coefficients stay in the frame, as two
+(order + 1, N, N) stacks that the series kernel reads directly; the
+computational-basis matrices V K W are formed only when a consumer reads
+`GeneratorSeries.k0` or `.k1`, with one stacked product per stack.
 """
 
 from __future__ import annotations
@@ -119,10 +121,15 @@ class PolynomialHamiltonian:
 class GeneratorSeries:
     """Solved generator coefficients K_0^(j), K_1^(j), j = 0..order.
 
-    Matrices live in the computational basis; `gauge` records how the
-    residual diagonal freedom of K_0 was fixed.  `_block` holds the series
-    block of the highest order requested (`corrections._all_block`); every
-    construction, `dataclasses.replace` included, starts it empty.
+    `k0` and `k1` are tuples of read-only computational-basis matrices;
+    `gauge` records how the residual diagonal freedom of K_0 was fixed.  The
+    series kernel reads the frame stacks `_k0f`, `_k1f` ((order + 1, N, N),
+    entries [[K]] = W K V).  A solve fills those and forms `k0`/`k1` on
+    first read, one stacked V K W per stack, cached; a race may recompute
+    them but never returns a partial tuple.  Direct construction (and
+    `dataclasses.replace`) takes `k0`/`k1` and forms the stacks once.
+    `_block` holds the series block of the highest order requested
+    (`corrections._all_block`); every construction starts it empty.
     """
 
     order: int
@@ -131,6 +138,32 @@ class GeneratorSeries:
     gauge: str
     frame: SpectralFrame
     _block: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _k0f: np.ndarray = field(init=False, repr=False, compare=False)
+    _k1f: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w, v = self.frame.left, self.frame.right
+        object.__setattr__(self, "_k0f", _frozen(w @ np.stack(self.k0) @ v))
+        object.__setattr__(self, "_k1f", _frozen(w @ np.stack(self.k1) @ v))
+
+    @classmethod
+    def _from_frame(cls, order, k0f, k1f, gauge, frame) -> GeneratorSeries:
+        """A series over the frame stacks, its `k0`/`k1` not yet formed."""
+        gens = object.__new__(cls)
+        gens.__dict__.update(
+            order=order, gauge=gauge, frame=frame, _block=None,
+            _k0f=_frozen(k0f), _k1f=_frozen(k1f),
+        )
+        return gens
+
+    def __getattr__(self, name):
+        # reached only while `k0`/`k1` are not yet set: form the view once
+        if name not in ("k0", "k1"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        stack = self._k0f if name == "k0" else self._k1f
+        view = tuple(_frozen(self.frame.right @ stack @ self.frame.left))
+        object.__setattr__(self, name, view)
+        return view
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,15 +220,15 @@ def solve_generators(
     degree = hamiltonian.degree
     h = frame.eigenvalues
     delta = h[:, None] - h[None, :]
-    np.fill_diagonal(delta, 1.0)  # off-diagonal use only
-    off = ~np.eye(n, dtype=bool)
+    np.fill_diagonal(delta, 1.0)  # off-diagonal use only: the diagonals are overwritten
 
     # frame representation of each Hamiltonian coefficient (zeros past degree)
     ah = [double_bracket(frame, m) for m in hamiltonian.terms]
     ah += [np.zeros((n, n), dtype=np.complex128)] * (order + 2 - len(ah))
+    ah_max = [float(np.abs(m).max(initial=0.0)) for m in ah[: degree + 1]]
 
-    k0f: list[np.ndarray] = []
-    k1f: list[np.ndarray] = []
+    k0f = np.empty((order + 1, n, n), dtype=np.complex128)
+    k1f = np.empty((order + 1, n, n), dtype=np.complex128)
     for ell in range(order + 1):
         amax = min(degree, ell)
 
@@ -203,18 +236,14 @@ def solve_generators(
         scale1 = 1.0
         for a in range(1, amax + 1):
             rhs1 -= _commutator(ah[a], k1f[ell - a])
-            scale1 = max(
-                scale1,
-                float(np.abs(ah[a]).max()) * float(np.abs(k1f[ell - a]).max()),
-            )
-        worst = float(np.abs(np.diag(rhs1)).max()) if n else 0.0
+            scale1 = max(scale1, ah_max[a] * float(np.abs(k1f[ell - a]).max(initial=0.0)))
+        worst = float(np.abs(np.diag(rhs1)).max(initial=0.0))
         if worst > _CONSISTENCY_RTOL * scale1:
             raise ConsistencyFailure(
                 f"order {ell}: commuting-part equation has nonzero diagonal "
                 f"{worst:.3e} (scale {scale1:.3e})"
             )
-        k1 = np.zeros((n, n), dtype=np.complex128)
-        k1[off] = rhs1[off] / delta[off]
+        k1 = np.divide(rhs1, delta, out=k1f[ell])
 
         comm0 = np.zeros((n, n), dtype=np.complex128)
         for a in range(1, amax + 1):
@@ -224,23 +253,11 @@ def solve_generators(
         )
 
         rhs0 = 1j * k1 - 1j * (ell + 1) * ah[ell + 1] - comm0
-        k0 = np.zeros((n, n), dtype=np.complex128)
-        k0[off] = rhs0[off] / delta[off]
-        if diags is not None:
-            np.fill_diagonal(k0, diags[ell])
+        k0 = np.divide(rhs0, delta, out=k0f[ell])
+        np.fill_diagonal(k0, 0.0 if diags is None else diags[ell])
 
-        k1f.append(k1)
-        k0f.append(k0)
-
-    v, w = frame.right, frame.left
-    k0_out = tuple(_frozen(v @ m @ w) for m in k0f)
-    k1_out = tuple(_frozen(v @ m @ w) for m in k1f)
-    return GeneratorSeries(
-        order=order,
-        k0=k0_out,
-        k1=k1_out,
-        gauge=GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL,
-        frame=frame,
+    return GeneratorSeries._from_frame(
+        order, k0f, k1f, GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL, frame
     )
 
 

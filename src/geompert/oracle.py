@@ -207,7 +207,21 @@ def _centred_slopes(x: np.ndarray, y: np.ndarray, usable: np.ndarray) -> np.ndar
 
 
 def log_log_slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
+    """Least-squares slope of log(ys) against log(xs).
+
+    Raises ValueError unless xs and ys are 1-D of one length, every value is
+    finite and positive, and xs holds at least two distinct values.
+    """
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(
+            f"xs and ys must be 1-D of one length, got shapes {xs.shape} and {ys.shape}"
+        )
+    for name, values in (("xs", xs), ("ys", ys)):
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError(f"every value of {name} must be finite and positive")
+    if np.unique(xs).size < 2:
+        raise ValueError("xs must hold at least two distinct values")
     x, y = np.log(xs), np.log(ys)[None]
     return float(_centred_slopes(x, y, np.ones(y.shape, dtype=bool))[0])
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -335,7 +336,9 @@ def run_pipeline(
 
     `checks` selects the verification steps; unknown names raise ValueError.
     When `out_dir` is given, report.json and series.csv (plus sweep.csv when
-    sweep data was requested) are written there after everything succeeds.
+    sweep data was requested) are written there after everything succeeds;
+    an `out_dir` that exists and is not a directory raises NotADirectoryError
+    before any work.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
     if order < 1:
@@ -359,6 +362,8 @@ def run_pipeline(
                 f"points = {points} over q_lo = {q_lo!r} to q_hi = {q_hi!r} "
                 f"({decades:.3g} decades)"
             )
+    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise NotADirectoryError(f"output path {str(out_dir)!r} exists and is not a directory")
     if sweep is not None:
         if not 0 < sweep[0] < np.inf:
             raise ValueError(f"sweep q_max must be finite and positive, got {sweep[0]!r}")

@@ -116,15 +116,24 @@ class SpectralFrame:
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
-    """Unit 2-norm columns with the first significant component real positive."""
+    """Unit 2-norm columns with the first significant component real positive.
+
+    One pass over all columns.  Each squared norm is the pair of BLAS dots
+    that `np.linalg.norm` takes over the real and imaginary parts of a
+    contiguous copy of the column, so every column keeps a per-column
+    loop's bits.
+    """
     out = np.array(vecs, dtype=np.complex128)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        col /= np.linalg.norm(col)
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > _PHASE_TOL * mags.max()))
-        col *= mags[idx] / col[idx]
-        out[:, j] = col
+    if not out.size:
+        return out
+    rows = out.T.copy()  # column j as a contiguous row
+    re, im = rows.real, rows.imag
+    squares = (re[:, None, :] @ re[:, :, None]) + (im[:, None, :] @ im[:, :, None])
+    out /= np.sqrt(squares[:, 0, 0])
+    mags = np.abs(out)
+    idx = np.argmax(mags > _PHASE_TOL * mags.max(axis=0), axis=0)
+    cols = np.arange(out.shape[1])
+    out *= mags[idx, cols] / out[idx, cols]
     return out
 
 

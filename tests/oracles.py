@@ -205,6 +205,20 @@ def worked_low_order_corrections(gens, n):
     return h1, h2, h3
 
 
+def reference_normalize_columns(vecs, phase_tol):
+    """Unit 2-norm columns with the first component above `phase_tol` times
+    the column's largest magnitude made real positive, one column at a time
+    with `np.linalg.norm`: the reference for the batched normalization."""
+    out = np.array(vecs, dtype=np.complex128)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        col /= np.linalg.norm(col)
+        mags = np.abs(col)
+        idx = int(np.argmax(mags > phase_tol * mags.max()))
+        col *= mags[idx] / col[idx]
+    return out
+
+
 def seeded_quadratic_family(seed, n):
     """H_0 = diag(0..N-1) + 0.01 randn, H_1 complex Gaussian, H_2 real
     Gaussian, all drawn from numpy's default_rng(seed)."""

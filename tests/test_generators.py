@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from oracles import (
     k1_order1_diag,
     k1_order2_diag,
     linear_family,
+    seeded_quadratic_family,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -236,3 +241,96 @@ class TestLowOrderClosedForms:
             off = ~np.eye(frame.dim, dtype=bool)
             scale = max(1.0, np.abs(predicted).max())
             assert np.abs(actual[off] - predicted[off]).max() < 1e-9 * scale
+
+
+FAMILIES = [*g.BUILTIN_MODELS, "seeded-N16"]
+
+
+def _hamiltonian(family):
+    if family in g.BUILTIN_MODELS:
+        return g.builtin_model(family).to_hamiltonian()
+    return seeded_quadratic_family(0, 16)
+
+
+def _relative(a, b):
+    """Largest max|a - b| relative to max(1, max|b|)."""
+    return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+
+
+class TestFrameStacks:
+    """A solve keeps K_0 and K_1 as frame stacks; `k0`/`k1` are views formed
+    from them on first read."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_stacks_are_the_views_in_the_frame(self, family):
+        ham = _hamiltonian(family)
+        gens = g.solve_model(ham, 6)
+        w, v = gens.frame.left, gens.frame.right
+        for views, stack in ((gens.k0, gens._k0f), (gens.k1, gens._k1f)):
+            assert stack.shape == (7, ham.dim, ham.dim) and not stack.flags.writeable
+            assert type(views) is tuple and len(views) == 7
+            for view, frame_matrix in zip(views, stack):
+                assert view.shape == (ham.dim, ham.dim) and not view.flags.writeable
+                assert _relative(w @ view @ v, frame_matrix) <= 1e-13
+        # formed once: every later read returns the same tuple
+        assert gens.k0 is gens.k0 and gens.k1 is gens.k1
+
+    def test_readme_loop_forms_no_views(self):
+        ham = seeded_quadratic_family(0, 16)
+        gens = g.solve_generators(ham, g.eigenframe(ham.term(0)), 6)
+        for n in range(ham.dim):
+            g.build_series(gens, n, 6)
+            g.eigenvalue_corrections(gens, n, 6)
+            g.state_corrections_recursive(gens, n, 6)
+        g.build_all_series(gens, 6)
+        assert "k0" not in vars(gens) and "k1" not in vars(gens)
+
+    def test_concurrent_first_reads_return_whole_views(self):
+        ham = seeded_quadratic_family(0, 8)
+        frame = g.eigenframe(ham.term(0))
+        solved = g.solve_generators(ham, frame, 6)
+        expected = (np.stack(solved.k0).tobytes(), np.stack(solved.k1).tobytes())
+        fresh = [g.solve_generators(ham, frame, 6) for _ in range(40)]
+        seen = []
+
+        def read():
+            for gens in fresh:
+                seen.append((np.stack(gens.k0).tobytes(), np.stack(gens.k1).tobytes()))
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 40 and all(pair == expected for pair in seen)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_direct_construction_and_replace_match_the_solve(self, family):
+        ham = _hamiltonian(family)
+        order = 8
+        gens = g.solve_model(ham, order)
+        direct = g.GeneratorSeries(
+            order=order, k0=gens.k0, k1=gens.k1, gauge=gens.gauge, frame=gens.frame
+        )
+        expected = _block_arrays(g.build_all_series(gens, order))
+        for other in (direct, dataclasses.replace(gens)):
+            assert other._block is None
+            for stack, solved in ((other._k0f, gens._k0f), (other._k1f, gens._k1f)):
+                assert all(_relative(a, b) <= 1e-13 for a, b in zip(stack, solved))
+            # the stacks' round trip moves each order by roundoff of its largest
+            # entry, which cancellation may leave on a much smaller one
+            for a, b in zip(_block_arrays(g.build_all_series(other, order)), expected):
+                scale = np.maximum(1.0, np.abs(b).max(axis=(0, -1)))
+                assert np.max(np.abs(a - b).max(axis=(0, -1)) / scale) <= 1e-13
+
+
+def _block_arrays(series):
+    """h (state, k, 1) and states (state, k, component) of a list of series."""
+    h = np.array([s.eigenvalue_corrections for s in series])[..., None]
+    return h, np.array([s.state_corrections for s in series])

@@ -451,6 +451,49 @@ class TestCli:
     def test_expand_missing_file(self, tmp_path, capsys):
         assert main(["expand", "--model", str(tmp_path / "no.json"), "--order", "2", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["expand", "verify", "sweep"])
+    def test_model_directory_exit_code(self, tmp_path, capsys, command):
+        argv = {
+            "expand": ["expand", "--order", "2", "--out", str(tmp_path / "out")],
+            "verify": ["verify", "--order", "2"],
+            "sweep": ["sweep", "--q-max", "0.1", "--points", "4", "--out", str(tmp_path / "out")],
+        }[command]
+        assert main([*argv, "--model", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "IsADirectoryError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["expand", "sweep"])
+    def test_out_file_rejected_before_the_frame(self, tmp_path, capsys, monkeypatch, command):
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        out = tmp_path / "report"
+        out.write_text("kept")
+        argv = {
+            "expand": ["expand", "--order", "2"],
+            "sweep": ["sweep", "--q-max", "0.1", "--points", "4"],
+        }[command]
+        assert main([*argv, "--model", "toy-sec5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "NotADirectoryError"
+        assert str(out) in err["message"]
+        assert out.read_text() == "kept"
+
+    def test_out_write_error_exit_code(self, tmp_path, capsys):
+        # the output's parent is a file: creating the directory fails after the run
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(["expand", "--model", "toy-sec5", "--order", "2", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "NotADirectoryError"
+
     def test_verify_builtin(self, capsys):
         assert main(["verify", "--model", "toy-sec5", "--order", "3"]) == 0
         report = json.loads(capsys.readouterr().out)

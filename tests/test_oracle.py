@@ -332,6 +332,26 @@ class TestSlopeFit:
         assert abs(g.log_log_slope(xs, ys) - ref) <= 1e-13 * abs(ref)
         assert g.log_log_slope(xs, 7.0 * xs**3) == pytest.approx(3.0, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "xs, ys, message",
+        [
+            ([1, 2, 3], [1, 0, 2], "ys must be finite and positive"),
+            ([1, 2, 3], [1, -1, 2], "ys must be finite and positive"),
+            ([1, 2, 3], [1, np.nan, 2], "ys must be finite and positive"),
+            ([1, 2, 3], [1, np.inf, 2], "ys must be finite and positive"),
+            ([1, 0, 3], [1, 2, 3], "xs must be finite and positive"),
+            ([-1, 2, 3], [1, 2, 3], "xs must be finite and positive"),
+            ([1, 2, 3], [1, 2], "1-D of one length"),
+            ([[1, 2], [3, 4]], [[1, 2], [3, 4]], "1-D of one length"),
+            ([2.0], [3.0], "two distinct values"),
+            ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "two distinct values"),
+        ],
+    )
+    def test_log_log_slope_rejects_bad_input(self, xs, ys, message):
+        # a nan slope would compare false against every gate
+        with pytest.raises(ValueError, match=message):
+            g.log_log_slope(xs, ys)
+
 
 class TestFiniteDifferences:
     def test_toy_second_order(self):

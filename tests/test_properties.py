@@ -1,4 +1,5 @@
-"""Property tests of the block series kernel and of the Bell route's grade-stack kernel."""
+"""Property tests of the block series kernel, of the Bell route's grade-stack
+kernel and of the frame's column normalization."""
 
 from types import SimpleNamespace
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import geompert as g
 from geompert.corrections import _bell_block, _series_block
-from oracles import linear_family, reference_bell_blocks
+from geompert.spectral import _PHASE_TOL, _normalize_columns
+from oracles import linear_family, reference_bell_blocks, reference_normalize_columns
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, derandomize=True, database=None
@@ -109,3 +111,19 @@ def test_bell_grade_stacks_equal_word_by_word(seed, dim, width, order):
     assert len(blocks) == len(ref) == order + 1
     for a, b in zip(blocks, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 7), st.floats(0.0, 0.5))
+@example(0, 1, 0, 0.0)  # N = 1
+@example(3, 6, 5, 0.3)  # five leading components below the phase threshold
+def test_normalize_columns_equals_per_column_loop(seed, dim, small, zeros):
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # leading components below _PHASE_TOL times the column's largest
+    small = min(small, dim - 1)
+    vecs[:small] *= 1e-3 * _PHASE_TOL
+    # exact zeros anywhere but the last row, which keeps every column nonzero
+    vecs[:-1][rng.random((dim - 1, dim)) < zeros] = 0.0
+    out = _normalize_columns(vecs)
+    assert out.tobytes() == reference_normalize_columns(vecs, _PHASE_TOL).tobytes()

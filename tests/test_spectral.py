@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import geompert as g
-from geompert.spectral import as_complex_matrix, resolve_gap_tol
+from geompert.spectral import _PHASE_TOL, _normalize_columns, as_complex_matrix, resolve_gap_tol
+from oracles import reference_normalize_columns
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -101,6 +102,14 @@ class TestEigenframe:
                 assert col[idx].real > 0
                 assert abs(col[idx].imag) < 1e-14
                 assert np.linalg.norm(col) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [2, 16, 32, 64])
+    def test_batched_normalization_equals_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        _, vectors = np.linalg.eig(random_matrix(rng, n))
+        expected = reference_normalize_columns(vectors, _PHASE_TOL)
+        assert _normalize_columns(vectors).tobytes() == expected.tobytes()
 
     def test_hermitian_frame_is_orthonormal(self, rng):
         for _ in range(10):
