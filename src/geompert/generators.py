@@ -142,6 +142,14 @@ class GeneratorSeries:
     _k1f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.frame.dim
+        for name in ("k0", "k1"):
+            mats = getattr(self, name)
+            if len(mats) != self.order + 1 or any(np.shape(m) != (n, n) for m in mats):
+                raise DimensionMismatch(
+                    f"{name} must hold order + 1 = {self.order + 1} matrices of shape "
+                    f"({n}, {n}), got {[np.shape(m) for m in mats]}"
+                )
         w, v = self.frame.left, self.frame.right
         object.__setattr__(self, "_k0f", _frozen(w @ np.stack(self.k0) @ v))
         object.__setattr__(self, "_k1f", _frozen(w @ np.stack(self.k1) @ v))
@@ -284,17 +292,18 @@ def hierarchy_residuals(
 
     (max of the two).  Both vanish to roundoff for a valid solution, and are
     insensitive to diagonal (gauge) shifts of K_0 that commute with H_0.
+    Each H_a adds one stacked commutator to all orders' defects, a = 0, 1, ...
     """
     if hamiltonian.dim != gens.frame.dim:
         raise DimensionMismatch("Hamiltonian and generator dimensions differ")
-    degree = hamiltonian.degree
-    out = np.zeros(gens.order + 1)
-    for ell in range(gens.order + 1):
-        amax = min(degree, ell)
-        d0 = -1j * gens.k1[ell] + 1j * (ell + 1) * hamiltonian.term(ell + 1)
-        d1 = np.zeros_like(d0)
-        for a in range(amax + 1):
-            d0 = d0 + _commutator(hamiltonian.term(a), gens.k0[ell - a])
-            d1 = d1 + _commutator(hamiltonian.term(a), gens.k1[ell - a])
-        out[ell] = max(float(np.abs(d0).max()), float(np.abs(d1).max()))
-    return out
+    size = gens.order + 1
+    k0, k1 = np.stack(gens.k0), np.stack(gens.k1)
+    d0, d1 = -1j * k1, np.zeros_like(k1)
+    for ell, term in enumerate(hamiltonian.terms[1 : size + 1]):
+        d0[ell] += 1j * (ell + 1) * term  # H_{ell+1}: none past the degree
+    for a, term in enumerate(hamiltonian.terms[:size]):
+        for d, k in ((d0, k0), (d1, k1)):
+            comm = term @ k[: size - a]
+            comm -= k[: size - a] @ term
+            d[a:] += comm
+    return np.maximum(np.abs(d0).max(axis=(1, 2)), np.abs(d1).max(axis=(1, 2)))

@@ -17,9 +17,16 @@ then certified empirically:
   and the exact one, as rays, so gauge and normalization drop out.
 
 All three are one-row views of the all-state helpers `_value_residual_block`
-(with `_fit_block`), `_fd_block` and `_ray_residual_block`, which the
-pipeline calls on one sweep per check with the coefficients of its one
-series block; a row's slope has the same bits alone or in a block.
+(with `_fit_block`), `_fd_coefficients` and `_ray_residual_block`; the
+pipeline calls `_residual_slopes` and `_fd_coefficients`, one sweep per
+check, with the coefficients of its one series block, and a row's slope has
+the same bits alone or in a block.
+
+This module owns every sampling decision of the checks: the grids
+(`_residual_grid`, which the pipeline calls before it builds the frame, and
+the finite-difference stencils), the noise floors, the samples per decade
+and the rule that a window is below the noise floor.  A sweep pairs under
+the degeneracy threshold its frame records.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -48,13 +55,15 @@ from .errors import (
     ResidualUnderflow,
 )
 from .generators import PolynomialHamiltonian
-from .spectral import SpectralFrame, eigenframe, require_state, resolve_gap_tol
+from .spectral import SpectralFrame, eigenframe, require_count, require_state
 
 # residuals below this are roundoff, not signal
 RESIDUAL_FLOOR = 1e-14
 # ray residuals keep a little more headroom over eigenvector noise
 RAY_FLOOR = 1e-13
 _MIN_FIT_POINTS = 5
+# the fewest samples per decade of a window that a slope fit is given
+_PER_DECADE = 8
 _MARGIN_FACTOR = 2.0
 # finite-difference spacing; the stencil also samples at half of it
 _FD_STEP = 1e-3
@@ -123,9 +132,9 @@ def _pair_block(prev: np.ndarray, vals: np.ndarray, qs: np.ndarray, gap_tol: flo
 
 
 def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, qs,
-                     gap_tol: float, want_vectors: bool):
-    """Eigen-curves over qs (every sweep checks its grid here), continued from
-    the q = 0 frame, and exact eigenvectors (state, sample, component) on request."""
+                     want_vectors: bool):
+    """Eigen-curves over qs (every sweep checks its grid here), continued from the q = 0
+    frame under its `gap_tol`, and exact eigenvectors (state, sample, component) on request."""
     qs = np.array(qs, dtype=float)  # a copy: the curve freezes it
     if qs.ndim != 1 or qs.size == 0 or not np.all(np.isfinite(qs)):
         raise ValueError("qs must be a non-empty 1-D sequence of finite values")
@@ -161,7 +170,7 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
             if block[0] in (split, split - 1):  # a chain starts at the frame
                 prev, perm = frame.eigenvalues, np.arange(n)
             before = np.vstack([prev[None], vals[:-1]])  # each sample's raw predecessor
-            picks, step = _pair_block(before, vals, qs[block], gap_tol)
+            picks, step = _pair_block(before, vals, qs[block], frame.gap_tol)
             margin = min(margin, step)
             for i, k in enumerate(block.tolist()):
                 perm = picks[i][perm]
@@ -188,9 +197,8 @@ def exact_spectrum_sweep(
     canonical frame of H_0 and folded outward in both directions, so samples
     should start near zero.  Identical inputs give bitwise-identical curves.
     """
-    tol = resolve_gap_tol(gap_tol)
-    frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
-    return _continued_sweep(frame, hamiltonian, qs, tol, False)[0]
+    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    return _continued_sweep(frame, hamiltonian, qs, False)[0]
 
 
 def _centred_slopes(x: np.ndarray, y: np.ndarray, usable: np.ndarray) -> np.ndarray:
@@ -263,9 +271,45 @@ def _value_residual_block(qs: np.ndarray, exact: np.ndarray, coeffs: np.ndarray,
     if qs.size == 0:
         raise ValueError("window contains no curve samples")
     decades = np.log10(q_hi / q_lo)
-    if decades > 0 and qs.size / decades < 8.0 - 1e-9:
-        raise ValueError("need at least 8 samples per decade in the window")
+    if decades > 0 and qs.size / decades < _PER_DECADE - 1e-9:
+        raise ValueError(f"need at least {_PER_DECADE} samples per decade in the window")
     return qs, np.abs(exact[:, sel] - _horner(coeffs, qs))
+
+
+def _residual_grid(window: tuple[float, float], points) -> np.ndarray:
+    """`points` samples of a finite window 0 < q_lo < q_hi, evenly in log q
+    and at least `_PER_DECADE` per decade, the ends exactly q_lo and q_hi."""
+    q_lo, q_hi = window
+    if not 0 < q_lo < q_hi < np.inf:
+        raise ValueError(
+            f"residual window must satisfy finite 0 < q_lo < q_hi, "
+            f"got q_lo = {q_lo!r}, q_hi = {q_hi!r}"
+        )
+    require_count("points", points)
+    decades = np.log10(q_hi) - np.log10(q_lo)
+    if points / decades < _PER_DECADE - 1e-9:
+        raise ValueError(
+            f"residual_order needs at least {_PER_DECADE} points per decade of the window: "
+            f"points = {points} over q_lo = {q_lo!r} to q_hi = {q_hi!r} ({decades:.3g} decades)"
+        )
+    qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
+    qs[0], qs[-1] = q_lo, q_hi  # logspace can miss either end by an ulp
+    return qs
+
+
+def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
+                     states: np.ndarray, h: np.ndarray, qs: np.ndarray, window):
+    """Eigenvalue and ray slopes of every state for a (K+1, N, N) state block and (K+1, N)
+    corrections, from one eigenvector sweep over `qs`, and whether the window is below the
+    noise floor: every |q_hi^k h_n^(k)|, k >= 1, under RESIDUAL_FLOOR, some h_n^(k) not 0."""
+    curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
+    rays = _ray_residual_block(vectors, states.transpose(2, 0, 1), curve.qs)
+    window_qs, residuals = _value_residual_block(curve.qs, curve.values, h.T, window)
+    value_slopes = _fit_block(window_qs, residuals, RESIDUAL_FLOOR)
+    ray_slopes = _fit_block(curve.qs, rays, RAY_FLOOR)
+    reach = np.abs(h[1:]) * float(window[1]) ** np.arange(1.0, len(h))[:, None]
+    blind = bool(np.any(h[1:] != 0) and reach.max(initial=0.0) < RESIDUAL_FLOOR)
+    return value_slopes, ray_slopes, blind
 
 
 def _require_series_order(series: PerturbationSeries, order: int) -> None:
@@ -306,23 +350,23 @@ _STENCILS = {
 }
 
 
-def _fd_grid(step: float, ks) -> list[float]:
-    """The union of the order-`ks` stencils at spacings step and step/2."""
+def _fd_coefficients(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, ks,
+                     step: float = _FD_STEP) -> np.ndarray:
+    """h^(k) of every state for each k of `ks` (in 1..4), a (len(ks), N) array, from one
+    eigenvalue sweep over the union of their stencils at spacings step and step/2."""
     if not (np.isfinite(step) and step > 0):
         raise ValueError("step must be finite and positive")
-    return sorted({o * h for k in ks for o in _STENCILS[k][0] for h in (step, step / 2)})
-
-
-def _fd_block(curve: SpectrumCurve, step: float, k: int) -> np.ndarray:
-    """h^(k) of every state, from a curve sampled on a `_fd_grid` holding k."""
-    offsets, weights = _STENCILS[k]
+    grid = sorted({o * s for k in ks for o in _STENCILS[k][0] for s in (step, step / 2)})
+    curve, _ = _continued_sweep(frame, hamiltonian, grid, False)
     column = {float(q): i for i, q in enumerate(curve.qs)}
 
-    def stencil(h: float) -> np.ndarray:
-        terms = (w * curve.values[:, column[o * h]] for o, w in zip(offsets, weights))
-        return sum(terms) / h ** k
+    def stencil(k: int, s: float) -> np.ndarray:
+        offsets, weights = _STENCILS[k]
+        terms = (w * curve.values[:, column[o * s]] for o, w in zip(offsets, weights))
+        return sum(terms) / s ** k
 
-    return (4.0 * stencil(step / 2) - stencil(step)) / 3.0 / factorial(k)
+    return np.array([(4.0 * stencil(k, step / 2) - stencil(k, step)) / 3.0 / factorial(k)
+                     for k in ks])
 
 
 def fd_eigenvalue_derivatives(
@@ -341,8 +385,8 @@ def fd_eigenvalue_derivatives(
     n = require_state(n, hamiltonian.dim)
     if not 1 <= k <= 4:
         raise ValueError("derivative order k must be in 1..4")
-    curve = exact_spectrum_sweep(hamiltonian, _fd_grid(step, (k,)), gap_tol)
-    return complex(_fd_block(curve, step, k)[n])
+    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    return complex(_fd_coefficients(frame, hamiltonian, (k,), step)[0, n])
 
 
 def _rownorm(x: np.ndarray) -> np.ndarray:
@@ -379,8 +423,7 @@ def state_ray_residual(
     """
     n = require_state(n, hamiltonian.dim)
     _require_series_order(series, order)
-    tol = resolve_gap_tol(gap_tol)
-    frame = eigenframe(hamiltonian.term(0), gap_tol=tol)
-    curve, vectors = _continued_sweep(frame, hamiltonian, qs, tol, True)
+    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
     corrections = np.array(series.state_corrections[: order + 1])[None]
     return _ray_residual_block(vectors[n : n + 1], corrections, curve.qs)[0]

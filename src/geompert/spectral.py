@@ -14,6 +14,11 @@ into the dual vectors: <<m|n> = delta_mn holds by construction, and the
 For Hermitian H0 the frame reduces to the orthonormal one (W = V^dagger) and
 [[A]] is the ordinary matrix element.
 
+The degeneracy threshold is resolved here and nowhere else: `eigenframe`
+reads it once (argument, else GEOMPERT_GAP_TOL, else the default) and
+records it as `SpectralFrame.gap_tol`, which every exact sweep continued
+from the frame pairs under.
+
 All returned objects are immutable; operations are pure functions and safe
 to share across threads.
 """
@@ -79,6 +84,12 @@ def require_state(n, dim: int) -> int:
     return int(n)
 
 
+def require_count(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def min_pairwise_gap(values: np.ndarray) -> float:
     """Smallest |h_i - h_j| over i != j (inf for fewer than two values)."""
     values = np.asarray(values)
@@ -106,6 +117,9 @@ class SpectralFrame:
         Rows are the dual vectors; exactly the matrix inverse of `right`.
     min_gap : float
         Smallest pairwise eigenvalue distance.
+    gap_tol : float
+        The relative degeneracy threshold the frame was built with; every
+        exact sweep continued from the frame pairs under it.
     """
 
     dim: int
@@ -113,6 +127,7 @@ class SpectralFrame:
     right: np.ndarray
     left: np.ndarray
     min_gap: float
+    gap_tol: float
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
@@ -170,10 +185,11 @@ def eigenframe(
 
     radius = float(np.max(np.abs(values))) if n else 0.0
     gap = min_pairwise_gap(values)
-    if gap < resolve_gap_tol(gap_tol) * max(1.0, radius):
+    tol = resolve_gap_tol(gap_tol)
+    if gap < tol * max(1.0, radius):
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {gap:.3e} below threshold "
-            f"(relative tolerance {resolve_gap_tol(gap_tol):.1e})"
+            f"(relative tolerance {tol:.1e})"
         )
 
     left = np.linalg.inv(vectors)
@@ -193,7 +209,7 @@ def eigenframe(
     for arr in (values, vectors, left):
         arr.setflags(write=False)
     return SpectralFrame(
-        dim=n, eigenvalues=values, right=vectors, left=left, min_gap=gap
+        dim=n, eigenvalues=values, right=vectors, left=left, min_gap=gap, gap_tol=tol
     )
 
 

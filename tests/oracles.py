@@ -229,6 +229,21 @@ def seeded_quadratic_family(seed, n):
     return PolynomialHamiltonian([h0, h1, h2])
 
 
+def reference_hierarchy_residuals(hamiltonian, gens):
+    """Both commutator defects at each order, one order and one term at a
+    time: the reference for the stacked `hierarchy_residuals`."""
+    out = np.zeros(gens.order + 1)
+    for ell in range(gens.order + 1):
+        d0 = -1j * gens.k1[ell] + 1j * (ell + 1) * hamiltonian.term(ell + 1)
+        d1 = np.zeros_like(d0)
+        for a in range(min(hamiltonian.degree, ell) + 1):
+            h = hamiltonian.term(a)
+            d0 = d0 + (h @ gens.k0[ell - a] - gens.k0[ell - a] @ h)
+            d1 = d1 + (h @ gens.k1[ell - a] - gens.k1[ell - a] @ h)
+        out[ell] = max(float(np.abs(d0).max()), float(np.abs(d1).max()))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # per-state series loops, one state at a time: the reference for the block
 # kernel, which reorders the same sums

@@ -12,6 +12,7 @@ from oracles import (
     k1_order1_diag,
     k1_order2_diag,
     linear_family,
+    reference_hierarchy_residuals,
     seeded_quadratic_family,
 )
 
@@ -188,6 +189,17 @@ class TestHierarchyResiduals:
         gens = g.solve_generators(toy, toy_frame, 3, k0_diagonals=diags)
         assert g.hierarchy_residuals(toy, gens).max() < 1e-12
 
+    @pytest.mark.parametrize("order", [0, 1, 12])
+    @pytest.mark.parametrize(
+        "family", [*g.BUILTIN_MODELS, "degree-0", "seeded-N6", "seeded-N16"]
+    )
+    def test_stacked_orders_match_the_per_order_loop(self, family, order):
+        ham = _hamiltonian(family)
+        gens = g.solve_model(ham, order)
+        got = g.hierarchy_residuals(ham, gens)
+        assert got.shape == (order + 1,)
+        assert got.tobytes() == reference_hierarchy_residuals(ham, gens).tobytes()
+
 
 @pytest.fixture(scope="module")
 def ensemble():
@@ -249,7 +261,9 @@ FAMILIES = [*g.BUILTIN_MODELS, "seeded-N16"]
 def _hamiltonian(family):
     if family in g.BUILTIN_MODELS:
         return g.builtin_model(family).to_hamiltonian()
-    return seeded_quadratic_family(0, 16)
+    if family == "degree-0":
+        return g.PolynomialHamiltonian([np.diag([0.0, 1.0, 2.5 + 0.3j])])
+    return seeded_quadratic_family(0, int(family[len("seeded-N"):]))
 
 
 def _relative(a, b):
@@ -328,6 +342,28 @@ class TestFrameStacks:
             for a, b in zip(_block_arrays(g.build_all_series(other, order)), expected):
                 scale = np.maximum(1.0, np.abs(b).max(axis=(0, -1)))
                 assert np.max(np.abs(a - b).max(axis=(0, -1)) / scale) <= 1e-13
+
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("k0", lambda gens: {"k0": gens.k0[:2]}),
+            ("k1", lambda gens: {"k1": gens.k1 + gens.k1[:1]}),
+            ("k0", lambda gens: {"order": gens.order + 1}),
+            ("k0", lambda gens: {"k0": (np.eye(3),) + gens.k0[1:]}),
+            ("k1", lambda gens: {"k1": tuple(m[:1] for m in gens.k1)}),
+        ],
+        ids=["short", "long", "order", "dimension", "shape"],
+    )
+    def test_direct_construction_checks_count_and_shape(self, toy_gens, field, change):
+        fields = {
+            "order": toy_gens.order, "k0": toy_gens.k0, "k1": toy_gens.k1,
+            "gauge": toy_gens.gauge, "frame": toy_gens.frame, **change(toy_gens),
+        }
+        with pytest.raises(g.DimensionMismatch, match=f"^{field} "):
+            g.GeneratorSeries(**fields)
+        with pytest.raises(g.DimensionMismatch, match=f"^{field} "):
+            dataclasses.replace(toy_gens, **change(toy_gens))
 
 
 def _block_arrays(series):

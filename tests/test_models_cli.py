@@ -487,12 +487,32 @@ class TestCli:
         assert out.read_text() == "kept"
 
     def test_out_write_error_exit_code(self, tmp_path, capsys):
-        # the output's parent is a file: creating the directory fails after the run
+        # the output's parent is a file
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
         assert main(["expand", "--model", "toy-sec5", "--order", "2", "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "NotADirectoryError"
+
+    @pytest.mark.parametrize("nested", ["out", "a/b/c"])
+    def test_out_under_a_file_rejected_before_the_frame(
+        self, tmp_path, capsys, monkeypatch, nested
+    ):
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / "file" / nested
+        for argv in (["expand", "--order", "2"], ["sweep", "--q-max", "0.1", "--points", "4"]):
+            assert main([*argv, "--model", "toy-sec5", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            err = json.loads(line)
+            assert err["error"] == "NotADirectoryError"
+            assert str(out) in err["message"] and str(tmp_path / "file") in err["message"]
+        assert (tmp_path / "file").read_text() == "kept"
 
     def test_verify_builtin(self, capsys):
         assert main(["verify", "--model", "toy-sec5", "--order", "3"]) == 0

@@ -8,8 +8,7 @@ from geompert.cli import main
 from geompert.oracle import (
     RAY_FLOOR,
     _continued_sweep,
-    _fd_block,
-    _fd_grid,
+    _fd_coefficients,
     _fit_above_floor,
     _fit_block,
     _ray_residual_block,
@@ -158,7 +157,7 @@ class TestBlockedSampler:
         values, vectors, margin = reference_continued_sweep(frame, ham, qs, tol, want_vectors)
         for cpus in (1, 4):
             monkeypatch.setattr(g.oracle, "_usable_cpus", lambda: cpus)
-            curve, got = _continued_sweep(frame, ham, qs, tol, want_vectors)
+            curve, got = _continued_sweep(frame, ham, qs, want_vectors)
             assert curve.values.tobytes() == values.tobytes()
             assert curve.pair_margin == margin
             if want_vectors:
@@ -189,8 +188,21 @@ class TestBlockedSampler:
             for cpus in (1, 4):
                 monkeypatch.setattr(g.oracle, "_usable_cpus", lambda: cpus)
                 with pytest.raises(type(expected.value)) as got:
-                    _continued_sweep(frame, ham, qs, 1e-8, want_vectors)
+                    _continued_sweep(frame, ham, qs, want_vectors)
                 assert str(got.value) == str(expected.value)
+
+    def test_pairs_under_the_frame_threshold(self):
+        # the gap 1 - 2q between q and 1 - q is 0.08 at q = 0.46, 0.02 at 0.49
+        qs = np.linspace(0.0, 0.49, 50)
+        wide = g.eigenframe(CROSSING.term(0), gap_tol=0.1)
+        for want_vectors in (False, True):
+            with pytest.raises(g.DegenerateSpectrum, match="q = 0.46"):
+                _continued_sweep(wide, CROSSING, qs, want_vectors)
+            tight = g.eigenframe(CROSSING.term(0), gap_tol=1e-8)
+            curve, _ = _continued_sweep(tight, CROSSING, qs, want_vectors)
+            assert curve.values.shape == (2, 50)
+        with pytest.raises(g.DegenerateSpectrum):
+            g.exact_spectrum_sweep(CROSSING, qs, gap_tol=0.1)
 
     def test_overflowing_samples_rejected_before_any_diagonalization(self, toy, monkeypatch):
         def no_lapack(*_args, **_kwargs):
@@ -496,16 +508,42 @@ def _recursions(calls) -> int:
     return sum(len(args) < 4 for args in calls["_series_block"])
 
 
+def _model(name):
+    if name.startswith("seeded-N"):
+        terms = seeded_quadratic_family(0, int(name[len("seeded-N"):])).terms
+        return g.ModelDocument(name, list(terms))
+    return g.builtin_model(name)
+
+
+class TestWindowBelowFloor:
+    """`residual_order` FAILs a window where no truncation error of a nonzero
+    series can reach the noise floor, and only there."""
+
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])
+    def test_blind_window_fails_with_the_reason(self, name):
+        report = run_pipeline(_model(name), 3, {"residual_order"}, q_lo=1e-300, q_hi=1e-299)
+        check = report.checks["residual_order"]
+        assert check["status"] == "fail" and report.verdict == "fail"
+        assert check["reason"] == "window below the noise floor"
+        assert list(check)[:2] == ["status", "reason"]
+        assert all(s is None for s in check["eigenvalue_slopes"])
+
+    @pytest.mark.parametrize("perturbation", [np.diag([1.0, -0.5, 2.0]), np.zeros((3, 3))])
+    def test_exact_truncations_pass_at_the_default_window(self, perturbation):
+        # nothing for a slope to measure, and nothing it could have missed
+        doc = g.ModelDocument("exact", [np.diag([0.0, 1.0, 2.5]), perturbation])
+        check = run_pipeline(doc, 3, {"residual_order"}).checks["residual_order"]
+        assert check["status"] == "pass" and "reason" not in check
+        assert all(s is None for s in check["eigenvalue_slopes"] + check["ray_slopes"])
+
+
 class TestSharedSweep:
     """Each check diagonalizes its grid once for all states, from one frame,
     and reads the run's one generator solve and one series block."""
 
     @pytest.mark.parametrize("name", ["seeded-N6", "random-linear-N4-seed7"])
     def test_verify_call_counts(self, monkeypatch, name):
-        if name == "seeded-N6":
-            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 6).terms))
-        else:
-            doc = g.builtin_model(name)
+        doc = _model(name)
         calls = _record_calls(monkeypatch)
         points = 25
         run_pipeline(doc, 3, ALL_CHECKS, points=points)
@@ -540,14 +578,12 @@ class TestSharedSweep:
             ham = g.builtin_model(name).to_hamiltonian()
         frame = g.eigenframe(ham.term(0))
         series = g.build_all_series(g.solve_model(ham, 3), 3)
-        tol = 1e-8
-        curve, _ = _continued_sweep(frame, ham, _fd_grid(1e-3, (1, 2, 3)), tol, False)
-        for k in (1, 2, 3):
-            block = _fd_block(curve, 1e-3, k)
+        estimates = _fd_coefficients(frame, ham, (1, 2, 3), 1e-3)
+        for k, block in zip((1, 2, 3), estimates):
             for n in range(frame.dim):
                 assert complex(block[n]) == reference_fd_derivative(ham, n, k)
         qs = np.logspace(-4, -2, 25)
-        curve, vectors = _continued_sweep(frame, ham, qs, tol, True)
+        curve, vectors = _continued_sweep(frame, ham, qs, True)
         corrections = np.array([s.state_corrections for s in series])
         rays = _ray_residual_block(vectors, corrections, curve.qs)
         for n, s in enumerate(series):
@@ -562,6 +598,24 @@ class TestSharedSweep:
         for n in range(frame.dim):
             ref = np.abs(curve.values[n, sel] - np.polyval(coeffs[n, ::-1], qs[sel]))
             assert np.array_equal(residuals[n], ref)
+
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])
+    def test_public_fd_is_the_pipeline_estimate(self, monkeypatch, name):
+        doc = _model(name)
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(_fd_coefficients(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(g.pipeline, "_fd_coefficients", record)
+        run_pipeline(doc, 3, {"fd_concordance"})
+        (estimates,) = seen
+        ham = doc.to_hamiltonian()
+        for k, row in zip((1, 2, 3), estimates):
+            for n in range(ham.dim):
+                public = np.complex128(g.fd_eigenvalue_derivatives(ham, n, k))
+                assert public.tobytes() == row[n].tobytes()
 
     @pytest.mark.parametrize("name", list(g.BUILTIN_MODELS))
     def test_public_views_match_pipeline(self, name):

@@ -1,8 +1,17 @@
+import types
+
 import numpy as np
 import pytest
 
 import geompert as g
-from geompert.spectral import _PHASE_TOL, _normalize_columns, as_complex_matrix, resolve_gap_tol
+from geompert.pipeline import ALL_CHECKS, run_pipeline
+from geompert.spectral import (
+    _PHASE_TOL,
+    GAP_TOL_ENV,
+    _normalize_columns,
+    as_complex_matrix,
+    resolve_gap_tol,
+)
 from oracles import reference_normalize_columns
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -69,6 +78,31 @@ class TestEigenframe:
             g.eigenframe(h0)
         monkeypatch.setenv("GEOMPERT_GAP_TOL", "1e-7")
         g.eigenframe(h0)
+
+    def test_threshold_read_once_and_recorded(self, monkeypatch):
+        class CountingEnviron(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                self.reads += key == GAP_TOL_ENV
+                return super().get(key, default)
+
+        env = CountingEnviron({GAP_TOL_ENV: "1e-7"})
+        monkeypatch.setattr(g.spectral, "os", types.SimpleNamespace(environ=env))
+        assert g.eigenframe(np.diag([0.0, 1e-5])).gap_tol == 1e-7
+        assert env.reads == 1
+        # the error path names the threshold it used, from the same one read
+        env[GAP_TOL_ENV] = "1e-3"
+        with pytest.raises(g.DegenerateSpectrum, match="1.0e-03"):
+            g.eigenframe(np.diag([0.0, 1e-5]))
+        assert env.reads == 2
+        # an explicit argument reads nothing
+        assert g.eigenframe(np.diag([0.0, 1.0]), gap_tol=1e-6).gap_tol == 1e-6
+        assert env.reads == 2
+        # a whole run, every check and a sweep included, reads it once
+        env[GAP_TOL_ENV] = "1e-8"
+        run_pipeline(g.builtin_model("toy-sec5"), 3, ALL_CHECKS, sweep=(0.1, 5))
+        assert env.reads == 3
 
     def test_biorthonormality_random(self, rng):
         for _ in range(20):
