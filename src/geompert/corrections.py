@@ -47,10 +47,11 @@ all states costs one kernel call, and `build_all_series` returns the same
 columns bit for bit.  The Bell route stays per call and unmemoized: its
 independence from the recursion is what the route check tests.
 
-For a strictly linear family H_0 + q H_1 the first three corrections reduce
-to closed forms in either [[K_1^(j)]] or [[H_1]] alone; `rs_linear_corrections`
-and `crosscheck_linear` cover those, reproducing standard Rayleigh-
-Schroedinger values in the Hermitian limit.
+`_rs_block` is the biorthogonal Rayleigh-Schroedinger recursion, for every
+state at any degree and order, from the frame matrices of H_1..H_p alone
+(V^dagger H_j V gives a Hermitian family's textbook values); it serves
+`rs_linear_corrections` and `crosscheck_linear`, whose third route reads
+h^(1..3) of a linear family off [[K_1^(j)]] alone.
 """
 
 from __future__ import annotations
@@ -300,43 +301,35 @@ def build_all_series(gens: GeneratorSeries, order: int) -> list[PerturbationSeri
     return _series_views(gens, slice(None), order)
 
 
-def _rs_closed_forms(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h^(1..3) of every state from the frame matrix `a` of H_1, shape (N, 3).
-
-    `a` is W H_1 V in the biorthogonal frame, or V^dagger H_1 V for the
-    orthonormal reduction; `h` holds the unperturbed eigenvalues.
-    """
-    gaps = h[:, None] - h[None, :]
-    np.fill_diagonal(gaps, 1.0)
-    inv = 1.0 / gaps
-    np.fill_diagonal(inv, 0.0)  # m = n drops out of every sum
-    row = a * inv  # [[H_1]]_nm / (h_n - h_m)
-    col = a.T * inv  # [[H_1]]_mn / (h_n - h_m)
-    first = np.diag(a)
-    second = np.sum(row * a.T, axis=1)
-    third = np.sum((row @ a) * col, axis=1) - first * np.sum(row * col, axis=1)
-    return np.stack([first, second, third], axis=1)
+def _rs_block(terms, h: np.ndarray, order: int) -> np.ndarray:
+    """h^(0..order) of every state, (order + 1, N), by the Rayleigh-Schroedinger
+    recursion from the frame matrices `terms` = A_1..A_p of H_1..H_p (W H_j V,
+    or V^dagger H_j V for the orthonormal reduction) and the eigenvalues `h`:
+    C^(0) = I, then X = sum_j A_j C^(k-j), h^(k) = diag X and
+    C^(k) = G o (X - sum_{0<i<k} C^(k-i) h^(i)), with G[m, n] = 1/(h_n - h_m)."""
+    inv = h[None, :] - h[:, None]  # h_n - h_m at [m, n]
+    np.fill_diagonal(inv, np.inf)
+    inv = 1.0 / inv  # 0 on the diagonal: C^(k)_nn = 0 for k >= 1
+    coeffs = [np.eye(h.size, dtype=np.complex128)]
+    out = np.zeros((order + 1, h.size), dtype=np.complex128)
+    out[0] = h
+    for k in range(1, order + 1):
+        x = sum((a @ coeffs[k - j] for j, a in enumerate(terms[:k], 1)), np.zeros_like(coeffs[0]))
+        out[k] = np.diag(x)
+        coeffs.append(inv * (x - sum(coeffs[k - i] * out[i] for i in range(1, k))))
+    return out
 
 
 def rs_linear_corrections(
     frame: SpectralFrame, h1, n: int
 ) -> tuple[complex, complex, complex]:
-    """First three eigenvalue corrections of H_0 + q H_1 in closed form.
-
-    Sums over intermediate states with double-bracket matrix elements:
-
-        h^(1) = [[H_1]]_nn
-        h^(2) = sum_{m != n} [[H_1]]_nm [[H_1]]_mn / (h_n - h_m)
-        h^(3) = sum_{m,l != n} [[H_1]]_nm [[H_1]]_ml [[H_1]]_ln
-                    / ((h_n - h_m)(h_n - h_l))
-                - h^(1) sum_{m != n} [[H_1]]_nm [[H_1]]_mn / (h_n - h_m)^2
-
-    With a Hermitian frame these are the textbook Rayleigh-Schroedinger
-    formulas.
-    """
+    """First three eigenvalue corrections of H_0 + q H_1 from [[H_1]] alone,
+    by the Rayleigh-Schroedinger recursion; h^(2) = sum_{m != n} [[H_1]]_nm
+    [[H_1]]_mn / (h_n - h_m).  With a Hermitian frame these are the textbook
+    values."""
     n = require_state(n, frame.dim)
     a = double_bracket(frame, as_complex_matrix(h1))
-    h1c, h2c, h3c = _rs_closed_forms(a, frame.eigenvalues)[n]
+    h1c, h2c, h3c = _rs_block([a], frame.eigenvalues, 3)[1:, n]
     return complex(h1c), complex(h2c), complex(h3c)
 
 
@@ -385,7 +378,7 @@ def _crosscheck(gens: GeneratorSeries, h1, tolerance: float) -> LinearCrosscheck
     frame = gens.frame
     route_a = _all_block(gens, 3)[1][1:].T
     route_b = _k1_route_linear(gens)
-    route_c = _rs_closed_forms(double_bracket(frame, h1), frame.eigenvalues)
+    route_c = _rs_block([double_bracket(frame, h1)], frame.eigenvalues, 3)[1:].T
     routes = np.stack([route_a, route_b, route_c])
     dev = np.abs(routes[:, None] - routes[None]).max(axis=(0, 1))  # the worst pair
     scale = np.maximum(1.0, np.abs(routes).max(axis=0))

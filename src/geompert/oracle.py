@@ -276,15 +276,19 @@ def _value_residual_block(qs: np.ndarray, exact: np.ndarray, coeffs: np.ndarray,
     return qs, np.abs(exact[:, sel] - _horner(coeffs, qs))
 
 
-def _residual_grid(window: tuple[float, float], points) -> np.ndarray:
+def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarray:
     """`points` samples of a finite window 0 < q_lo < q_hi, evenly in log q
-    and at least `_PER_DECADE` per decade, the ends exactly q_lo and q_hi."""
+    and at least `_PER_DECADE` per decade, the ends exactly q_lo and q_hi; q_hi ** order,
+    the largest power a series of `order` takes there, must be a finite float."""
     q_lo, q_hi = window
     if not 0 < q_lo < q_hi < np.inf:
         raise ValueError(
             f"residual window must satisfy finite 0 < q_lo < q_hi, "
             f"got q_lo = {q_lo!r}, q_hi = {q_hi!r}"
         )
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(q_hi) ** order):
+            raise ValueError(f"residual window q_hi = {q_hi!r} overflows a float at order {order}")
     require_count("points", points)
     decades = np.log10(q_hi) - np.log10(q_lo)
     if points / decades < _PER_DECADE - 1e-9:
@@ -397,8 +401,11 @@ def _ray_residual_block(exact: np.ndarray, corrections: np.ndarray, qs) -> np.nd
     """(S, Q) ray residuals of the truncations of (S, K+1, N) state corrections
     against (S, Q, N) exact eigenvectors, from the projection residual, which
     stays accurate down to roundoff."""
-    # scalar powers: numpy's vector power can differ in the last bit
-    powers = np.array([[q**kk for kk in range(corrections.shape[1])] for q in qs.tolist()])
+    try:  # scalar powers: numpy's vector power can differ in the last bit
+        powers = np.array([[q**kk for kk in range(corrections.shape[1])] for q in qs.tolist()])
+    except OverflowError:
+        big, order = max(qs.tolist(), key=abs), corrections.shape[1] - 1
+        raise ValueError(f"q = {big!r} overflows a float at order {order}") from None
     truncated = np.zeros_like(exact)
     for kk in range(corrections.shape[1]):
         truncated = truncated + powers[:, kk, None] * corrections[:, None, kk, :]

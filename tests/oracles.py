@@ -80,6 +80,27 @@ def textbook_rs_corrections(h0, h1, n):
     return complex(h1c), complex(h2c), complex(h3c)
 
 
+def reference_rs_closed_forms(a, h):
+    """h^(1..3) of every state of H_0 + q H_1, shape (N, 3), from the frame
+    matrix `a` of H_1 and the eigenvalues `h`, by the hand-expanded
+    Rayleigh-Schroedinger sums over intermediate states m, l != n:
+
+        h^(1) = a_nn,    h^(2) = sum_m a_nm a_mn / (h_n - h_m),
+        h^(3) = sum_{m,l} a_nm a_ml a_ln / ((h_n - h_m)(h_n - h_l))
+                - h^(1) sum_m a_nm a_mn / (h_n - h_m)^2.
+    """
+    gaps = h[:, None] - h[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    inv = 1.0 / gaps
+    np.fill_diagonal(inv, 0.0)  # m = n drops out of every sum
+    row = a * inv  # a_nm / (h_n - h_m)
+    col = a.T * inv  # a_mn / (h_n - h_m)
+    first = np.diag(a)
+    second = np.sum(row * a.T, axis=1)
+    third = np.sum((row @ a) * col, axis=1) - first * np.sum(row * col, axis=1)
+    return np.stack([first, second, third], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # closed forms for low-order generator matrix elements of a linear family in
 # the zero-diagonal gauge, coded straight from their definitions

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import geompert as g
-from geompert.corrections import _bell_block, _series_block
+from geompert.corrections import _bell_block, _rs_block, _series_block
 from oracles import (
     linear_family,
     reference_bell_blocks,
     reference_eigenvalue_corrections,
+    reference_rs_closed_forms,
     reference_state_corrections,
     seeded_quadratic_family,
     textbook_rs_corrections,
@@ -451,6 +452,72 @@ class TestLinearClosedForms:
     def test_dimension_mismatch(self, toy_frame):
         with pytest.raises(g.DimensionMismatch):
             g.rs_linear_corrections(toy_frame, np.eye(3), 0)
+
+
+def _relative(a, b):
+    """Largest |a - b| relative to max(1, |b|), entry by entry."""
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+
+class TestRayleighSchroedingerBlock:
+    """`_rs_block` is the biorthogonal RS recursion: order 3 is the
+    hand-expanded closed forms, and every order is the recursion run in
+    40 digits."""
+
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N6", "seeded-N16"])
+    def test_order_three_is_the_closed_forms(self, family):
+        # the closed forms see the linear part H_0 + q H_1 of the family
+        if family in g.BUILTIN_MODELS:
+            ham = g.builtin_model(family).to_hamiltonian()
+        else:
+            ham = seeded_quadratic_family(0, int(family[len("seeded-N"):]))
+        frame = g.eigenframe(ham.term(0))
+        a = g.double_bracket(frame, ham.term(1))
+        rs = _rs_block([a], frame.eigenvalues, 3)
+        assert rs.shape == (4, ham.dim)
+        assert np.array_equal(rs[0], frame.eigenvalues)
+        assert _relative(rs[1:].T, reference_rs_closed_forms(a, frame.eigenvalues)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_orthonormal_frame_is_the_closed_forms(self, rng, dim):
+        ham = linear_family(rng, dim, hermitian=True)
+        frame = g.eigenframe(ham.term(0))
+        v = frame.right
+        a = v.conj().T @ ham.term(1) @ v
+        rs = _rs_block([a], frame.eigenvalues, 3)
+        assert _relative(rs[1:].T, reference_rs_closed_forms(a, frame.eigenvalues)) <= 1e-13
+
+    def test_constant_family(self):
+        # no terms: the unperturbed eigenvalues and zero corrections
+        h = np.array([0.0, 1.0, 2.5], dtype=complex)
+        rs = _rs_block([], h, 4)
+        assert rs.shape == (5, 3)
+        assert np.array_equal(rs[0], h) and not rs[1:].any()
+
+    def test_matches_extended_precision(self):
+        # the same recursion in 40 digits from the same double frame matrices
+        import mpmath  # a dependency of sympy
+
+        ham = g.builtin_model("random-linear-N4-seed7").to_hamiltonian()
+        frame = g.eigenframe(ham.term(0))
+        a, h, dim = g.double_bracket(frame, ham.term(1)), frame.eigenvalues, ham.dim
+        rs = _rs_block([a], h, 18)
+        with mpmath.workdps(40):
+            a = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+            h = [mpmath.mpc(complex(z)) for z in h]
+            coeffs, values = [mpmath.eye(dim)], [h]
+            for k in range(1, 19):
+                x = a * coeffs[k - 1]
+                values.append([x[n, n] for n in range(dim)])
+                ref = np.array([complex(z) for z in values[k]])
+                assert _relative(rs[k], ref) <= 1e-14, k
+                c = mpmath.zeros(dim, dim)
+                for m in range(dim):
+                    for n in range(dim):
+                        if m != n:
+                            rest = sum(coeffs[k - i][m, n] * values[i][n] for i in range(1, k))
+                            c[m, n] = (x[m, n] - rest) / (h[n] - h[m])
+                coeffs.append(c)
 
 
 class TestCrosscheckLinear:

@@ -253,6 +253,27 @@ class TestPipeline:
         assert report.checks["hermitian_reduction"]["status"] == "pass"
         assert report.checks["linear_crosscheck"]["status"] == "pass"
 
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_hermitian_reduction_at_any_degree(self, tmp_path, capsys, degree):
+        # the run's h^(0..3) against textbook RS: exactly 0 for a constant
+        # family (no terms), roundoff for a quadratic one
+        rng = np.random.default_rng(5)
+        terms = [np.diag([0.0, 1.0, 2.5])]
+        for _ in range(degree):
+            b = 0.25 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            terms.append(b + b.conj().T)
+        model = tmp_path / "model.json"
+        model.write_text(g.serialize_model(g.ModelDocument("herm", terms)))
+        assert main(["verify", "--model", str(model), "--order", "3"]) == 0
+        check = json.loads(capsys.readouterr().out)["checks"]["hermitian_reduction"]
+        assert list(check) == [
+            "status", "worst_imag_excess", "textbook_deviation", "textbook_threshold"
+        ]
+        assert check["status"] == "pass"
+        if degree == 0:
+            assert check["textbook_deviation"] == 0.0
+        assert check["textbook_deviation"] <= check["textbook_threshold"] == 1e-10
+
     def test_non_hermitian_skips_reduction(self):
         doc = g.builtin_model("toy-sec5")
         report = run_pipeline(doc, 2, ALL_CHECKS)
@@ -649,6 +670,24 @@ class TestCli:
         err = json.loads(line)
         assert err["error"] == "ValueError"
         assert "not finite at q = 3.33333e+199" in err["message"]
+
+    def test_overflowing_window_exit_code(self, tmp_path, capsys, monkeypatch):
+        # q_hi^3 overflows a float: rejected before the frame is built, with
+        # one diagnostic line and exit 2, not an OverflowError traceback
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        model = tmp_path / "one.json"
+        model.write_text(g.serialize_model(g.ModelDocument("one", [[[1.0]], [[2.0]]])))
+        argv = ["verify", "--model", str(model), "--order", "3", "--q-lo", "1e103"]
+        assert main([*argv, "--q-hi", "1e104"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert "q_hi = 1e+104" in err["message"] and "order 3" in err["message"]
 
     @pytest.mark.parametrize(
         "window", [["--points", "10"], ["--points", "20", "--q-lo", "1e-5", "--q-hi", "0.1"]]

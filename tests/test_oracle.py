@@ -457,6 +457,14 @@ class TestRayResidual:
             assert sine <= prev * (1 + 1e-9)
             prev = sine
 
+    def test_overflowing_power_rejected(self):
+        # q^3 overflows a float: a ValueError naming q, not an OverflowError
+        ham = g.PolynomialHamiltonian([[[1.0]], [[2.0]]])
+        series = g.build_series(g.solve_model(ham, 3), 0, 3)
+        with pytest.raises(ValueError, match=r"q = 1e\+104 .*order 3"):
+            g.state_ray_residual(ham, series, 0, 3, [1e103, 1e104])
+        assert np.all(g.state_ray_residual(ham, series, 0, 1, [1e103, 1e104]) <= 1e-15)
+
     def test_gauge_independent(self, toy, toy_frame, rng):
         # ray residuals ignore scalar factors, and gauge shifts move the
         # truncated vector only along the physical ray at each order in q

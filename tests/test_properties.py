@@ -1,5 +1,6 @@
 """Property tests of the block series kernel, of the Bell route's grade-stack
-kernel and of the frame's column normalization."""
+kernel, of the Hermitian reduction to Rayleigh-Schroedinger theory and of the
+frame's column normalization."""
 
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geompert as g
-from geompert.corrections import _bell_block, _series_block
+from geompert.corrections import _bell_block, _rs_block, _series_block
 from geompert.spectral import _PHASE_TOL, _normalize_columns
 from oracles import linear_family, reference_bell_blocks, reference_normalize_columns
 
@@ -68,6 +69,26 @@ def test_lower_orders_are_prefixes(seed, dim, degree, order):
     states, h = _series_block(gens, cols, order)
     assert h.tobytes() == top_h[: order + 1].tobytes()
     assert states.tobytes() == top_states[: order + 1].tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 3))
+def test_hermitian_series_is_textbook_rs(seed, dim, degree):
+    # at every degree, the run's h^(0..6) is textbook RS in the orthonormal
+    # frame V^dagger H_j V
+    rng = np.random.default_rng(seed)
+    ham = linear_family(rng, dim, hermitian=True)
+    extra = []
+    for _ in range(degree - 1):
+        b = 0.3 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        extra.append((b + b.conj().T) / 2)
+    ham = g.PolynomialHamiltonian([*ham.terms[: min(degree, 1) + 1], *extra])
+    assert ham.degree == degree and ham.is_hermitian()
+    gens = g.solve_model(ham, 6)
+    _, h = _series_block(gens, np.arange(dim), 6)
+    v = gens.frame.right
+    textbook = _rs_block([v.conj().T @ t @ v for t in ham.terms[1:]], gens.frame.eigenvalues, 6)
+    assert np.max(np.abs(h - textbook) / np.maximum(1.0, np.abs(textbook))) <= 1e-10
 
 
 @PROPERTY_SETTINGS
