@@ -120,44 +120,22 @@ def main(argv=None) -> int:
             sys.stdout.write(serialize_model(doc))
             return EXIT_PASS
 
-        if args.command == "expand":
-            doc = _load_model(args.model)
-            report = run_pipeline(
-                doc, args.order, FAST_CHECKS, args.out, gauge=args.gauge
-            )
-            return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-
-        if args.command == "verify":
-            doc = _load_model(args.model)
-            report = run_pipeline(
-                doc,
-                args.order,
-                ALL_CHECKS,
-                None,
-                q_lo=args.q_lo,
-                q_hi=args.q_hi,
-                points=args.points,
-            )
+        verify = args.command == "verify"
+        window = {"q_lo": args.q_lo, "q_hi": args.q_hi, "points": args.points} if verify else {}
+        report = run_pipeline(
+            _load_model(args.model),
+            args.order,
+            ALL_CHECKS if verify else FAST_CHECKS,
+            None if verify else args.out,
+            sweep=(args.q_max, args.points) if args.command == "sweep" else None,
+            **window,
+        )
+        if verify:
             sys.stdout.write(report_json(report))
-            return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-
-        if args.command == "sweep":
-            doc = _load_model(args.model)
-            report = run_pipeline(
-                doc,
-                args.order,
-                FAST_CHECKS,
-                args.out,
-                sweep=(args.q_max, args.points),
-            )
-            return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-
-        raise AssertionError("unreachable")
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "message": str(exc)}), file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
     except OSError as exc:  # reading the model, creating or writing the output
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return EXIT_BAD_INPUT
     except ValueError as exc:
         print(json.dumps({"error": "ValueError", "message": str(exc)}), file=sys.stderr)

@@ -302,17 +302,19 @@ def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarra
 
 
 def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
-                     states: np.ndarray, h: np.ndarray, qs: np.ndarray, window):
+                     states: np.ndarray, h: np.ndarray, qs: np.ndarray):
     """Eigenvalue and ray slopes of every state for a (K+1, N, N) state block and (K+1, N)
-    corrections, from one eigenvector sweep over `qs`, and whether the window is below the
-    noise floor: every |q_hi^k h_n^(k)|, k >= 1, under RESIDUAL_FLOOR, some h_n^(k) not 0."""
+    corrections, from one eigenvector sweep over the grid `qs` (a `_residual_grid`), and
+    whether the grid is below the noise floor: every |q_hi^k h_n^(k)|, k >= 1, under
+    RESIDUAL_FLOOR at its last sample q_hi, some h_n^(k) not 0, and no eigenvalue slope."""
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
     rays = _ray_residual_block(vectors, states.transpose(2, 0, 1), curve.qs)
-    window_qs, residuals = _value_residual_block(curve.qs, curve.values, h.T, window)
-    value_slopes = _fit_block(window_qs, residuals, RESIDUAL_FLOOR)
+    residuals = np.abs(curve.values - _horner(h.T, curve.qs))
+    value_slopes = _fit_block(curve.qs, residuals, RESIDUAL_FLOOR)
     ray_slopes = _fit_block(curve.qs, rays, RAY_FLOOR)
-    reach = np.abs(h[1:]) * float(window[1]) ** np.arange(1.0, len(h))[:, None]
-    blind = bool(np.any(h[1:] != 0) and reach.max(initial=0.0) < RESIDUAL_FLOOR)
+    reach = np.abs(h[1:]) * float(curve.qs[-1]) ** np.arange(1.0, len(h))[:, None]
+    blind = bool(np.any(h[1:] != 0) and reach.max(initial=0.0) < RESIDUAL_FLOOR
+                 and all(s is None for s in value_slopes))
     return value_slopes, ray_slopes, blind
 
 

@@ -9,11 +9,15 @@ sweep and every check; each exact-diagonalization check makes one sweep for
 all states, and no per-state object is built.  This module keeps the gates
 and the shape of the report only: the oracle builds every check's sample
 grid (validating the residual window up front, before the frame) and owns
-every noise floor and finite-difference stencil.  Reports are deterministic for
-fixed input and flags; the timestamp and the per-stage timings live in the
-metadata block, never in the comparison payload.  Reports are strict JSON,
-written by one writer that dispatches on the exact type of each value; a
-non-finite float raises ValueError rather than being written.
+every noise floor and finite-difference stencil.  The residual window is its
+grid: the check reads the window's ends from the grid's pinned first and
+last samples.  Each check returns whether it passed (None when skipped) and
+its entry, and `run_pipeline` derives every status in one place.  Reports
+are deterministic for fixed input and flags; the timestamp and the per-stage
+timings live in the metadata block, never in the comparison payload.
+Reports are strict JSON, written by one writer that dispatches on the exact
+type of each value; a non-finite float raises ValueError rather than being
+written.
 """
 
 from __future__ import annotations
@@ -178,28 +182,26 @@ def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b).max(axis=-2) / scale))
 
 
-def _check_hierarchy(hamiltonian, gens) -> dict:
+# each check returns (ok, entry): ok is None for a skipped check, and
+# run_pipeline writes the status in front of the entry's keys
+def _check_hierarchy(hamiltonian, gens):
     residuals = hierarchy_residuals(hamiltonian, gens)
     stacks = (hamiltonian.terms, gens.k0, gens.k1)
     scale = max(1.0, *(float(np.abs(np.stack(s)).max()) for s in stacks))
     worst = float(residuals.max())
-    ok = worst <= 1e-11 * scale
-    return {
-        "status": "pass" if ok else "fail",
+    return worst <= 1e-11 * scale, {
         "max_residual": worst,
         "scale": scale,
         "threshold": 1e-11 * scale,
     }
 
 
-def _check_routes(gens, states, h, order: int) -> dict:
+def _check_routes(gens, states, h, order: int):
     cols = np.arange(gens.frame.dim)
     bell, hb = _series_block(gens, cols, order, _bell_block(gens, cols, order))
     state_dev = _worst_relative(states, bell)
     value_dev = _worst_relative(h, hb)
-    ok = state_dev <= 1e-12 and value_dev <= 1e-11
-    return {
-        "status": "pass" if ok else "fail",
+    return state_dev <= 1e-12 and value_dev <= 1e-11, {
         "state_route_deviation": state_dev,
         "state_threshold": 1e-12,
         "eigenvalue_route_deviation": value_dev,
@@ -207,9 +209,9 @@ def _check_routes(gens, states, h, order: int) -> dict:
     }
 
 
-def _check_residual_order(hamiltonian, frame, states, h, kc, qs, q_lo, q_hi) -> dict:
+def _check_residual_order(hamiltonian, frame, states, h, kc, qs):
     value_slopes, ray_slopes, blind = _residual_slopes(
-        frame, hamiltonian, states[: kc + 1], h[: kc + 1], qs, (q_lo, q_hi)
+        frame, hamiltonian, states[: kc + 1], h[: kc + 1], qs
     )
     threshold = kc + 0.8
     # a state without a slope has too few residuals above the noise floor:
@@ -217,18 +219,17 @@ def _check_residual_order(hamiltonian, frame, states, h, kc, qs, q_lo, q_hi) -> 
     ok = not blind and not any(
         s is not None and s < threshold for s in value_slopes + ray_slopes
     )
-    return {
-        "status": "pass" if ok else "fail",
+    return ok, {
         **({"reason": "window below the noise floor"} if blind else {}),
         "order_checked": kc,
         "threshold": threshold,
         "eigenvalue_slopes": value_slopes,
         "ray_slopes": ray_slopes,
-        "window": [q_lo, q_hi],
+        "window": [float(qs[0]), float(qs[-1])],
     }
 
 
-def _check_fd(hamiltonian, frame, h, kc) -> dict:
+def _check_fd(hamiltonian, frame, h, kc):
     ks = range(1, kc + 1)
     estimates = _fd_coefficients(frame, hamiltonian, ks)
     rows = []
@@ -238,45 +239,40 @@ def _check_fd(hamiltonian, frame, h, kc) -> dict:
             dev = abs(complex(estimate[n]) - ref) / max(1.0, abs(ref))
             rows.append({"n": n, "k": k, "deviation": dev})
     worst = max([0.0] + [row["deviation"] for row in rows])
-    ok = worst <= 1e-5
-    return {
-        "status": "pass" if ok else "fail",
+    return worst <= 1e-5, {
         "max_deviation": worst,
         "threshold": 1e-5,
         "entries": rows,
     }
 
 
-def _check_hermitian(hamiltonian, frame, h, kc) -> dict:
+def _check_hermitian(hamiltonian, frame, h, kc):
     if not hamiltonian.is_hermitian():
-        return {"status": "skipped", "reason": "family is not Hermitian"}
+        return None, {"reason": "family is not Hermitian"}
     excess = np.abs(h.imag) - (1e-10 * np.abs(h.real) + 1e-12)
     # the run's series against textbook RS in the orthonormal frame V^dagger H_j V
     v = frame.right
     terms = [v.conj().T @ t @ v for t in hamiltonian.terms[1:]]
     textbook = _rs_block(terms, frame.eigenvalues, kc)
     dev = float(np.max(np.abs(h[: kc + 1] - textbook) / np.maximum(1.0, np.abs(textbook))))
-    ok = bool(np.all(excess <= 0)) and dev <= 1e-10
-    return {
-        "status": "pass" if ok else "fail",
+    return bool(np.all(excess <= 0)) and dev <= 1e-10, {
         "worst_imag_excess": max(float(excess.max()), 0.0),
         "textbook_deviation": dev,
         "textbook_threshold": 1e-10,
     }
 
 
-def _check_linear(hamiltonian, gens) -> dict:
+def _check_linear(hamiltonian, gens):
     if hamiltonian.degree != 1:
-        return {"status": "skipped", "reason": "family is not linear"}
+        return None, {"reason": "family is not linear"}
     result = _crosscheck(gens, hamiltonian.term(1), tolerance=1e-10)
-    return {
-        "status": "pass" if result.passed else "fail",
+    return result.passed, {
         "max_relative_deviation": result.max_relative_deviation,
         "threshold": result.tolerance,
     }
 
 
-def _check_gauge(hamiltonian, frame, states, h, kc) -> dict:
+def _check_gauge(hamiltonian, frame, states, h, kc):
     # the order-kc series reads the generators of orders 0..kc-1 only
     rng = np.random.default_rng(_GAUGE_SEED)
     diags = [
@@ -287,9 +283,7 @@ def _check_gauge(hamiltonian, frame, states, h, kc) -> dict:
     shifted_states, h_shifted = _all_block(shifted, kc)
     value_dev = _worst_relative(h[: kc + 1], h_shifted)
     state_change = float(np.abs(shifted_states[1] - states[1]).max())
-    ok = value_dev <= 1e-10
-    return {
-        "status": "pass" if ok else "fail",
+    return value_dev <= 1e-10, {
         "eigenvalue_deviation": value_dev,
         "threshold": 1e-10,
         "state_correction_change": state_change,
@@ -303,7 +297,6 @@ def run_pipeline(
     checks: frozenset[str] | set[str] = ALL_CHECKS,
     out_dir=None,
     *,
-    gauge: str = "zero-diag",
     q_lo: float = 1e-4,
     q_hi: float = 1e-2,
     points: int = 25,
@@ -319,10 +312,7 @@ def run_pipeline(
     ancestor, exists and is not one) raises NotADirectoryError before any work.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if gauge != "zero-diag":
-        raise ValueError(f"unsupported gauge {gauge!r}")
+    require_count("order", order)
     unknown = set(checks) - ALL_CHECKS
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -351,7 +341,7 @@ def run_pipeline(
         "hierarchy": lambda: _check_hierarchy(hamiltonian, gens),
         "route_equivalence": lambda: _check_routes(gens, states, h, order),
         "residual_order": lambda: _check_residual_order(
-            hamiltonian, frame, states, h, kc, residual_qs, q_lo, q_hi
+            hamiltonian, frame, states, h, kc, residual_qs
         ),
         "fd_concordance": lambda: _check_fd(hamiltonian, frame, h, kc),
         "hermitian_reduction": lambda: _check_hermitian(hamiltonian, frame, h, kc),
@@ -362,7 +352,10 @@ def run_pipeline(
     for name, check in steps.items():
         if name in checks:
             with _stage(f"check:{name}", timings):
-                results[name] = check()
+                ok, entry = check()
+            # the one place a check's status is written
+            status = "skipped" if ok is None else "pass" if ok else "fail"
+            results[name] = {"status": status, **entry}
 
     sweep_arrays = None
     if sweep is not None:
@@ -382,8 +375,8 @@ def run_pipeline(
     report = Report(
         model=doc.name,
         parameters={
-            "order": order,
-            "gauge": gauge,
+            "order": int(order),
+            "gauge": "zero-diag",
             "q_lo": float(q_lo),
             "q_hi": float(q_hi),
             "points": int(points),

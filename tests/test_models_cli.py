@@ -297,6 +297,41 @@ class TestPipeline:
         with pytest.raises(ValueError):
             run_pipeline(g.builtin_model("toy-sec5"), 0, FAST_CHECKS)
 
+    @pytest.mark.parametrize("order", [True, 2.0])
+    def test_order_must_be_an_integer(self, monkeypatch, order):
+        # rejected up front: a bool ran as order 1, a float failed in the solve
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            run_pipeline(g.builtin_model("toy-sec5"), order, FAST_CHECKS)
+
+    def test_numpy_integer_order_runs(self):
+        report = run_pipeline(g.builtin_model("toy-sec5"), np.int64(3), FAST_CHECKS)
+        assert report.verdict == "pass"
+        assert json.loads(report_json(report))["parameters"]["order"] == 3
+
+    def test_window_read_from_the_grid_serializes(self):
+        report = run_pipeline(
+            g.builtin_model("toy-sec5"), 3, {"residual_order"}, q_lo=np.float32(1e-4)
+        )
+        window = json.loads(report_json(report))["checks"]["residual_order"]["window"]
+        assert window == [float(np.float32(1e-4)), 1e-2]
+
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])
+    def test_every_check_entry_starts_with_its_status(self, name):
+        if name == "seeded-N6":
+            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 6).terms))
+        else:
+            doc = g.builtin_model(name)
+        report = run_pipeline(doc, 3, ALL_CHECKS)
+        for check in report.checks.values():
+            assert next(iter(check)) == "status"
+            assert check["status"] in ("pass", "fail", "skipped")
+            if check["status"] == "skipped":
+                assert list(check) == ["status", "reason"]
+
     def test_gap_tol_env_applies(self, monkeypatch, tmp_path):
         doc = g.ModelDocument(
             "tight", [np.diag([1.0, 1.0 + 1e-5]), np.zeros((2, 2))]
@@ -746,6 +781,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["verdict"] == "pass"
+
+    def test_one_pipeline_call_per_command(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(g.cli, "run_pipeline", record)
+        out = str(tmp_path / "out")
+        assert main(["expand", "--model", "toy-sec5", "--order", "2", "--gauge", "zero-diag",
+                     "--out", out]) == 0
+        assert main(["sweep", "--model", "toy-sec5", "--q-max", "0.1", "--points", "7",
+                     "--out", out]) == 0
+        assert main(["verify", "--model", "toy-sec5", "--order", "2", "--q-lo", "1e-3",
+                     "--q-hi", "1e-2", "--points", "9"]) == 0
+        (_, _, e_checks, e_out), e_kwargs = calls[0]
+        assert e_checks == FAST_CHECKS and e_out == out
+        assert e_kwargs == {"sweep": None}  # the one gauge is not an argument
+        (_, s_order, s_checks, s_out), s_kwargs = calls[1]
+        assert s_order == 3 and s_checks == FAST_CHECKS and s_out == out
+        assert s_kwargs["sweep"] == (0.1, 7)
+        assert s_kwargs.get("points", 25) == 25  # the sweep's points are not the window's
+        (_, _, v_checks, v_out), v_kwargs = calls[2]
+        assert v_checks == ALL_CHECKS and v_out is None
+        assert v_kwargs["sweep"] is None
+        assert (v_kwargs["q_lo"], v_kwargs["q_hi"], v_kwargs["points"]) == (1e-3, 1e-2, 9)
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["residual_order"]["window"] == [1e-3, 1e-2]
 
     def test_gauge_flag_restricted(self, tmp_path, capsys):
         model = tmp_path / "toy.json"

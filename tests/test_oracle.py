@@ -536,6 +536,14 @@ class TestWindowBelowFloor:
         assert list(check)[:2] == ["status", "reason"]
         assert all(s is None for s in check["eigenvalue_slopes"])
 
+    def test_measured_slopes_pass_over_a_roundoff_series(self):
+        # the toy's exact h^(1) is 0 and the run's is roundoff, which no window
+        # reaches; yet every eigenvalue slope is measured, so the window is not blind
+        report = run_pipeline(g.builtin_model("toy-sec5"), 1, {"residual_order"})
+        check = report.checks["residual_order"]
+        assert check["status"] == "pass" and "reason" not in check
+        assert all(s >= check["threshold"] for s in check["eigenvalue_slopes"])
+
     @pytest.mark.parametrize("perturbation", [np.diag([1.0, -0.5, 2.0]), np.zeros((3, 3))])
     def test_exact_truncations_pass_at_the_default_window(self, perturbation):
         # nothing for a slope to measure, and nothing it could have missed
