@@ -41,11 +41,12 @@ the state corrections but drop out of h_n^(k) identically.
 Production series come from one all-state block per solve: `_all_block`
 keeps the read-only block of the highest order requested on the
 `GeneratorSeries` and serves every lower order as a prefix slice.  The
-per-state functions (`build_series`, `eigenvalue_corrections`,
-`state_corrections_recursive`) copy their column out of it, so a loop over
-all states costs one kernel call, and `build_all_series` returns the same
-columns bit for bit.  The Bell route stays per call and unmemoized: its
-independence from the recursion is what the route check tests.
+per-state view is `build_series`, which copies its column out of it
+(`eigenvalue_corrections` and `state_corrections_recursive` return its
+fields), so a loop over all states costs one kernel call, and
+`build_all_series` returns the same columns bit for bit.  The Bell route
+stays per call and unmemoized: its independence from the recursion is what
+the route check tests.
 
 `_rs_block` is the biorthogonal Rayleigh-Schroedinger recursion, for every
 state at any degree and order, from the frame matrices of H_1..H_p alone
@@ -222,28 +223,11 @@ def _all_block(gens: GeneratorSeries, order: int):
     return block[0][: order + 1], block[1][: order + 1]
 
 
-def _columns(gens: GeneratorSeries, cols: slice, order: int):
-    """Read-only copies of the columns `cols` of the all-state block: state
-    corrections (m, order + 1, N) and eigenvalue corrections (m, order + 1)."""
-    states, h = _all_block(gens, order)
-    per_state = np.ascontiguousarray(states[:, :, cols].transpose(2, 0, 1))
-    values = np.ascontiguousarray(h[:, cols].T)
-    for a in (per_state, values):
-        a.setflags(write=False)
-    return per_state, values
-
-
-def _column_of(gens: GeneratorSeries, n) -> slice:
-    """The column slice of state `n`, which must be an integer 0 <= n < N."""
-    n = require_state(n, gens.frame.dim)
-    return slice(n, n + 1)
-
-
 def state_corrections_recursive(
     gens: GeneratorSeries, n: int, order: int
 ) -> list[np.ndarray]:
     """State corrections |n^(0)>..|n^(order)> by direct recursion."""
-    return list(_columns(gens, _column_of(gens, n), order)[0][0])
+    return list(build_series(gens, n, order).state_corrections)
 
 
 def state_corrections_bell(
@@ -261,7 +245,7 @@ def eigenvalue_corrections(gens: GeneratorSeries, n: int, order: int) -> np.ndar
     eigenvalue.  Production path: dual-vector contraction against the
     recursion's state corrections.
     """
-    return _columns(gens, _column_of(gens, n), order)[1][0]
+    return build_series(gens, n, order).eigenvalue_corrections
 
 
 def eigenvalue_corrections_bell(
@@ -278,7 +262,13 @@ def eigenvalue_corrections_bell(
 
 
 def _series_views(gens: GeneratorSeries, cols: slice, order: int) -> list[PerturbationSeries]:
-    per_state, values = _columns(gens, cols, order)
+    """The series of the columns `cols` of the all-state block, each holding
+    read-only copies of its state and eigenvalue corrections."""
+    states, h = _all_block(gens, order)
+    per_state = np.ascontiguousarray(states[:, :, cols].transpose(2, 0, 1))
+    values = np.ascontiguousarray(h[:, cols].T)
+    for a in (per_state, values):
+        a.setflags(write=False)
     return [
         PerturbationSeries(
             state=n,
@@ -293,7 +283,8 @@ def _series_views(gens: GeneratorSeries, cols: slice, order: int) -> list[Pertur
 
 def build_series(gens: GeneratorSeries, n: int, order: int) -> PerturbationSeries:
     """Assemble the full per-state series (production routes)."""
-    return _series_views(gens, _column_of(gens, n), order)[0]
+    n = require_state(n, gens.frame.dim)
+    return _series_views(gens, slice(n, n + 1), order)[0]
 
 
 def build_all_series(gens: GeneratorSeries, order: int) -> list[PerturbationSeries]:

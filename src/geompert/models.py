@@ -11,7 +11,7 @@ Schema (field names are load-bearing):
 
 Each matrix is dim x dim, row-major, every entry exactly a 2-element real
 array [re, im].  Orders are distinct and non-negative; order 0 is required;
-missing intermediate orders mean zero matrices.
+missing intermediate orders mean zero matrices.  No object repeats a key.
 
 A matrix is validated in one pass over its cells and converted as one
 float64 array; only a faulty matrix is walked cell by cell, to name its
@@ -121,12 +121,22 @@ def _parse_matrix(raw, dim: int, path: str) -> np.ndarray:
     raise AssertionError("unreachable: a faulty matrix has a faulty cell")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of decoded (key, value) pairs; a repeated key is an error
+    (json.loads alone would keep its last value)."""
+    obj = {}
+    for key, value in pairs:
+        _require(key not in obj, "$", f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_model(text) -> ModelDocument:
     """Parse and validate a UTF-8 JSON model document."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # malformed JSON, or an integer over Python's digit limit
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
 

@@ -11,8 +11,9 @@ and the shape of the report only: the oracle builds every check's sample
 grid (validating the residual window up front, before the frame) and owns
 every noise floor and finite-difference stencil.  The residual window is its
 grid: the check reads the window's ends from the grid's pinned first and
-last samples.  Each check returns whether it passed (None when skipped) and
-its entry, and `run_pipeline` derives every status in one place.  Reports
+last samples.  Every check is one line of the `_CHECKS` table, in report
+order; it returns whether it passed (None when skipped) and its entry, and
+`run_pipeline` loops the table and derives every status in one place.  Reports
 are deterministic for fixed input and flags; the timestamp and the per-stage
 timings live in the metadata block, never in the comparison payload.
 Reports are strict JSON, written by one writer that dispatches on the exact
@@ -46,19 +47,6 @@ from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
 from .oracle import _continued_sweep, _fd_coefficients, _residual_grid, _residual_slopes
 from .spectral import eigenframe, require_count
-
-ALL_CHECKS = frozenset(
-    {
-        "hierarchy",
-        "route_equivalence",
-        "residual_order",
-        "fd_concordance",
-        "hermitian_reduction",
-        "linear_crosscheck",
-        "gauge_invariance",
-    }
-)
-FAST_CHECKS = frozenset({"hierarchy", "route_equivalence"})
 
 _GAUGE_SEED = 20210707
 # the highest order the oracle checks (residual, FD, Hermitian, gauge) read
@@ -182,9 +170,10 @@ def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b).max(axis=-2) / scale))
 
 
-# each check returns (ok, entry): ok is None for a skipped check, and
-# run_pipeline writes the status in front of the entry's keys
-def _check_hierarchy(hamiltonian, gens):
+# each check reads the run's values it names and returns (ok, entry): ok is
+# None for a skipped check, and run_pipeline writes the status in front of
+# the entry's keys
+def _check_hierarchy(*, hamiltonian, gens, **_):
     residuals = hierarchy_residuals(hamiltonian, gens)
     stacks = (hamiltonian.terms, gens.k0, gens.k1)
     scale = max(1.0, *(float(np.abs(np.stack(s)).max()) for s in stacks))
@@ -196,7 +185,7 @@ def _check_hierarchy(hamiltonian, gens):
     }
 
 
-def _check_routes(gens, states, h, order: int):
+def _check_routes(*, gens, states, h, order: int, **_):
     cols = np.arange(gens.frame.dim)
     bell, hb = _series_block(gens, cols, order, _bell_block(gens, cols, order))
     state_dev = _worst_relative(states, bell)
@@ -209,9 +198,9 @@ def _check_routes(gens, states, h, order: int):
     }
 
 
-def _check_residual_order(hamiltonian, frame, states, h, kc, qs):
+def _check_residual_order(*, hamiltonian, frame, states, h, kc, residual_qs, **_):
     value_slopes, ray_slopes, blind = _residual_slopes(
-        frame, hamiltonian, states[: kc + 1], h[: kc + 1], qs
+        frame, hamiltonian, states[: kc + 1], h[: kc + 1], residual_qs
     )
     threshold = kc + 0.8
     # a state without a slope has too few residuals above the noise floor:
@@ -225,11 +214,11 @@ def _check_residual_order(hamiltonian, frame, states, h, kc, qs):
         "threshold": threshold,
         "eigenvalue_slopes": value_slopes,
         "ray_slopes": ray_slopes,
-        "window": [float(qs[0]), float(qs[-1])],
+        "window": [float(residual_qs[0]), float(residual_qs[-1])],
     }
 
 
-def _check_fd(hamiltonian, frame, h, kc):
+def _check_fd(*, hamiltonian, frame, h, kc, **_):
     ks = range(1, kc + 1)
     estimates = _fd_coefficients(frame, hamiltonian, ks)
     rows = []
@@ -246,7 +235,7 @@ def _check_fd(hamiltonian, frame, h, kc):
     }
 
 
-def _check_hermitian(hamiltonian, frame, h, kc):
+def _check_hermitian(*, hamiltonian, frame, h, kc, **_):
     if not hamiltonian.is_hermitian():
         return None, {"reason": "family is not Hermitian"}
     excess = np.abs(h.imag) - (1e-10 * np.abs(h.real) + 1e-12)
@@ -262,7 +251,7 @@ def _check_hermitian(hamiltonian, frame, h, kc):
     }
 
 
-def _check_linear(hamiltonian, gens):
+def _check_linear(*, hamiltonian, gens, **_):
     if hamiltonian.degree != 1:
         return None, {"reason": "family is not linear"}
     result = _crosscheck(gens, hamiltonian.term(1), tolerance=1e-10)
@@ -272,7 +261,7 @@ def _check_linear(hamiltonian, gens):
     }
 
 
-def _check_gauge(hamiltonian, frame, states, h, kc):
+def _check_gauge(*, hamiltonian, frame, states, h, kc, **_):
     # the order-kc series reads the generators of orders 0..kc-1 only
     rng = np.random.default_rng(_GAUGE_SEED)
     diags = [
@@ -289,6 +278,20 @@ def _check_gauge(hamiltonian, frame, states, h, kc):
         "state_correction_change": state_change,
         "gauge": shifted.gauge,
     }
+
+
+# every check, in report order
+_CHECKS = {
+    "hierarchy": _check_hierarchy,
+    "route_equivalence": _check_routes,
+    "residual_order": _check_residual_order,
+    "fd_concordance": _check_fd,
+    "hermitian_reduction": _check_hermitian,
+    "linear_crosscheck": _check_linear,
+    "gauge_invariance": _check_gauge,
+}
+ALL_CHECKS = frozenset(_CHECKS)
+FAST_CHECKS = frozenset({"hierarchy", "route_equivalence"})
 
 
 def run_pipeline(
@@ -317,8 +320,7 @@ def run_pipeline(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     kc = min(order, _CHECK_ORDER)
-    if "residual_order" in checks:
-        residual_qs = _residual_grid((q_lo, q_hi), points, kc)
+    residual_qs = _residual_grid((q_lo, q_hi), points, kc) if "residual_order" in checks else None
     if out_dir is not None:
         _require_directory(out_dir)
     if sweep is not None:
@@ -336,23 +338,13 @@ def run_pipeline(
     with _stage("corrections", timings):
         states, h = _all_block(gens, order)
 
-    # in report order; each check runs in its own stage
-    steps = {
-        "hierarchy": lambda: _check_hierarchy(hamiltonian, gens),
-        "route_equivalence": lambda: _check_routes(gens, states, h, order),
-        "residual_order": lambda: _check_residual_order(
-            hamiltonian, frame, states, h, kc, residual_qs
-        ),
-        "fd_concordance": lambda: _check_fd(hamiltonian, frame, h, kc),
-        "hermitian_reduction": lambda: _check_hermitian(hamiltonian, frame, h, kc),
-        "linear_crosscheck": lambda: _check_linear(hamiltonian, gens),
-        "gauge_invariance": lambda: _check_gauge(hamiltonian, frame, states, h, kc),
-    }
+    run = dict(hamiltonian=hamiltonian, frame=frame, gens=gens, states=states, h=h,
+               order=order, kc=kc, residual_qs=residual_qs)
     results: dict[str, dict] = {}
-    for name, check in steps.items():
-        if name in checks:
+    for name, check in _CHECKS.items():
+        if name in checks:  # each check runs in its own stage
             with _stage(f"check:{name}", timings):
-                ok, entry = check()
+                ok, entry = check(**run)
             # the one place a check's status is written
             status = "skipped" if ok is None else "pass" if ok else "fail"
             results[name] = {"status": status, **entry}

@@ -64,6 +64,13 @@ TOY_JSON = json.dumps(
     }
 )
 
+# one repeated key each: at the top level, in a term and in the metadata
+DUPLICATE_KEYS = {
+    "name": TOY_JSON.replace('{"name": "toy"', '{"name": "dup", "name": "toy"', 1),
+    "order": TOY_JSON.replace('{"order": 1,', '{"order": 0, "order": 1,', 1),
+    "source": TOY_JSON[:-1] + ', "metadata": {"source": "a", "source": "b"}}',
+}
+
 
 class TestParseModel:
     def test_toy_document(self):
@@ -119,6 +126,13 @@ class TestParseModel:
         raw = TOY_JSON.replace("[0, 0]", "[1" + "0" * 5000 + ", 0]", 1)
         with pytest.raises(g.SchemaError, match="invalid JSON"):
             g.parse_model(raw)
+
+    @pytest.mark.parametrize("key", list(DUPLICATE_KEYS))
+    def test_duplicate_key_rejected(self, key):
+        text = DUPLICATE_KEYS[key]
+        g.parse_model(json.dumps(json.loads(text)))  # valid with the last value kept
+        with pytest.raises(g.SchemaError, match=f"duplicate key '{key}'"):
+            g.parse_model(text)
 
     def test_duplicate_order(self):
         raw = json.dumps(
@@ -326,6 +340,10 @@ class TestPipeline:
         else:
             doc = g.builtin_model(name)
         report = run_pipeline(doc, 3, ALL_CHECKS)
+        assert list(report.checks) == [
+            "hierarchy", "route_equivalence", "residual_order", "fd_concordance",
+            "hermitian_reduction", "linear_crosscheck", "gauge_invariance",
+        ]  # report order
         for check in report.checks.values():
             assert next(iter(check)) == "status"
             assert check["status"] in ("pass", "fail", "skipped")
@@ -506,6 +524,18 @@ class TestCli:
 
     def test_expand_missing_file(self, tmp_path, capsys):
         assert main(["expand", "--model", str(tmp_path / "no.json"), "--order", "2", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", list(DUPLICATE_KEYS))
+    def test_duplicate_key_exit_code(self, tmp_path, capsys, key):
+        model = tmp_path / "model.json"
+        model.write_text(DUPLICATE_KEYS[key])
+        assert main(["verify", "--model", str(model), "--order", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "SchemaError"
+        assert f"duplicate key '{key}'" in err["message"]
 
     @pytest.mark.parametrize("command", ["expand", "verify", "sweep"])
     def test_model_directory_exit_code(self, tmp_path, capsys, command):

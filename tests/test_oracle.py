@@ -46,9 +46,16 @@ class TestSweep:
         assert np.abs(curve.values[0] + exact).max() < 1e-12
         assert curve.pair_margin > 2
 
-    def test_single_origin_sample(self, toy, toy_frame):
-        curve = g.exact_spectrum_sweep(toy, [0.0])
-        assert np.allclose(curve.values[:, 0], toy_frame.eigenvalues, atol=1e-13)
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6", "seeded-N16", "seeded-N64"])
+    def test_single_origin_sample(self, name):
+        # the q = 0 sample is the frame of H_0, bit for bit, for every family
+        if name.startswith("seeded-N"):
+            ham = seeded_quadratic_family(0, int(name.removeprefix("seeded-N")))
+        else:
+            ham = g.builtin_model(name).to_hamiltonian()
+        curve = g.exact_spectrum_sweep(ham, [0.0])
+        frame = g.eigenframe(ham.term(0))
+        assert curve.values[:, 0].tobytes() == frame.eigenvalues.tobytes()
         assert curve.pair_margin == np.inf
 
     def test_hermitian_closed_form(self):
