@@ -63,9 +63,10 @@ from math import factorial
 import numpy as np
 
 from .bellpoly import dual_bell_coefficients
-from .errors import DegreeMismatch, InsufficientOrder
+from .errors import DegreeMismatch
 from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
-from .spectral import SpectralFrame, as_complex_matrix, double_bracket, eigenframe, require_state
+from .spectral import (SpectralFrame, as_complex_matrix, double_bracket, eigenframe,
+                       require_order, require_state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +94,6 @@ def _horner(coeffs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_order(gens: GeneratorSeries, order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if gens.order < order - 1:
-        raise InsufficientOrder(
-            f"generators solved to order {gens.order}, "
-            f"need {order - 1} for corrections of order {order}"
-        )
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum(a * b) over the last axis: one BLAS dot (that of `np.vdot`) per
     entry, whatever the batch shape, so each entry keeps a loop's bits."""
@@ -118,7 +109,7 @@ def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
     contraction reads only W S^(0..order-1).  Returns the (order + 1, N, m)
     state blocks and the (order + 1, m) eigenvalue corrections.
     """
-    _require_order(gens, order)
+    order = require_order(order, gens.order + 1)  # corrections of order K read K_0^(K-1)
     frame = gens.frame
     k0f, m = gens._k0f, len(cols)
     if states is None:
@@ -174,7 +165,7 @@ def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
     3 * 2^(order-2) N m complex numbers in all (200 MB at N = m = 64,
     order 12).
     """
-    _require_order(gens, order)
+    order = require_order(order, gens.order + 1)
     coefficients = [dual_bell_coefficients(k).astype(np.complex128) for k in range(order + 1)]
     symbols = [None] + [factorial(a - 1) * -1j * gens.k0[a - 1] for a in range(1, order + 1)]
     v0 = gens.frame.right[:, cols]
@@ -214,8 +205,9 @@ def _all_block(gens: GeneratorSeries, order: int):
     (K + 1) N^2 complex numbers for the highest K requested.  Each call slices
     the block it read or computed, so a race may recompute, never shorten.
     """
+    order = require_order(order, gens.order + 1)
     block = gens._block
-    if block is None or not 0 <= order < len(block[1]):  # the kernel checks the order
+    if block is None or order >= len(block[1]):
         block = _series_block(gens, np.arange(gens.frame.dim), order)
         for a in block:
             a.setflags(write=False)
@@ -257,6 +249,7 @@ def eigenvalue_corrections_bell(
     correction re-derived as BB_m / m! acting on |n^(0)>; cross-check path.
     """
     n = require_state(n, gens.frame.dim)
+    order = require_order(order, gens.order + 1)
     states = _bell_block(gens, [n], max(order - 1, 0))
     return _series_block(gens, [n], order, states)[1][:, 0]
 
@@ -272,7 +265,7 @@ def _series_views(gens: GeneratorSeries, cols: slice, order: int) -> list[Pertur
     return [
         PerturbationSeries(
             state=n,
-            order=order,
+            order=int(order),  # _all_block accepted it
             eigenvalue_corrections=values[c],
             state_corrections=tuple(per_state[c]),
             gauge=gens.gauge,

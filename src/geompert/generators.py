@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyFailure, DimensionMismatch
-from .spectral import SpectralFrame, as_complex_matrix, double_bracket, eigenframe
+from .spectral import SpectralFrame, as_complex_matrix, double_bracket, eigenframe, require_order
 
 GAUGE_ZERO_DIAGONAL = "zero-diagonal"
 GAUGE_CUSTOM_DIAGONAL = "custom-diagonal"
@@ -206,8 +206,7 @@ def solve_generators(
         If the diagonal of the commuting-part equation fails to vanish,
         which cannot happen for a frame actually built from H_0.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    order = require_order(order)
     if frame.dim != hamiltonian.dim:
         raise DimensionMismatch(
             f"frame dimension {frame.dim} != Hamiltonian dimension {hamiltonian.dim}"

@@ -29,9 +29,6 @@ import numpy as np
 from .errors import NonFiniteEntry, NonSquare, SchemaError
 from .generators import PolynomialHamiltonian
 
-BUILTIN_MODELS = ("toy-sec5", "hermitian-2level", "random-linear-N4-seed7")
-
-
 class ModelDocument:
     """A named polynomial family plus free-form string metadata."""
 
@@ -233,24 +230,27 @@ def _random_linear_terms(dim: int = 4, seed: int = 7):
     return [h0, h1]
 
 
+# each built-in model, by name: a function that builds its terms, and its description
+_BUILTINS = {
+    "toy-sec5": (
+        lambda: _toy_terms(1.0, 1.0, 1.0),
+        "two-level gain/loss family, h = alpha1 = alpha2 = 1",
+    ),
+    "hermitian-2level": (
+        lambda: [np.diag([0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+        "Hermitian two-level linear family diag(0,2) + q*sx",
+    ),
+    "random-linear-N4-seed7": (
+        lambda: _random_linear_terms(4, 7),
+        "dense non-Hermitian 4x4 linear family, rng seed 7",
+    ),
+}
+BUILTIN_MODELS = tuple(_BUILTINS)
+
+
 def builtin_model(name: str) -> ModelDocument:
     """One of the shipped example models, by name."""
-    if name == "toy-sec5":
-        return ModelDocument(
-            name,
-            _toy_terms(1.0, 1.0, 1.0),
-            {"description": "two-level gain/loss family, h = alpha1 = alpha2 = 1"},
-        )
-    if name == "hermitian-2level":
-        return ModelDocument(
-            name,
-            [np.diag([0.0, 2.0]).astype(np.complex128), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)],
-            {"description": "Hermitian two-level linear family diag(0,2) + q*sx"},
-        )
-    if name == "random-linear-N4-seed7":
-        return ModelDocument(
-            name,
-            _random_linear_terms(4, 7),
-            {"description": "dense non-Hermitian 4x4 linear family, rng seed 7"},
-        )
-    raise KeyError(f"unknown built-in model {name!r}; available: {', '.join(BUILTIN_MODELS)}")
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown built-in model {name!r}; available: {', '.join(BUILTIN_MODELS)}")
+    terms, description = _BUILTINS[name]
+    return ModelDocument(name, terms(), {"description": description})

@@ -16,17 +16,18 @@ then certified empirically:
 * `state_ray_residual` measures the angle between the truncated eigenvector
   and the exact one, as rays, so gauge and normalization drop out.
 
-All three are one-row views of the all-state helpers `_value_residual_block`
-(with `_fit_block`), `_fd_coefficients` and `_ray_residual_block`; the
-pipeline calls `_residual_slopes` and `_fd_coefficients`, one sweep per
-check, with the coefficients of its one series block, and a row's slope has
-the same bits alone or in a block.
+All three are one-row views of the all-state helpers `_horner` (with
+`_fit_block`), `_fd_coefficients` and `_ray_residual_block`; the pipeline
+calls `_residual_slopes` and `_fd_coefficients`, one sweep per check, with
+the coefficients of its one series block, and a row's slope has the same
+bits alone or in a block.
 
 This module owns every sampling decision of the checks: the grids
 (`_residual_grid`, which the pipeline calls before it builds the frame, and
-the finite-difference stencils), the noise floors, the samples per decade
-and the rule that a window is below the noise floor.  A sweep pairs under
-the degeneracy threshold its frame records.
+the finite-difference stencils), the window rule (`_require_window`, which
+the grid and `series_residual_order` share), the noise floors and the rule
+that a window is below the noise floor.  A sweep pairs under the degeneracy
+threshold its frame records.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -48,14 +49,9 @@ from math import factorial
 import numpy as np
 
 from .corrections import PerturbationSeries, _horner, _rowdot
-from .errors import (
-    DegenerateSpectrum,
-    InsufficientOrder,
-    PairingAmbiguous,
-    ResidualUnderflow,
-)
+from .errors import DegenerateSpectrum, PairingAmbiguous, ResidualUnderflow
 from .generators import PolynomialHamiltonian
-from .spectral import SpectralFrame, eigenframe, require_count, require_state
+from .spectral import SpectralFrame, eigenframe, require_count, require_order, require_state
 
 # residuals below this are roundoff, not signal
 RESIDUAL_FLOOR = 1e-14
@@ -248,38 +244,10 @@ def _fit_block(qs: np.ndarray, residuals: np.ndarray, floor: float) -> list:
     return slopes
 
 
-def _fit_above_floor(qs: np.ndarray, residual: np.ndarray, floor: float) -> float:
-    """Log-log slope of the residuals at or above `floor` (at least five)."""
-    slope = _fit_block(qs, residual[None], floor)[0]
-    if slope is None:
-        raise ResidualUnderflow(
-            f"only {int((residual >= floor).sum())} residuals above {floor:g}; "
-            "window too small to measure a slope"
-        )
-    return slope
-
-
-def _value_residual_block(qs: np.ndarray, exact: np.ndarray, coeffs: np.ndarray,
-                          window: tuple[float, float]):
-    """The samples of `qs` inside the window and the (S, Q) residuals of the
-    truncations of (S, K+1) coefficients against (S, len(qs)) exact values."""
-    q_lo, q_hi = float(window[0]), float(window[1])
-    if not (0.0 < q_lo < q_hi):
-        raise ValueError("window must satisfy 0 < q_lo < q_hi")
-    sel = (qs >= q_lo) & (qs <= q_hi)
-    qs = qs[sel]
-    if qs.size == 0:
-        raise ValueError("window contains no curve samples")
-    decades = np.log10(q_hi / q_lo)
-    if decades > 0 and qs.size / decades < _PER_DECADE - 1e-9:
-        raise ValueError(f"need at least {_PER_DECADE} samples per decade in the window")
-    return qs, np.abs(exact[:, sel] - _horner(coeffs, qs))
-
-
-def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarray:
-    """`points` samples of a finite window 0 < q_lo < q_hi, evenly in log q
-    and at least `_PER_DECADE` per decade, the ends exactly q_lo and q_hi; q_hi ** order,
-    the largest power a series of `order` takes there, must be a finite float."""
+def _require_window(window: tuple[float, float], points, order: int) -> None:
+    """Raise ValueError unless `window` is a finite 0 < q_lo < q_hi whose q_hi ** order, the
+    largest power a series of `order` takes there, is a finite float, and `points` samples
+    cover it, at least `_PER_DECADE` to a decade."""
     q_lo, q_hi = window
     if not 0 < q_lo < q_hi < np.inf:
         raise ValueError(
@@ -296,6 +264,13 @@ def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarra
             f"residual_order needs at least {_PER_DECADE} points per decade of the window: "
             f"points = {points} over q_lo = {q_lo!r} to q_hi = {q_hi!r} ({decades:.3g} decades)"
         )
+
+
+def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarray:
+    """`points` samples of a window that `_require_window` accepts, evenly in log q,
+    the ends exactly q_lo and q_hi."""
+    _require_window(window, points, order)
+    q_lo, q_hi = window
     qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
     qs[0], qs[-1] = q_lo, q_hi  # logspace can miss either end by an ulp
     return qs
@@ -318,13 +293,6 @@ def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
     return value_slopes, ray_slopes, blind
 
 
-def _require_series_order(series: PerturbationSeries, order: int) -> None:
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if series.order < order:
-        raise InsufficientOrder(f"series holds order {series.order}, requested {order}")
-
-
 def series_residual_order(
     curve: SpectrumCurve,
     series: PerturbationSeries,
@@ -339,13 +307,24 @@ def series_residual_order(
     the next coefficient vanishes); the check threshold order + 0.8 leaves
     room for both.  Points below the roundoff floor are excluded from the
     fit; if fewer than five usable points remain the window cannot support a
-    slope estimate and ResidualUnderflow is raised.
+    slope estimate and ResidualUnderflow is raised.  The window obeys the
+    pipeline grid's rule, `_require_window`, with the curve samples inside
+    it as the points.
     """
     n = require_state(n, curve.values.shape[0])
-    _require_series_order(series, order)
-    coeffs = series.eigenvalue_corrections[None, : order + 1]
-    qs, residual = _value_residual_block(curve.qs, curve.values[n : n + 1], coeffs, window)
-    return _fit_above_floor(qs, residual[0], RESIDUAL_FLOOR)
+    order = require_order(order, series.order)
+    sel = (curve.qs >= window[0]) & (curve.qs <= window[1])
+    _require_window(window, int(sel.sum()), order)
+    qs = curve.qs[sel]
+    residual = np.abs(curve.values[n : n + 1, sel]
+                      - _horner(series.eigenvalue_corrections[None, : order + 1], qs))
+    slope = _fit_block(qs, residual, RESIDUAL_FLOOR)[0]
+    if slope is None:
+        raise ResidualUnderflow(
+            f"only {int((residual >= RESIDUAL_FLOOR).sum())} residuals above "
+            f"{RESIDUAL_FLOOR:g}; window too small to measure a slope"
+        )
+    return slope
 
 
 _STENCILS = {
@@ -389,8 +368,8 @@ def fd_eigenvalue_derivatives(
     stencil must stay inside the non-degenerate region.
     """
     n = require_state(n, hamiltonian.dim)
-    if not 1 <= k <= 4:
-        raise ValueError("derivative order k must be in 1..4")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= 4:
+        raise ValueError(f"derivative order k must be an integer in 1..4, got {k!r}")
     frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
     return complex(_fd_coefficients(frame, hamiltonian, (k,), step)[0, n])
 
@@ -431,7 +410,7 @@ def state_ray_residual(
     the result is insensitive to gauge and normalization choices.
     """
     n = require_state(n, hamiltonian.dim)
-    _require_series_order(series, order)
+    order = require_order(order, series.order)
     frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
     corrections = np.array(series.state_corrections[: order + 1])[None]

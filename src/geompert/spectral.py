@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    InsufficientOrder,
     NonFiniteEntry,
     NonSquare,
     NumericalFailure,
@@ -88,6 +89,18 @@ def require_count(name: str, value) -> None:
     """Raise ValueError naming `name` unless `value` is an integer >= 1 (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def require_order(order, most: int | None = None) -> int:
+    """`order` as a series order: an integer >= 0 (not a bool), else ValueError naming
+    `order`, and at most `most`, the highest order the input supports, else InsufficientOrder."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if most is not None and order > most:
+        raise InsufficientOrder(f"requested order {order} exceeds the available order {most}")
+    return int(order)
 
 
 def min_pairwise_gap(values: np.ndarray) -> float:

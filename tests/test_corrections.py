@@ -405,6 +405,53 @@ class TestStateIndex:
         )
 
 
+class TestSeriesOrder:
+    """Every function that takes a series order takes an integer >= 0 and
+    nothing else; `fd_eigenvalue_derivatives` takes an integer k in 1..4."""
+
+    @staticmethod
+    def _calls(toy, toy_frame, toy_gens, order):
+        series = g.build_series(toy_gens, 1, 2)
+        curve = g.exact_spectrum_sweep(toy, np.logspace(-3, -1, 17))
+        return {
+            "solve_generators": lambda: g.solve_generators(toy, toy_frame, order).k0,
+            "solve_model": lambda: g.solve_model(toy, order).k1,
+            "build_series": lambda: g.build_series(toy_gens, 1, order).eigenvalue_corrections,
+            "build_all_series": lambda: [
+                s.eigenvalue_corrections for s in g.build_all_series(toy_gens, order)
+            ],
+            "eigenvalue_corrections": lambda: g.eigenvalue_corrections(toy_gens, 1, order),
+            "state_corrections_recursive": lambda: g.state_corrections_recursive(toy_gens, 1, order),
+            "state_corrections_bell": lambda: g.state_corrections_bell(toy_gens, 1, order),
+            "eigenvalue_corrections_bell": lambda: g.eigenvalue_corrections_bell(toy_gens, 1, order),
+            "series_residual_order": lambda: g.series_residual_order(
+                curve, series, 1, order, (1e-3, 1e-1)
+            ),
+            "state_ray_residual": lambda: g.state_ray_residual(toy, series, 1, order, [1e-3, 1e-2]),
+            "fd_eigenvalue_derivatives": lambda: g.fd_eigenvalue_derivatives(toy, 1, order),
+        }
+
+    @pytest.mark.parametrize("order", [True, False, 1.0, np.float64(2.0), "2"])
+    def test_rejected(self, toy, toy_frame, toy_gens, order):
+        for name, call in self._calls(toy, toy_frame, toy_gens, order).items():
+            with pytest.raises(ValueError, match="order.*" + re.escape(repr(order))):
+                call()
+
+    def test_negative_order_message(self, toy, toy_frame, toy_gens):
+        calls = self._calls(toy, toy_frame, toy_gens, -1)
+        del calls["fd_eigenvalue_derivatives"]  # k is checked against 1..4
+        for call in calls.values():
+            with pytest.raises(ValueError, match="order must be non-negative"):
+                call()
+
+    def test_numpy_integers_accepted(self, toy, toy_frame, toy_gens):
+        wide = self._calls(toy, toy_frame, toy_gens, np.int64(2))
+        plain = self._calls(toy, toy_frame, toy_gens, 2)
+        for name, call in wide.items():
+            assert np.asarray(call()).tobytes() == np.asarray(plain[name]()).tobytes(), name
+        assert type(g.build_series(toy_gens, 1, np.int64(2)).order) is int
+
+
 class TestBellGradeStacks:
     @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N6"])
     def test_bit_identical_to_word_by_word(self, family):
