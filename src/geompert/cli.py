@@ -12,8 +12,10 @@ geompert models list | export NAME
     Inspect the built-in models.
 
 Exit codes: 0 pass, 1 report verdict fail, 2 bad input (usage, schema,
-malformed matrices, a model or output path that cannot be read or written),
-3 degenerate spectrum, 4 numerical/oracle failure.
+malformed matrices, a model or output path that cannot be read or written,
+a missing or unknown `models export` name), 3 degenerate spectrum,
+4 numerical/oracle failure.  Every failure but a usage error prints one JSON
+line to stderr (`_fail`), with the stage of one raised inside a stage.
 The GEOMPERT_GAP_TOL environment variable (a decimal string) overrides the
 degeneracy threshold; a value that is not finite and positive exits 2.
 """
@@ -84,21 +86,38 @@ def _load_model(path: str):
         return parse_model(fh.read())
 
 
-def _error_exit(exc: Exception) -> int:
-    stage = None
-    cause = exc
-    if isinstance(exc, PipelineError):
-        stage = exc.stage
-        cause = exc.cause
-    diag = {"error": type(cause).__name__, "message": str(cause)}
+def _export(name: str | None) -> str:
+    """The JSON text of a built-in model; a missing or unknown name is a ValueError."""
+    if not name:
+        raise ValueError("models export requires a model name")
+    try:
+        return serialize_model(builtin_model(name))
+    except KeyError as exc:  # only the name lookup raises it here
+        raise ValueError(exc.args[0]) from None
+
+
+# exit code and diagnostic `error` name by exception class (of a PipelineError,
+# its cause): the first row that matches applies; None is the class's own name
+_FAILURES = {
+    FileNotFoundError: (EXIT_BAD_INPUT, "FileNotFound"),
+    OSError: (EXIT_BAD_INPUT, None),  # reading the model, creating or writing the output
+    ValueError: (EXIT_BAD_INPUT, "ValueError"),
+    (SchemaError, NonSquare, NonFiniteEntry): (EXIT_BAD_INPUT, None),
+    DegenerateSpectrum: (EXIT_DEGENERATE, None),
+    GeompertError: (EXIT_NUMERICAL, None),
+}
+
+
+def _fail(exc: Exception) -> int:
+    """Print the one-line JSON diagnostic of a failure; return its exit code."""
+    stage = getattr(exc, "stage", None)
+    cause = exc.cause if isinstance(exc, PipelineError) else exc
+    code, name = next(row for cls, row in _FAILURES.items() if isinstance(cause, cls))
+    diag = {"error": name or type(cause).__name__, "message": str(cause)}
     if stage is not None:
         diag["stage"] = stage
     print(json.dumps(diag), file=sys.stderr)
-    if isinstance(cause, (SchemaError, NonSquare, NonFiniteEntry)):
-        return EXIT_BAD_INPUT
-    if isinstance(cause, DegenerateSpectrum):
-        return EXIT_DEGENERATE
-    return EXIT_NUMERICAL
+    return code
 
 
 def main(argv=None) -> int:
@@ -108,16 +127,8 @@ def main(argv=None) -> int:
             if args.action == "list":
                 for name in BUILTIN_MODELS:
                     print(name)
-                return EXIT_PASS
-            if not args.name:
-                print("models export requires a model name", file=sys.stderr)
-                return EXIT_BAD_INPUT
-            try:
-                doc = builtin_model(args.name)
-            except KeyError as exc:
-                print(str(exc), file=sys.stderr)
-                return EXIT_BAD_INPUT
-            sys.stdout.write(serialize_model(doc))
+            else:
+                sys.stdout.write(_export(args.name))
             return EXIT_PASS
 
         verify = args.command == "verify"
@@ -133,15 +144,8 @@ def main(argv=None) -> int:
         if verify:
             sys.stdout.write(report_json(report))
         return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-    except OSError as exc:  # reading the model, creating or writing the output
-        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
-        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
-        print(json.dumps({"error": "ValueError", "message": str(exc)}), file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except GeompertError as exc:
-        return _error_exit(exc)
+    except (OSError, ValueError, GeompertError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ Schema (field names are load-bearing):
     }
 
 Each matrix is dim x dim, row-major, every entry exactly a 2-element real
-array [re, im].  Orders are distinct and non-negative; order 0 is required;
-missing intermediate orders mean zero matrices.  No object repeats a key.
+array [re, im].  Orders are distinct, non-negative and at most
+MAX_TERM_ORDER; order 0 is required; missing intermediate orders mean zero
+matrices.  No object repeats a key.  Text that is not UTF-8, or nested
+deeper than the JSON decoder's recursion limit, is a SchemaError at `$`.
 
 A matrix is validated in one pass over its cells and converted as one
 float64 array; only a faulty matrix is walked cell by cell, to name its
@@ -28,6 +30,12 @@ import numpy as np
 
 from .errors import NonFiniteEntry, NonSquare, SchemaError
 from .generators import PolynomialHamiltonian
+
+# the highest term order a document may hold, since parse_model builds every
+# order below it; every CLI command runs the route check, which caps the
+# series order at bellpoly.MAX_WORD_GRADE = 25, so none reads a term above 26
+MAX_TERM_ORDER = 64
+
 
 class ModelDocument:
     """A named polynomial family plus free-form string metadata."""
@@ -130,11 +138,13 @@ def _unique_keys(pairs: list) -> dict:
 
 def parse_model(text) -> ModelDocument:
     """Parse and validate a UTF-8 JSON model document."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # malformed JSON, or an integer over Python's digit limit
+    # bytes that are not UTF-8, malformed JSON, an integer over Python's digit
+    # limit, or nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
 
     _require(isinstance(raw, dict), "$", "expected a JSON object")
@@ -166,6 +176,7 @@ def parse_model(text) -> ModelDocument:
         )
         order = term["order"]
         _require(order >= 0, f"{path}.order", "must be non-negative")
+        _require(order <= MAX_TERM_ORDER, f"{path}.order", f"must be at most {MAX_TERM_ORDER}")
         _require(order not in by_order, f"{path}.order", f"duplicate order {order}")
         _require("matrix" in term, f"{path}.matrix", "missing matrix")
         by_order[order] = _parse_matrix(term["matrix"], dim, f"{path}.matrix")
@@ -183,30 +194,19 @@ def parse_model(text) -> ModelDocument:
     return ModelDocument(raw["name"], terms, metadata)
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [
-        [[float(m[i, j].real), float(m[i, j].imag)] for j in range(m.shape[1])]
-        for i in range(m.shape[0])
-    ]
-
-
-def model_to_json_obj(doc: ModelDocument) -> dict:
+def serialize_model(doc: ModelDocument) -> str:
+    """JSON text that parses back to an equal ModelDocument."""
     obj = {
         "name": doc.name,
         "dim": doc.dim,
         "terms": [
-            {"order": j, "matrix": _matrix_to_json(m)}
+            {"order": j, "matrix": np.stack([m.real, m.imag], axis=-1).tolist()}
             for j, m in enumerate(doc.terms)
         ],
     }
     if doc.metadata:
         obj["metadata"] = dict(sorted(doc.metadata.items()))
-    return obj
-
-
-def serialize_model(doc: ModelDocument) -> str:
-    """JSON text that parses back to an equal ModelDocument."""
-    return json.dumps(model_to_json_obj(doc), indent=2) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _toy_terms(h: float, alpha1: float, alpha2: float):

@@ -154,12 +154,19 @@ def sweep_csv(report: Report) -> str:
 
 @contextmanager
 def _stage(name: str, timings: dict):
-    """Tag library errors with the stage; record its elapsed ms in `timings`."""
+    """Tag errors with the stage, record its elapsed ms in `timings`.
+
+    A library error is wrapped in a PipelineError; a ValueError or OSError
+    keeps its type and gains a `stage` attribute.
+    """
     start = time.perf_counter()
     try:
         yield
     except GeompertError as exc:
         raise PipelineError(name, exc) from exc
+    except (ValueError, OSError) as exc:
+        exc.stage = name
+        raise
     finally:
         timings[name] = (time.perf_counter() - start) * 1e3
 

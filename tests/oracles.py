@@ -467,6 +467,27 @@ def reference_parse_matrix(raw, dim, path):
     return out
 
 
+def reference_serialize_model(doc):
+    """A model document's JSON text, written cell by cell."""
+    obj = {
+        "name": doc.name,
+        "dim": doc.dim,
+        "terms": [
+            {
+                "order": j,
+                "matrix": [
+                    [[float(m[i, k].real), float(m[i, k].imag)] for k in range(m.shape[1])]
+                    for i in range(m.shape[0])
+                ],
+            }
+            for j, m in enumerate(doc.terms)
+        ],
+    }
+    if doc.metadata:
+        obj["metadata"] = dict(sorted(doc.metadata.items()))
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def reference_json_text(obj, level=0):
     """Report JSON with floats at 17 significant digits, by isinstance."""
     pad = "  " * level

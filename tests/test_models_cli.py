@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import geompert as g
 from geompert.cli import main
-from geompert.models import _parse_matrix
+from geompert.models import MAX_TERM_ORDER, _parse_matrix
 from geompert.pipeline import (
     ALL_CHECKS,
     FAST_CHECKS,
@@ -21,7 +21,12 @@ from geompert.pipeline import (
     run_pipeline,
     sweep_csv,
 )
-from oracles import reference_json_text, reference_parse_matrix, seeded_quadratic_family
+from oracles import (
+    reference_json_text,
+    reference_parse_matrix,
+    reference_serialize_model,
+    seeded_quadratic_family,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True, database=None
@@ -70,6 +75,50 @@ DUPLICATE_KEYS = {
     "order": TOY_JSON.replace('{"order": 1,', '{"order": 0, "order": 1,', 1),
     "source": TOY_JSON[:-1] + ', "metadata": {"source": "a", "source": "b"}}',
 }
+
+
+DEGENERATE_JSON = json.dumps(
+    {
+        "name": "deg",
+        "dim": 2,
+        "terms": [
+            {"order": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            {"order": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+        ],
+    }
+)
+
+# one row per entry of the CLI's failure table: the model files a row reads
+# (written under {tmp}), its argv, exit code, diagnostic `error` and `stage`
+FAILURE_ROWS = {
+    "schema": ({"m.json": "{}"}, ["verify", "--model", "{tmp}/m.json", "--order", "2"],
+               2, "SchemaError", None),
+    "non-square": ({"m.json": TOY_JSON.replace("[[0, 0], [1, 0]], ", "", 1)},
+                   ["verify", "--model", "{tmp}/m.json", "--order", "2"], 2, "NonSquare", None),
+    "non-finite": ({"m.json": TOY_JSON.replace("[0, 0]", "[NaN, 0]", 1)},
+                   ["verify", "--model", "{tmp}/m.json", "--order", "2"],
+                   2, "NonFiniteEntry", None),
+    "value": ({}, ["verify", "--model", "toy-sec5", "--order", "2", "--points", "3"],
+              2, "ValueError", None),
+    "missing-file": ({}, ["verify", "--model", "{tmp}/none.json", "--order", "2"],
+                     2, "FileNotFound", None),
+    "directory": ({}, ["verify", "--model", "{tmp}", "--order", "2"],
+                  2, "IsADirectoryError", None),
+    "unknown-builtin": ({}, ["models", "export", "nope"], 2, "ValueError", None),
+    "missing-export-name": ({}, ["models", "export"], 2, "ValueError", None),
+    "degenerate": ({"m.json": DEGENERATE_JSON}, ["verify", "--model", "{tmp}/m.json", "--order", "2"],
+                   3, "DegenerateSpectrum", "eigenframe"),
+    "pairing": ({}, ["sweep", "--model", "toy-sec5", "--q-max", "0.1", "--points", "4",
+                     "--out", "{tmp}/out"], 4, "PairingAmbiguous", "sweep"),
+}
+
+
+def _diagnostic(capsys) -> dict:
+    """The one JSON line on stderr of a failed run with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    return json.loads(line)
 
 
 class TestParseModel:
@@ -208,6 +257,48 @@ class TestParseModel:
         outcome = _outcome(_parse_matrix, text)
         assert outcome == _outcome(reference_parse_matrix, text)
         assert outcome[0] in (g.SchemaError, g.NonFiniteEntry)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[" * 100_000, "maximum recursion depth"),
+            ('{"a":' * 100_000, "maximum recursion depth"),
+            (b"\xff" + TOY_JSON.encode(), "'utf-8' codec can't decode"),
+        ],
+        ids=["arrays", "objects", "not-utf8"],
+    )
+    def test_undecodable_text_is_a_schema_error(self, text, reason):
+        with pytest.raises(g.SchemaError) as info:
+            g.parse_model(text)
+        assert info.value.path == "$"
+        assert f"invalid JSON: {reason}" in str(info.value)
+
+    def test_term_order_bound(self):
+        def doc(order):
+            return TOY_JSON.replace('{"order": 2,', f'{{"order": {order},', 1)
+
+        assert g.parse_model(doc(MAX_TERM_ORDER)).degree == MAX_TERM_ORDER
+        # the cheap case first: an order one past the bound is still cheap to build
+        for order in (MAX_TERM_ORDER + 1, 10**9):
+            with pytest.raises(g.SchemaError) as info:
+                g.parse_model(doc(order))
+            assert info.value.path == "terms[2].order"
+            assert f"must be at most {MAX_TERM_ORDER}" in str(info.value)
+
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N1", "seeded-N6", "seeded-N16",
+                                      "seeded-N64", "edge-entries"])
+    def test_serialize_matches_cell_writer(self, name):
+        if name in g.BUILTIN_MODELS:
+            doc = g.builtin_model(name)
+        elif name == "edge-entries":
+            doc = g.ModelDocument(name, [[[complex(-0.0, 1e-310), complex(1e308, -0.0)],
+                                          [complex(-1e308, 5e-324), 0]]])
+        else:
+            terms = seeded_quadratic_family(0, int(name.removeprefix("seeded-N"))).terms
+            doc = g.ModelDocument(name, terms, {"source": "seeded", "n": name})
+        text = g.serialize_model(doc)
+        assert text == reference_serialize_model(doc)
+        assert g.parse_model(text) == doc
 
     def test_metadata_round_trip(self):
         raw = json.dumps(
@@ -512,6 +603,81 @@ class TestCli:
 
     def test_models_export_unknown(self, capsys):
         assert main(["models", "export", "nope"]) == 2
+        # the message of the lookup's KeyError, without the quotes str() adds
+        assert _diagnostic(capsys)["message"].startswith("unknown built-in model 'nope';")
+
+    @pytest.mark.parametrize("row", list(FAILURE_ROWS))
+    def test_failure_contract(self, tmp_path, capsys, monkeypatch, row):
+        files, argv, code, error, stage = FAILURE_ROWS[row]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        if error == "PairingAmbiguous":
+            def ambiguous(*_args, **_kwargs):
+                raise g.PairingAmbiguous("no unambiguous match")
+
+            monkeypatch.setattr(g.pipeline, "_continued_sweep", ambiguous)
+        assert main([a.format(tmp=tmp_path) for a in argv]) == code
+        err = _diagnostic(capsys)
+        assert err["error"] == error
+        assert isinstance(err["message"], str)
+        assert err.get("stage") == stage
+        assert set(err) == {"error", "message"} | ({"stage"} if stage else set())
+
+    @pytest.mark.parametrize(
+        "argv, env, message, stage",
+        [
+            (["expand", "--model", "toy-sec5", "--order", "30"], None, "grade 26 exceeds 25",
+             "check:route_equivalence"),
+            (["sweep", "--model", "toy-sec5", "--q-max", "1e200", "--points", "4"], None,
+             "not finite at q", "sweep"),
+            (["expand", "--model", "toy-sec5", "--order", "2"], "nan", "GEOMPERT_GAP_TOL",
+             "eigenframe"),
+        ],
+    )
+    def test_in_stage_failure_names_its_stage(self, tmp_path, capsys, monkeypatch,
+                                              argv, env, message, stage):
+        if env is not None:
+            monkeypatch.setenv("GEOMPERT_GAP_TOL", env)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = _diagnostic(capsys)
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
+        assert err["stage"] == stage
+
+    def test_key_error_inside_the_pipeline_propagates(self, monkeypatch, capsys):
+        # only the built-in name lookup's KeyError is classified
+        def broken(*_args, **_kwargs):
+            raise KeyError("inside")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", broken)
+        with pytest.raises(KeyError, match="inside"):
+            main(["verify", "--model", "toy-sec5", "--order", "2"])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100_000, b"\xff" + TOY_JSON.encode()], ids=["nested", "not-utf8"]
+    )
+    def test_undecodable_model_exit_code(self, tmp_path, capsys, content):
+        model = tmp_path / "m.json"
+        model.write_bytes(content)
+        assert main(["verify", "--model", str(model), "--order", "1"]) == 2
+        err = _diagnostic(capsys)
+        assert err["error"] == "SchemaError"
+        assert err["message"].startswith("$: invalid JSON: ")
+
+    def test_term_order_bound_exit_code(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        out = tmp_path / "out"
+        # the cheap case first, as in test_term_order_bound
+        for order in (MAX_TERM_ORDER + 1, 10**9):
+            model.write_text(TOY_JSON.replace('{"order": 2,', f'{{"order": {order},', 1))
+            assert main(["expand", "--model", str(model), "--order", "2", "--out", str(out)]) == 2
+            assert not out.exists()
+            err = _diagnostic(capsys)
+            assert err["error"] == "SchemaError"
+            assert err["message"] == f"terms[2].order: must be at most {MAX_TERM_ORDER}"
 
     def test_expand(self, tmp_path, capsys):
         model = tmp_path / "toy.json"
@@ -619,18 +785,8 @@ class TestCli:
         assert report["checks"]["residual_order"]["window"] == [1e-3, 1e-2]
 
     def test_verify_degenerate_exit_code(self, tmp_path, capsys):
-        raw = json.dumps(
-            {
-                "name": "deg",
-                "dim": 2,
-                "terms": [
-                    {"order": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
-                    {"order": 1, "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
-                ],
-            }
-        )
         model = tmp_path / "deg.json"
-        model.write_text(raw)
+        model.write_text(DEGENERATE_JSON)
         assert main(["verify", "--model", str(model), "--order", "2"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegenerateSpectrum"
