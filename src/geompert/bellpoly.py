@@ -115,6 +115,17 @@ class WordPolynomial:
 MAX_WORD_GRADE = 25
 
 
+def require_word_grade(order: int) -> int:
+    """`order`, a series order or word grade, when BB_k's int64 tables reach
+    it; above MAX_WORD_GRADE a ValueError naming it, before any table is built."""
+    if order > MAX_WORD_GRADE:
+        raise ValueError(
+            f"order {order} exceeds {MAX_WORD_GRADE}, the highest grade whose "
+            "dual Bell coefficients fit int64"
+        )
+    return order
+
+
 @cache
 def dual_bell_coefficients(k: int) -> np.ndarray:
     """Coefficients of BB_k's 2^(k-1) words in lexicographic word order.
@@ -127,10 +138,7 @@ def dual_bell_coefficients(k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k > MAX_WORD_GRADE:
-        raise ValueError(
-            f"grade {k} exceeds {MAX_WORD_GRADE}: BB_k coefficients overflow int64"
-        )
+    require_word_grade(k)
     if k == 0:
         table = np.ones(1, dtype=np.int64)
     else:

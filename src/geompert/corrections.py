@@ -62,7 +62,7 @@ from math import factorial
 
 import numpy as np
 
-from .bellpoly import dual_bell_coefficients
+from .bellpoly import dual_bell_coefficients, require_word_grade
 from .errors import DegreeMismatch
 from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
 from .spectral import (SpectralFrame, as_complex_matrix, double_bracket, eigenframe,
@@ -165,8 +165,7 @@ def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
     3 * 2^(order-2) N m complex numbers in all (200 MB at N = m = 64,
     order 12).
     """
-    order = require_order(order, gens.order + 1)
-    coefficients = [dual_bell_coefficients(k).astype(np.complex128) for k in range(order + 1)]
+    order = require_word_grade(require_order(order, gens.order + 1))
     symbols = [None] + [factorial(a - 1) * -1j * gens.k0[a - 1] for a in range(1, order + 1)]
     v0 = gens.frame.right[:, cols]
     stacks = [v0[None]]  # grade 0: the identity word
@@ -174,6 +173,7 @@ def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
     chunk = np.empty((1 + 2 ** max(order - 2, 0), *v0.shape), dtype=np.complex128)
     out = [v0]
     for k in range(1, order + 1):
+        coefficients = dual_bell_coefficients(k)
         words = np.empty((2 ** (k - 1), *v0.shape), dtype=np.complex128) if k < order else None
         total = np.zeros_like(v0)
         start = 0
@@ -182,7 +182,7 @@ def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
             terms = chunk[1 : 1 + stop - start]
             target = terms if words is None else words[start:stop]
             np.matmul(symbols[a], stacks[k - a], out=target)
-            np.multiply(target, coefficients[k][start:stop, None, None], out=terms)
+            np.multiply(target, coefficients[start:stop, None, None], out=terms)
             chunk[0] = total
             # sum as real pairs: one word axis that is never the inner loop
             # keeps numpy's reduction sequential (a 1 x 1 block would go pairwise)

@@ -15,14 +15,12 @@ MAX_TERM_ORDER; order 0 is required; missing intermediate orders mean zero
 matrices.  No object repeats a key.  Text that is not UTF-8, or nested
 deeper than the JSON decoder's recursion limit, is a SchemaError at `$`.
 
-A matrix is validated in one pass over its cells and converted as one
-float64 array; only a faulty matrix is walked cell by cell, to name its
-first faulty entry in row-major order.
+A matrix is validated in one row-major walk over its cells, which names its
+first faulty entry, and then converted as one float64 array.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -94,10 +92,9 @@ def _is_cell(entry) -> bool:
 def _parse_matrix(raw, dim: int, path: str) -> np.ndarray:
     """The dim x dim complex matrix of one decoded term.
 
-    Every cell is type-checked in one pass and the whole matrix converted in
-    one float64 array; numpy converts a Python int or float exactly as
-    float() does.  Only when that fails is the first faulty cell, in
-    row-major order, located to name it in the error.
+    One row-major walk checks each cell's type and finiteness and names the
+    first faulty cell; the matrix is then converted as one float64 array,
+    since numpy converts a Python int or float exactly as float() does.
     """
     _require(isinstance(raw, list), path, "expected a matrix (list of rows)")
     if len(raw) != dim or any(
@@ -105,25 +102,17 @@ def _parse_matrix(raw, dim: int, path: str) -> np.ndarray:
     ):
         shape = f"{len(raw)}x{len(raw[0]) if raw and isinstance(raw[0], list) else '?'}"
         raise NonSquare(f"{path}: matrix is {shape}, expected {dim}x{dim}")
-    if all(map(_is_cell, itertools.chain.from_iterable(raw))):
-        try:
-            pairs = np.array(raw, dtype=np.float64)
-        except OverflowError:  # an integer too large for a float
-            pass
-        else:
-            if np.isfinite(pairs).all():
-                return pairs.view(np.complex128)[..., 0]
     for i, row in enumerate(raw):
         for j, entry in enumerate(row):
-            cell = f"{path}[{i}][{j}]"
-            _require(_is_cell(entry), cell, "expected a 2-element real array [re, im]")
+            if not _is_cell(entry):
+                raise SchemaError(f"{path}[{i}][{j}]", "expected a 2-element real array [re, im]")
             try:
                 finite = math.isfinite(entry[0]) and math.isfinite(entry[1])
-            except OverflowError:
+            except OverflowError:  # an integer too large for a float
                 finite = False
             if not finite:
-                raise NonFiniteEntry(f"{cell}: entry is not finite")
-    raise AssertionError("unreachable: a faulty matrix has a faulty cell")
+                raise NonFiniteEntry(f"{path}[{i}][{j}]: entry is not finite")
+    return np.array(raw, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -16,9 +16,8 @@ order; it returns whether it passed (None when skipped) and its entry, and
 `run_pipeline` loops the table and derives every status in one place.  Reports
 are deterministic for fixed input and flags; the timestamp and the per-stage
 timings live in the metadata block, never in the comparison payload.
-Reports are strict JSON, written by one writer that dispatches on the exact
-type of each value; a non-finite float raises ValueError rather than being
-written.
+Reports are strict JSON, written by one writer with one `isinstance` chain;
+a non-finite float raises ValueError rather than being written.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .bellpoly import require_word_grade
 from .corrections import (
     _all_block,
     _bell_block,
@@ -83,29 +83,22 @@ class Report:
         }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
+# the one format of every float written: 17 significant digits parse back bit for bit
+_FLOAT = "%.17g"
 _quote = json.encoder.encode_basestring_ascii  # the escaping of json.dumps
-# the types the writer knows; an instance of a subclass is written as its base
-_JSON_TYPES = (bool, int, float, str, type(None), dict, list, tuple)
 
 
 def _json_text(obj, pad: str = "") -> str:
     """JSON with floats rendered to 17 significant digits; `pad` is the
     indentation of the line that holds `obj`.  A non-finite float raises
     ValueError, since JSON has no literal for it."""
-    kind = type(obj)
-    if kind not in _JSON_TYPES:  # a subclass, such as np.float64 of float
-        kind = next((t for t in _JSON_TYPES if isinstance(obj, t)), None)
-    if kind is float:
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize the non-finite float {obj!r}")
-        return _fmt(obj)
-    if kind is str:
+        return _FLOAT % obj
+    if isinstance(obj, str):
         return _quote(obj)
-    if kind is dict:
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
@@ -113,16 +106,16 @@ def _json_text(obj, pad: str = "") -> str:
             f"{inner}{_quote(str(k))}: {_json_text(v, inner)}" for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
         items = ",\n".join(inner + _json_text(v, inner) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
-    if kind is int:
-        return str(obj)
-    if kind is bool:
+    if isinstance(obj, bool):  # before int, of which bool is a subclass
         return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -133,9 +126,9 @@ def report_json(report: Report) -> str:
 
 
 def series_csv(report: Report) -> str:
+    row = f"%d,%d,{_FLOAT},{_FLOAT}"
     lines = ["n,k,re,im"]
-    for row in report.series_rows:
-        lines.append(f"{row['n']},{row['k']},{_fmt(row['re'])},{_fmt(row['im'])}")
+    lines.extend(row % (r["n"], r["k"], r["re"], r["im"]) for r in report.series_rows)
     return "\n".join(lines) + "\n"
 
 
@@ -144,11 +137,12 @@ def sweep_csv(report: Report) -> str:
         raise ValueError("report holds no sweep data")
     qs, values, residuals = report.sweep
     lines = ["q,n,re,im,residual"]
+    cols = f",%d,{_FLOAT},{_FLOAT},{_FLOAT}"
     for q, re, im, res in zip(
         qs.tolist(), values.real.tolist(), values.imag.tolist(), residuals.tolist()
     ):
-        row = _fmt(q) + ",%d,%.17g,%.17g,%.17g"  # the same digits as _fmt
-        lines.extend(row % cols for cols in zip(range(len(re)), re, im, res))
+        row = _FLOAT % q + cols
+        lines.extend(row % c for c in zip(range(len(re)), re, im, res))
     return "\n".join(lines) + "\n"
 
 
@@ -326,6 +320,8 @@ def run_pipeline(
     unknown = set(checks) - ALL_CHECKS
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if "route_equivalence" in checks:
+        require_word_grade(order)
     kc = min(order, _CHECK_ORDER)
     residual_qs = _residual_grid((q_lo, q_hi), points, kc) if "residual_order" in checks else None
     if out_dir is not None:

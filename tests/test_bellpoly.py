@@ -75,6 +75,10 @@ class TestBellCommutative:
         with pytest.raises(ValueError):
             g.bell_commutative(3, [1, 2])
 
+    def test_rejects_a_negative_grade(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            g.bell_commutative(-1, [])
+
 
 class TestDualBellWords:
     def test_identity_word(self):

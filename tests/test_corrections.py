@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import geompert as g
+from geompert.bellpoly import MAX_WORD_GRADE
 from geompert.corrections import _bell_block, _rs_block, _series_block
 from oracles import (
     linear_family,
@@ -468,6 +469,16 @@ class TestBellGradeStacks:
                 for a, b in zip(blocks, ref):
                     # bytes compare signs of zero too
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_order_above_the_cap_builds_no_table(self, monkeypatch):
+        gens = g.solve_model(g.toy_model(), MAX_WORD_GRADE)
+
+        def no_table(k):
+            raise AssertionError(f"built the grade-{k} table")
+
+        monkeypatch.setattr(g.corrections, "dual_bell_coefficients", no_table)
+        with pytest.raises(ValueError, match=f"order {MAX_WORD_GRADE + 1} exceeds {MAX_WORD_GRADE}"):
+            g.state_corrections_bell(gens, 0, MAX_WORD_GRADE + 1)
 
 
 class TestLinearClosedForms:

@@ -42,6 +42,26 @@ class TestPolynomialHamiltonian:
         assert g.PolynomialHamiltonian([np.diag([0.0, 2.0]), SX]).is_hermitian()
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda toy, gens: toy.term(-1), ValueError, "non-negative"),
+        (lambda toy, gens: gens.k2, AttributeError, "no attribute 'k2'"),
+        (lambda toy, gens: g.solve_generators(toy, gens.frame, 2, k0_diagonals=[np.ones(2)] * 2),
+         ValueError, "one K_0 diagonal per order"),
+        (lambda toy, gens: g.solve_generators(toy, gens.frame, 1, k0_diagonals=[np.ones(3)] * 2),
+         g.DimensionMismatch, "wrong length"),
+        (lambda toy, gens: g.hierarchy_residuals(g.PolynomialHamiltonian([np.eye(3)]), gens),
+         g.DimensionMismatch, "dimensions differ"),
+    ],
+    ids=["negative-term", "unknown-attribute", "too-few-diagonals", "diagonal-length",
+         "residual-dimensions"],
+)
+def test_documented_failures(toy, toy_gens, call, error, message):
+    with pytest.raises(error, match=message):
+        call(toy, toy_gens)
+
+
 class TestToyGenerators:
     """The worked two-level family with unit constants, zero-diagonal gauge."""
 

@@ -222,6 +222,11 @@ class TestParseModel:
             doc = g.builtin_model(name)
             assert g.parse_model(g.serialize_model(doc)) == doc
 
+    def test_not_equal_to_another_type(self):
+        doc = g.builtin_model("toy-sec5")
+        assert doc.__eq__(doc.name) is NotImplemented
+        assert doc != doc.name
+
     @PROPERTY_SETTINGS
     @given(st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(json_numbers, min_size=2 * n * n, max_size=2 * n * n))
@@ -589,6 +594,11 @@ class TestPipeline:
         report = dataclasses.replace(report, sweep=(odd, values, np.abs(odd)[:, None]))
         assert sweep_csv(report) == self._row_by_row_csv(report)
 
+    def test_sweep_csv_needs_a_sweep(self):
+        report = run_pipeline(g.builtin_model("toy-sec5"), 1, FAST_CHECKS)
+        with pytest.raises(ValueError, match="no sweep data"):
+            sweep_csv(report)
+
 
 class TestCli:
     def test_models_list(self, capsys):
@@ -626,8 +636,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, env, message, stage",
         [
-            (["expand", "--model", "toy-sec5", "--order", "30"], None, "grade 26 exceeds 25",
-             "check:route_equivalence"),
             (["sweep", "--model", "toy-sec5", "--q-max", "1e200", "--points", "4"], None,
              "not finite at q", "sweep"),
             (["expand", "--model", "toy-sec5", "--order", "2"], "nan", "GEOMPERT_GAP_TOL",
@@ -859,6 +867,11 @@ class TestCli:
             (["sweep", "--q-max", "inf", "--points", "4"], "q_max"),
             (["sweep", "--q-max", "0", "--points", "4"], "q_max"),
             (["sweep", "--q-max", "-0.2", "--points", "4"], "q_max"),
+            # an order above the Bell route's cap, before its tables or the series
+            (["expand", "--order", "30"], "order 30 exceeds 25"),
+            (["expand", "--order", "26"], "order 26 exceeds 25"),
+            (["verify", "--order", "26"], "order 26 exceeds 25"),
+            (["sweep", "--q-max", "0.1", "--points", "4", "--order", "26"], "order 26 exceeds 25"),
         ],
     )
     def test_bad_point_count_or_q_max_exit_code(self, tmp_path, capsys, monkeypatch, argv, flag):
@@ -868,7 +881,7 @@ class TestCli:
 
         monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
         out = tmp_path / "out"
-        extra = ["--out", str(out)] if argv[0] == "sweep" else []
+        extra = ["--out", str(out)] if argv[0] != "verify" else []
         assert main([*argv, "--model", "toy-sec5", *extra]) == 2
         assert not out.exists()
         captured = capsys.readouterr()
@@ -877,6 +890,7 @@ class TestCli:
         err = json.loads(line)
         assert err["error"] == "ValueError"
         assert flag in err["message"]
+        assert "stage" not in err
 
     def test_overflowing_sweep_exit_code(self, tmp_path, capsys):
         # q^2 overflows a float from the second sample on: one diagnostic line

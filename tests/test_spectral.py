@@ -157,6 +157,13 @@ class TestEigenframe:
         with pytest.raises(g.NumericalFailure):
             g.eigenframe(random_matrix(rng, 5), frame_tol=1e-18)
 
+    def test_biorthonormality_defect_rejected(self, rng, monkeypatch):
+        # dual rows that are not V^-1 fail the W V = 1 postcondition
+        inv = np.linalg.inv
+        monkeypatch.setattr(g.spectral.np.linalg, "inv", lambda a: 1.5 * inv(a))
+        with pytest.raises(g.NumericalFailure, match="biorthonormality defect"):
+            g.eigenframe(random_matrix(rng, 5))
+
 
 class TestDoubleBracket:
     def test_identity(self, toy_frame):
