@@ -15,8 +15,9 @@ MAX_TERM_ORDER; order 0 is required; missing intermediate orders mean zero
 matrices.  No object repeats a key.  Text that is not UTF-8, or nested
 deeper than the JSON decoder's recursion limit, is a SchemaError at `$`.
 
-A matrix is validated in one row-major walk over its cells, which names its
-first faulty entry, and then converted as one float64 array.
+A matrix's shape is checked first, naming its first row of the wrong
+length; it is then validated in one row-major walk over its cells, which
+names its first faulty entry, and converted as one float64 array.
 """
 
 from __future__ import annotations
@@ -92,16 +93,19 @@ def _is_cell(entry) -> bool:
 def _parse_matrix(raw, dim: int, path: str) -> np.ndarray:
     """The dim x dim complex matrix of one decoded term.
 
-    One row-major walk checks each cell's type and finiteness and names the
-    first faulty cell; the matrix is then converted as one float64 array,
+    A NonSquare error names the first row of the wrong length.  One row-major
+    walk then checks each cell's type and finiteness and names the first
+    faulty cell; the matrix is then converted as one float64 array,
     since numpy converts a Python int or float exactly as float() does.
     """
     _require(isinstance(raw, list), path, "expected a matrix (list of rows)")
-    if len(raw) != dim or any(
-        not isinstance(r, list) or len(r) != dim for r in raw
-    ):
-        shape = f"{len(raw)}x{len(raw[0]) if raw and isinstance(raw[0], list) else '?'}"
-        raise NonSquare(f"{path}: matrix is {shape}, expected {dim}x{dim}")
+    if len(raw) != dim:
+        raise NonSquare(f"{path}: matrix has {len(raw)} rows, expected {dim}")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise NonSquare(f"{path}[{i}]: row is not a list, expected {dim} entries")
+        if len(row) != dim:
+            raise NonSquare(f"{path}[{i}]: row has {len(row)} entries, expected {dim}")
     for i, row in enumerate(raw):
         for j, entry in enumerate(row):
             if not _is_cell(entry):

@@ -4,8 +4,9 @@ Nothing here reuses the perturbative machinery: eigenvalue curves come from
 dense diagonalization of H(q) at sample points, continued in q by nearest-
 neighbor matching anchored at the canonical q = 0 frame.  A check's grid
 does not depend on the state, so `_continued_sweep` diagonalizes it once for
-all states, from a frame the caller computed once.  Truncated series are
-then certified empirically:
+all states, from a frame the caller computed once.  H(0) = H_0 exactly, so
+a q = 0 sample is that frame, its eigenvalues and right vectors, and takes
+no LAPACK call.  Truncated series are then certified empirically:
 
 * `series_residual_order` fits the log-log slope of |h_n(q) - truncation|;
   a correct order-K series scales at least like q^(K+1).  `_fit_block`
@@ -145,7 +146,13 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
     # in a stacked LAPACK call: only full blocks gain from a thread
     size = 500 // n + 1
     split = int(np.searchsorted(qs, 0.0))  # first sample at q >= 0
-    chains = (np.arange(split, qs.size), np.arange(split - 1, -1, -1))
+    start = split
+    if split < qs.size and qs[split] == 0.0:  # H(0) = H_0: the sample is the frame
+        values[:, split] = frame.eigenvalues
+        if want_vectors:
+            vectors[:, split, :] = frame.right.T
+        start += 1
+    chains = (np.arange(start, qs.size), np.arange(split - 1, -1, -1))
     blocks = [chain[s : s + size] for chain in chains for s in range(0, chain.size, size)]
 
     def diagonalize(block):
@@ -154,7 +161,7 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
             return np.linalg.eig(stack)
         return np.linalg.eigvals(stack), None
 
-    workers = min(_usable_cpus(), qs.size // size)
+    workers = min(_usable_cpus(), (qs.size - (start - split)) // size)
     pool = None
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # lazy: ~10 ms to import
@@ -163,7 +170,7 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
     try:
         results = pool.map(diagonalize, blocks) if pool else map(diagonalize, blocks)
         for block, (vals, vecs) in zip(blocks, results):
-            if block[0] in (split, split - 1):  # a chain starts at the frame
+            if block[0] in (start, split - 1):  # a chain starts at the frame
                 prev, perm = frame.eigenvalues, np.arange(n)
             before = np.vstack([prev[None], vals[:-1]])  # each sample's raw predecessor
             picks, step = _pair_block(before, vals, qs[block], frame.gap_tol)

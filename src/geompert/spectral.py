@@ -14,6 +14,14 @@ into the dual vectors: <<m|n> = delta_mn holds by construction, and the
 For Hermitian H0 the frame reduces to the orthonormal one (W = V^dagger) and
 [[A]] is the ordinary matrix element.
 
+A real H0 is diagonalized in real arithmetic (LAPACK's real solver), which
+is faster and returns complex eigenvalues as exact conjugate pairs, the one
+with negative imaginary part first in canonical order.  The eigensolve is
+accepted when the Frobenius residual ||H0 V - V diag(h)||_F is at most
+frame_tol ||H0||_F / sqrt(N); since ||R||_2 <= ||R||_F and ||H0||_F / sqrt(N)
+<= ||H0||_2, this implies the spectral-norm test frame_tol ||H0||_2, without
+two singular value decompositions.
+
 The degeneracy threshold is resolved here and nowhere else: `eigenframe`
 reads it once (argument, else GEOMPERT_GAP_TOL, else the default) and
 records it as `SpectralFrame.gap_tol`, which every exact sweep continued
@@ -187,13 +195,15 @@ def eigenframe(
         If the smallest eigenvalue gap is below gap_tol * max(1, spectral
         radius); the perturbative scheme is invalid there.
     NumericalFailure
-        If the eigensolver residual or ||W V - 1|| exceeds `frame_tol`.
+        If the eigensolver residual ||H0 V - V diag(h)||_F exceeds
+        `frame_tol` ||H0||_F / sqrt(N), or ||W V - 1|| exceeds `frame_tol`.
     """
     h0 = as_complex_matrix(h0)
     n = h0.shape[0]
-    values, vectors = np.linalg.eig(h0)
+    # real LAPACK for a real H0: conjugate pairs come out exact
+    values, vectors = np.linalg.eig(h0 if h0.imag.any() else h0.real)
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
+    values = values[order].astype(np.complex128)
     vectors = _normalize_columns(vectors[:, order])
 
     radius = float(np.max(np.abs(values))) if n else 0.0
@@ -207,9 +217,10 @@ def eigenframe(
 
     left = np.linalg.inv(vectors)
 
-    h0_norm = float(np.linalg.norm(h0, 2))
-    residual = float(np.linalg.norm(h0 @ vectors - vectors * values, 2))
-    if residual > frame_tol * max(h0_norm, np.finfo(float).tiny):
+    # Frobenius norms: a stricter test than the 2-norm one (module docstring)
+    scale = float(np.linalg.norm(h0)) / np.sqrt(max(n, 1))
+    residual = float(np.linalg.norm(h0 @ vectors - vectors * values))
+    if residual > frame_tol * max(scale, np.finfo(float).tiny):
         raise NumericalFailure(
             f"eigensolver residual {residual:.3e} exceeds tolerance"
         )

@@ -101,6 +101,40 @@ def reference_rs_closed_forms(a, h):
     return np.stack([first, second, third], axis=1)
 
 
+def reference_rs_extended(hamiltonian, order):
+    """h^(0..order) of every state, shape (order + 1, N), all in 40 digits:
+    mpmath's eigensolve of H_0 in canonical (real, imaginary) order, its
+    inverse as the dual frame, and the Rayleigh-Schroedinger recursion over
+    the frame matrices of every term."""
+    import mpmath  # a dependency of sympy
+
+    dim = hamiltonian.dim
+    with mpmath.workdps(40):
+        def mat(a):
+            return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+
+        ev, vr = mpmath.eig(mat(hamiltonian.term(0)))
+        perm = sorted(range(dim), key=lambda i: (ev[i].real, ev[i].imag))
+        h = [ev[i] for i in perm]
+        v = mpmath.matrix([[vr[r, i] for i in perm] for r in range(dim)])
+        w = mpmath.inverse(v)
+        terms = [w * mat(hamiltonian.term(j)) * v for j in range(1, hamiltonian.degree + 1)]
+        coeffs, values = [mpmath.eye(dim)], [h]
+        for k in range(1, order + 1):
+            x = mpmath.zeros(dim, dim)
+            for j, a in enumerate(terms[:k], 1):
+                x += a * coeffs[k - j]
+            values.append([x[n, n] for n in range(dim)])
+            c = mpmath.zeros(dim, dim)
+            for m in range(dim):
+                for n in range(dim):
+                    if m != n:
+                        rest = sum(coeffs[k - i][m, n] * values[i][n] for i in range(1, k))
+                        c[m, n] = (x[m, n] - rest) / (h[n] - h[m])
+            coeffs.append(c)
+        return np.array([[complex(z) for z in row] for row in values])
+
+
 # ---------------------------------------------------------------------------
 # closed forms for low-order generator matrix elements of a linear family in
 # the zero-diagonal gauge, coded straight from their definitions
@@ -407,7 +441,8 @@ def reference_pair_step(prev, new, q):
 
 def reference_continued_sweep(frame, hamiltonian, qs, gap_tol, want_vectors):
     """Values (N, Q), vectors (N, Q, N) or None, and the pair margin, one
-    sample at a time outward from q = 0 in both directions."""
+    sample at a time outward from q = 0 in both directions; a q = 0 sample is
+    the frame itself."""
     qs = np.asarray(qs, dtype=float)
     n = frame.dim
     values = np.zeros((n, qs.size), dtype=np.complex128)
@@ -418,6 +453,11 @@ def reference_continued_sweep(frame, hamiltonian, qs, gap_tol, want_vectors):
         prev = frame.eigenvalues
         for i in chain:
             q = float(qs[i])
+            if q == 0.0:  # H(0) = H_0: the sample is the frame
+                values[:, i] = frame.eigenvalues
+                if want_vectors:
+                    vectors[:, i, :] = frame.right.T
+                continue
             if want_vectors:
                 vals, vecs = np.linalg.eig(reference_at(hamiltonian, q))
             else:

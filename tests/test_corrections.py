@@ -12,6 +12,7 @@ from oracles import (
     reference_bell_blocks,
     reference_eigenvalue_corrections,
     reference_rs_closed_forms,
+    reference_rs_extended,
     reference_state_corrections,
     seeded_quadratic_family,
     textbook_rs_corrections,
@@ -191,6 +192,14 @@ class TestBuildSeries:
             (q**k) * series.eigenvalue_corrections[k] for k in range(5)
         )
         assert series.eigenvalue_at(q) == pytest.approx(expected)
+
+    def test_real_frame_matches_extended_precision(self):
+        # seeded N = 6 has a real H_0: the real-arithmetic frame and the README
+        # library path to order 12, against the frame and recursion in 40 digits
+        ham = seeded_quadratic_family(0, 6)
+        gens = g.solve_generators(ham, g.eigenframe(ham.term(0)), 12)
+        got = np.array([s.eigenvalue_corrections for s in g.build_all_series(gens, 12)]).T
+        assert _relative(got, reference_rs_extended(ham, 12)) <= 1e-13
 
 
 def _relative(a, b):

@@ -148,6 +148,23 @@ class TestParseModel:
         with pytest.raises(g.NonSquare):
             g.parse_model(raw)
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[[1, 0], [0, 0]], [[0, 0]]], "terms[0].matrix[1]: row has 1 entries, expected 2"),
+            ([[[1, 0], [0, 0], [0, 0]], [[0, 0]]],
+             "terms[0].matrix[0]: row has 3 entries, expected 2"),
+            ([[[1, 0], [0, 0]], "row"], "terms[0].matrix[1]: row is not a list, expected 2 entries"),
+            ([[[1, 0], [0, 0]]], "terms[0].matrix: matrix has 1 rows, expected 2"),
+        ],
+        ids=["short-second-row", "long-first-row", "not-a-row", "too-few-rows"],
+    )
+    def test_non_square_names_the_first_faulty_row(self, matrix, message):
+        raw = json.dumps({"name": "x", "dim": 2, "terms": [{"order": 0, "matrix": matrix}]})
+        with pytest.raises(g.NonSquare) as exc:
+            g.parse_model(raw)
+        assert str(exc.value) == message
+
     def test_schema_error_carries_path(self):
         raw = json.dumps(
             {
@@ -674,6 +691,16 @@ class TestCli:
         err = _diagnostic(capsys)
         assert err["error"] == "SchemaError"
         assert err["message"].startswith("$: invalid JSON: ")
+
+    def test_short_row_exit_code(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(
+            {"name": "x", "dim": 2, "terms": [{"order": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}]}
+        ))
+        assert main(["verify", "--model", str(model), "--order", "1"]) == 2
+        err = _diagnostic(capsys)
+        assert err["error"] == "NonSquare"
+        assert err["message"] == "terms[0].matrix[1]: row has 1 entries, expected 2"
 
     def test_term_order_bound_exit_code(self, tmp_path, capsys):
         model = tmp_path / "m.json"

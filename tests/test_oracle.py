@@ -7,6 +7,8 @@ import geompert as g
 from geompert.cli import main
 from geompert.corrections import _horner
 from geompert.oracle import (
+    _FD_STEP,
+    _STENCILS,
     RAY_FLOOR,
     RESIDUAL_FLOOR,
     _continued_sweep,
@@ -197,6 +199,38 @@ class TestBlockedSampler:
                 with pytest.raises(type(expected.value)) as got:
                     _continued_sweep(frame, ham, qs, want_vectors)
                 assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("grid", ["origin", "across", "fd-union"])
+    @pytest.mark.parametrize("family", ["random-linear-N4-seed7", "toy-sec5", "seeded-N16"])
+    def test_origin_sample_is_the_frame(self, monkeypatch, family, grid):
+        # H(0) = H_0: LAPACK gets one matrix fewer, and the q = 0 column is the frame
+        if family == "seeded-N16":
+            ham = seeded_quadratic_family(0, 16)
+        else:
+            ham = g.builtin_model(family).to_hamiltonian()
+        qs = {
+            "origin": [0.0],
+            "across": [-0.1, 0.0, 0.1],
+            "fd-union": sorted({o * s for k in _STENCILS for o in _STENCILS[k][0]
+                                for s in (_FD_STEP, _FD_STEP / 2)}),
+        }[grid]
+        origin = qs.index(0.0)
+        frame = g.eigenframe(ham.term(0))
+        for want_vectors in (False, True):
+            name = "eig" if want_vectors else "eigvals"
+            solve, rows = getattr(np.linalg, name), []
+
+            def counted(stack, solve=solve, rows=rows):
+                rows.append(len(stack))
+                return solve(stack)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, name, counted)
+                curve, vectors = _continued_sweep(frame, ham, qs, want_vectors)
+            assert sum(rows) == len(qs) - 1
+            assert curve.values[:, origin].tobytes() == frame.eigenvalues.tobytes()
+            if want_vectors:
+                assert vectors[:, origin, :].tobytes() == frame.right.T.tobytes()
 
     def test_pairs_under_the_frame_threshold(self):
         # the gap 1 - 2q between q and 1 - q is 0.08 at q = 0.46, 0.02 at 0.49

@@ -12,7 +12,7 @@ from geompert.spectral import (
     as_complex_matrix,
     resolve_gap_tol,
 )
-from oracles import reference_normalize_columns
+from oracles import reference_normalize_columns, seeded_quadratic_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -163,6 +163,54 @@ class TestEigenframe:
         monkeypatch.setattr(g.spectral.np.linalg, "inv", lambda a: 1.5 * inv(a))
         with pytest.raises(g.NumericalFailure, match="biorthonormality defect"):
             g.eigenframe(random_matrix(rng, 5))
+
+
+class TestRealFrame:
+    """A real H_0 is diagonalized in real arithmetic, under a Frobenius residual test."""
+
+    def test_conjugate_pair_is_exact(self):
+        frame = g.eigenframe([[0.0, 1.0], [-1.0, 0.0]])
+        assert frame.eigenvalues.dtype == np.complex128
+        assert frame.eigenvalues.tolist() == [-1j, 1j]
+        assert np.array_equal(frame.right[:, 0], frame.right[:, 1].conj())
+        assert np.abs(frame.left @ frame.right - np.eye(2)).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 7, 16])
+    def test_signed_zero_imaginary_part_is_real(self, n):
+        rng = np.random.default_rng(n)
+        h0 = rng.standard_normal((n, n))
+        typed = h0 + 0j
+        typed.imag = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+        real, cplx = g.eigenframe(h0), g.eigenframe(typed)
+        for name in ("eigenvalues", "right", "left"):
+            assert getattr(cplx, name).tobytes() == getattr(real, name).tobytes()
+        assert cplx.min_gap == real.min_gap
+
+    def test_residual_between_frobenius_and_spectral_bounds_rejected(self, monkeypatch):
+        # diag(1, 2, 3, 4): ||H_0||_2 = 4 and ||H_0||_F / sqrt(4) = 2.74, so an
+        # eigenvalue off by 3.5e-10 passes a 2-norm test at 1e-10 and fails this one
+        eig = np.linalg.eig
+
+        def shifted(a):
+            values, vectors = eig(a)
+            return values + np.array([3.5e-10, 0.0, 0.0, 0.0]), vectors
+
+        monkeypatch.setattr(g.spectral.np.linalg, "eig", shifted)
+        h0 = np.diag([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(g.NumericalFailure, match="eigensolver residual"):
+            g.eigenframe(h0)
+
+    @pytest.mark.parametrize(
+        "family", [*g.BUILTIN_MODELS, "seeded-N6", "seeded-N16", "seeded-N64", "seeded-N128"]
+    )
+    def test_correct_frames_pass(self, family):
+        # with a hundredfold headroom under the default tolerance
+        if family.startswith("seeded-N"):
+            h0 = seeded_quadratic_family(0, int(family.removeprefix("seeded-N"))).term(0)
+        else:
+            h0 = g.builtin_model(family).to_hamiltonian().term(0)
+        frame = g.eigenframe(h0, frame_tol=1e-12)
+        assert frame.eigenvalues.dtype == frame.right.dtype == np.complex128
 
 
 class TestDoubleBracket:
