@@ -68,6 +68,8 @@ from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
 from .spectral import (SpectralFrame, as_complex_matrix, double_bracket, eigenframe,
                        require_order, require_state)
 
+_CROSSCHECK_TOL = 1e-10  # the linear cross check's fixed gate
+
 
 @dataclass(frozen=True, eq=False)
 class PerturbationSeries:
@@ -356,7 +358,7 @@ class LinearCrosscheck:
         return self.max_relative_deviation <= self.tolerance
 
 
-def _crosscheck(gens: GeneratorSeries, h1, tolerance: float) -> LinearCrosscheck:
+def _crosscheck(gens: GeneratorSeries, h1) -> LinearCrosscheck:
     """The three routes to h^(1..3) on generators of a linear family solved to
     order >= 2; `h1` is its H_1."""
     frame = gens.frame
@@ -373,14 +375,13 @@ def _crosscheck(gens: GeneratorSeries, h1, tolerance: float) -> LinearCrosscheck
         h1_route=route_c,
         per_state_deviation=per_state,
         max_relative_deviation=float(per_state.max()),
-        tolerance=tolerance,
+        tolerance=_CROSSCHECK_TOL,
     )
 
 
 def crosscheck_linear(
     hamiltonian: PolynomialHamiltonian,
     *,
-    tolerance: float = 1e-10,
     gap_tol: float | None = None,
 ) -> LinearCrosscheck:
     """Compare the three linear-family routes to h^(1..3) for every state."""
@@ -389,4 +390,4 @@ def crosscheck_linear(
             f"expected a linear family (degree 1), got degree {hamiltonian.degree}"
         )
     frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
-    return _crosscheck(solve_generators(hamiltonian, frame, 2), hamiltonian.term(1), tolerance)
+    return _crosscheck(solve_generators(hamiltonian, frame, 2), hamiltonian.term(1))

@@ -38,6 +38,7 @@ GAUGE_CUSTOM_DIAGONAL = "custom-diagonal"
 
 # relative tolerance on the implied-zero diagonal in step (i)
 _CONSISTENCY_RTOL = 1e-10
+_HERMITIAN_TOL = 1e-12  # relative, for `PolynomialHamiltonian.is_hermitian`
 
 
 class PolynomialHamiltonian:
@@ -110,10 +111,10 @@ class PolynomialHamiltonian:
             raise ValueError(f"H(q) is not finite at q = {qs[int(np.argmin(finite))]:.6g}")
         return out
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         scale = max(1.0, max(float(np.abs(m).max()) for m in self._terms))
         return all(
-            float(np.abs(m - m.conj().T).max()) <= tol * scale for m in self._terms
+            float(np.abs(m - m.conj().T).max()) <= _HERMITIAN_TOL * scale for m in self._terms
         )
 
 

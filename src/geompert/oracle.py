@@ -13,7 +13,7 @@ no LAPACK call.  Truncated series are then certified empirically:
   fits every state's slope at once, in closed form (centred least squares
   over each row's points above the noise floor).
 * `fd_eigenvalue_derivatives` estimates h_n^(k) = (1/k!) d^k h_n / dq^k by
-  central differences with one Richardson extrapolation step.
+  central differences at the fixed step `_FD_STEP`, one Richardson step.
 * `state_ray_residual` measures the angle between the truncated eigenvector
   and the exact one, as rays, so gauge and normalization drop out.
 
@@ -26,9 +26,10 @@ bits alone or in a block.
 This module owns every sampling decision of the checks: the grids
 (`_residual_grid`, which the pipeline calls before it builds the frame, and
 the finite-difference stencils), the window rule (`_require_window`, which
-the grid and `series_residual_order` share), the noise floors and the rule
-that a window is below the noise floor.  A sweep pairs under the degeneracy
-threshold its frame records.
+the grid and `series_residual_order` share), the rule that q^K is a finite
+float (`_require_power`, for the window and the ray residuals), the noise
+floors and the rule that a window is below the noise floor.  A sweep pairs
+under the degeneracy threshold its frame records.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -251,6 +252,13 @@ def _fit_block(qs: np.ndarray, residuals: np.ndarray, floor: float) -> list:
     return slopes
 
 
+def _require_power(q, order: int, name: str) -> None:
+    """Raise ValueError naming `name` = q unless q ** order is a finite float."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(q) ** order):
+            raise ValueError(f"{name} = {q!r} overflows a float at order {order}")
+
+
 def _require_window(window: tuple[float, float], points, order: int) -> None:
     """Raise ValueError unless `window` is a finite 0 < q_lo < q_hi whose q_hi ** order, the
     largest power a series of `order` takes there, is a finite float, and `points` samples
@@ -261,9 +269,7 @@ def _require_window(window: tuple[float, float], points, order: int) -> None:
             f"residual window must satisfy finite 0 < q_lo < q_hi, "
             f"got q_lo = {q_lo!r}, q_hi = {q_hi!r}"
         )
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.float64(q_hi) ** order):
-            raise ValueError(f"residual window q_hi = {q_hi!r} overflows a float at order {order}")
+    _require_power(q_hi, order, "residual window q_hi")
     require_count("points", points)
     decades = np.log10(q_hi) - np.log10(q_lo)
     if points / decades < _PER_DECADE - 1e-9:
@@ -342,12 +348,10 @@ _STENCILS = {
 }
 
 
-def _fd_coefficients(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, ks,
-                     step: float = _FD_STEP) -> np.ndarray:
+def _fd_coefficients(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, ks) -> np.ndarray:
     """h^(k) of every state for each k of `ks` (in 1..4), a (len(ks), N) array, from one
-    eigenvalue sweep over the union of their stencils at spacings step and step/2."""
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError("step must be finite and positive")
+    eigenvalue sweep over the union of their stencils at spacings _FD_STEP and _FD_STEP/2."""
+    step = _FD_STEP
     grid = sorted({o * s for k in ks for o in _STENCILS[k][0] for s in (step, step / 2)})
     curve, _ = _continued_sweep(frame, hamiltonian, grid, False)
     column = {float(q): i for i, q in enumerate(curve.qs)}
@@ -365,12 +369,12 @@ def fd_eigenvalue_derivatives(
     hamiltonian: PolynomialHamiltonian,
     n: int,
     k: int,
-    step: float = _FD_STEP,
+    *,
     gap_tol: float | None = None,
 ) -> complex:
     """Finite-difference estimate of the series coefficient h_n^(k).
 
-    Central stencil of second-order accuracy at spacings `step` and step/2,
+    Central stencil of second-order accuracy at spacings `_FD_STEP` and half of it,
     combined by one Richardson extrapolation, divided by k!.  The whole
     stencil must stay inside the non-degenerate region.
     """
@@ -378,7 +382,7 @@ def fd_eigenvalue_derivatives(
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= 4:
         raise ValueError(f"derivative order k must be an integer in 1..4, got {k!r}")
     frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
-    return complex(_fd_coefficients(frame, hamiltonian, (k,), step)[0, n])
+    return complex(_fd_coefficients(frame, hamiltonian, (k,))[0, n])
 
 
 def _rownorm(x: np.ndarray) -> np.ndarray:
@@ -389,11 +393,9 @@ def _ray_residual_block(exact: np.ndarray, corrections: np.ndarray, qs) -> np.nd
     """(S, Q) ray residuals of the truncations of (S, K+1, N) state corrections
     against (S, Q, N) exact eigenvectors, from the projection residual, which
     stays accurate down to roundoff."""
-    try:  # scalar powers: numpy's vector power can differ in the last bit
-        powers = np.array([[q**kk for kk in range(corrections.shape[1])] for q in qs.tolist()])
-    except OverflowError:
-        big, order = max(qs.tolist(), key=abs), corrections.shape[1] - 1
-        raise ValueError(f"q = {big!r} overflows a float at order {order}") from None
+    qs = qs.tolist()  # scalar powers: numpy's vector power can differ in the last bit
+    _require_power(max(qs, key=abs), corrections.shape[1] - 1, "q")
+    powers = np.array([[q**kk for kk in range(corrections.shape[1])] for q in qs])
     truncated = np.zeros_like(exact)
     for kk in range(corrections.shape[1]):
         truncated = truncated + powers[:, kk, None] * corrections[:, None, kk, :]

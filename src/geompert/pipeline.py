@@ -255,7 +255,7 @@ def _check_hermitian(*, hamiltonian, frame, h, kc, **_):
 def _check_linear(*, hamiltonian, gens, **_):
     if hamiltonian.degree != 1:
         return None, {"reason": "family is not linear"}
-    result = _crosscheck(gens, hamiltonian.term(1), tolerance=1e-10)
+    result = _crosscheck(gens, hamiltonian.term(1))
     return result.passed, {
         "max_relative_deviation": result.max_relative_deviation,
         "threshold": result.tolerance,

@@ -18,9 +18,9 @@ A real H0 is diagonalized in real arithmetic (LAPACK's real solver), which
 is faster and returns complex eigenvalues as exact conjugate pairs, the one
 with negative imaginary part first in canonical order.  The eigensolve is
 accepted when the Frobenius residual ||H0 V - V diag(h)||_F is at most
-frame_tol ||H0||_F / sqrt(N); since ||R||_2 <= ||R||_F and ||H0||_F / sqrt(N)
-<= ||H0||_2, this implies the spectral-norm test frame_tol ||H0||_2, without
-two singular value decompositions.
+DEFAULT_FRAME_TOL ||H0||_F / sqrt(N), a fixed gate; since ||R||_2 <= ||R||_F
+and ||H0||_F / sqrt(N) <= ||H0||_2, this implies the spectral-norm test at
+||H0||_2, without two singular value decompositions.
 
 The degeneracy threshold is resolved here and nowhere else: `eigenframe`
 reads it once (argument, else GEOMPERT_GAP_TOL, else the default) and
@@ -57,10 +57,10 @@ _PHASE_TOL = 1e-12
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a square, finite complex128 array."""
+    """Validate and return `a` as a non-empty, square, finite complex128 array."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise NonSquare(f"expected a non-empty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteEntry("matrix contains NaN or infinite entries")
     return arr
@@ -160,8 +160,6 @@ def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
     loop's bits.
     """
     out = np.array(vecs, dtype=np.complex128)
-    if not out.size:
-        return out
     rows = out.T.copy()  # column j as a contiguous row
     re, im = rows.real, rows.imag
     squares = (re[:, None, :] @ re[:, :, None]) + (im[:, None, :] @ im[:, :, None])
@@ -173,19 +171,13 @@ def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigenframe(
-    h0,
-    frame_tol: float = DEFAULT_FRAME_TOL,
-    gap_tol: float | None = None,
-) -> SpectralFrame:
+def eigenframe(h0, *, gap_tol: float | None = None) -> SpectralFrame:
     """Diagonalize `h0` and build its biorthogonal frame.
 
     Parameters
     ----------
     h0 : array_like
-        Square complex matrix with finite entries.
-    frame_tol : float
-        Residual tolerance for the eigensolve and the biorthonormality check.
+        Non-empty square complex matrix with finite entries.
     gap_tol : float, optional
         Relative degeneracy threshold; default from GEOMPERT_GAP_TOL or 1e-8.
 
@@ -196,7 +188,7 @@ def eigenframe(
         radius); the perturbative scheme is invalid there.
     NumericalFailure
         If the eigensolver residual ||H0 V - V diag(h)||_F exceeds
-        `frame_tol` ||H0||_F / sqrt(N), or ||W V - 1|| exceeds `frame_tol`.
+        DEFAULT_FRAME_TOL ||H0||_F / sqrt(N), or ||W V - 1|| exceeds it.
     """
     h0 = as_complex_matrix(h0)
     n = h0.shape[0]
@@ -206,7 +198,7 @@ def eigenframe(
     values = values[order].astype(np.complex128)
     vectors = _normalize_columns(vectors[:, order])
 
-    radius = float(np.max(np.abs(values))) if n else 0.0
+    radius = float(np.max(np.abs(values)))
     gap = min_pairwise_gap(values)
     tol = resolve_gap_tol(gap_tol)
     if gap < tol * max(1.0, radius):
@@ -218,14 +210,14 @@ def eigenframe(
     left = np.linalg.inv(vectors)
 
     # Frobenius norms: a stricter test than the 2-norm one (module docstring)
-    scale = float(np.linalg.norm(h0)) / np.sqrt(max(n, 1))
+    scale = float(np.linalg.norm(h0)) / np.sqrt(n)
     residual = float(np.linalg.norm(h0 @ vectors - vectors * values))
-    if residual > frame_tol * max(scale, np.finfo(float).tiny):
+    if residual > DEFAULT_FRAME_TOL * max(scale, np.finfo(float).tiny):
         raise NumericalFailure(
             f"eigensolver residual {residual:.3e} exceeds tolerance"
         )
     bio = float(np.linalg.norm(left @ vectors - np.eye(n), np.inf))
-    if bio > frame_tol:
+    if bio > DEFAULT_FRAME_TOL:
         raise NumericalFailure(
             f"biorthonormality defect {bio:.3e} exceeds tolerance"
         )

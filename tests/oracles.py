@@ -332,6 +332,40 @@ def reference_eigenvalue_corrections(gens, n, order):
 
 
 # ---------------------------------------------------------------------------
+# the eigen-equation itself, order by order: a certificate of a series block
+# that reads neither the generators nor the frame
+# ---------------------------------------------------------------------------
+
+
+def reference_equation_residual(terms, states, h):
+    """Worst relative residual of H(q)|n(q)> = h_n(q)|n(q)>, order by order.
+
+    For the terms H_j of the family, (K+1, N, N) state blocks S (column n of
+    S^(m) is |n^(m)>) and (K+1, N) corrections h, the order-m residual is
+
+        R_m = sum_j H_j S^(m-j) - sum_i S^(m-i) diag(h^(i)),    m <= K.
+
+    Column n of R_m is taken relative to the size of the terms that cancel in
+    it, sum_j ||H_j||_2 ||S^(m-j)[:, n]|| + sum_i |h_n^(i)| ||S^(m-i)[:, n]||
+    (Kato 1966, ch. II); the worst value over m and n is returned.
+    """
+    norms = [np.linalg.norm(t, 2) for t in terms]
+    lengths = np.linalg.norm(states, axis=1)  # (K+1, N): ||S^(m)[:, n]||
+    worst = 0.0
+    for m in range(len(states)):
+        residual = np.zeros(states.shape[1:], dtype=np.complex128)
+        scale = np.zeros(states.shape[2])
+        for j in range(min(m, len(terms) - 1) + 1):
+            residual += terms[j] @ states[m - j]
+            scale += norms[j] * lengths[m - j]
+        for i in range(m + 1):
+            residual -= states[m - i] * h[i]
+            scale += np.abs(h[i]) * lengths[m - i]
+        worst = max(worst, float(np.max(np.linalg.norm(residual, axis=0) / scale)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # dual Bell words from their defining recursion, applied one word and one
 # letter at a time: the reference for the coefficient table and the
 # grade-stack kernel
@@ -484,9 +518,13 @@ def reference_parse_matrix(raw, dim, path):
     """One decoded model matrix, validated and converted cell by cell."""
     if not isinstance(raw, list):
         raise SchemaError(path, "expected a matrix (list of rows)")
-    if len(raw) != dim or any(not isinstance(r, list) or len(r) != dim for r in raw):
-        shape = f"{len(raw)}x{len(raw[0]) if raw and isinstance(raw[0], list) else '?'}"
-        raise NonSquare(f"{path}: matrix is {shape}, expected {dim}x{dim}")
+    if len(raw) != dim:
+        raise NonSquare(f"{path}: matrix has {len(raw)} rows, expected {dim}")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise NonSquare(f"{path}[{i}]: row is not a list, expected {dim} entries")
+        if len(row) != dim:
+            raise NonSquare(f"{path}[{i}]: row has {len(row)} entries, expected {dim}")
     out = np.zeros((dim, dim), dtype=np.complex128)
     for i, row in enumerate(raw):
         for j, entry in enumerate(row):

@@ -6,11 +6,12 @@ import pytest
 
 import geompert as g
 from geompert.bellpoly import MAX_WORD_GRADE
-from geompert.corrections import _bell_block, _rs_block, _series_block
+from geompert.corrections import _all_block, _bell_block, _rs_block, _series_block
 from oracles import (
     linear_family,
     reference_bell_blocks,
     reference_eigenvalue_corrections,
+    reference_equation_residual,
     reference_rs_closed_forms,
     reference_rs_extended,
     reference_state_corrections,
@@ -203,8 +204,8 @@ class TestBuildSeries:
 
 
 def _relative(a, b):
-    """max|a - b| relative to max(1, max|b|)."""
-    return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+    """Largest |a - b| relative to max(1, |b|), entry by entry."""
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
 
 def _per_column(a, b):
@@ -521,9 +522,34 @@ class TestLinearClosedForms:
             g.rs_linear_corrections(toy_frame, np.eye(3), 0)
 
 
-def _relative(a, b):
-    """Largest |a - b| relative to max(1, |b|), entry by entry."""
-    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+class TestEigenEquationCertificate:
+    """The run's series block solves H(q)|n(q)> = h_n(q)|n(q)> order by order,
+    to roundoff relative to the terms that cancel, and a 1e-8 error in one
+    coefficient does not."""
+
+    GATE = 1e-12
+
+    @pytest.mark.parametrize("order", [3, 12])
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N6", "seeded-N16"])
+    def test_block_certified_and_errors_caught(self, family, order):
+        if family in g.BUILTIN_MODELS:
+            ham = g.builtin_model(family).to_hamiltonian()
+        else:
+            ham = seeded_quadratic_family(0, int(family.removeprefix("seeded-N")))
+        gens = g.solve_generators(ham, g.eigenframe(ham.term(0)), max(order, 2))
+        states, h = _all_block(gens, order)
+        assert reference_equation_residual(ham.terms, states, h) <= self.GATE
+        dim = ham.dim
+        for k in range(4):
+            for n in (0, dim - 1):
+                wrong_h = np.array(h)
+                wrong_h[k, n] += 1e-8 * max(1.0, abs(h[k, n]))
+                assert reference_equation_residual(ham.terms, states, wrong_h) > self.GATE
+                wrong_states = np.array(states)
+                wrong_states[k, (n + 1) % dim, n] += 1e-8 * max(
+                    1.0, float(np.linalg.norm(states[k][:, n]))
+                )
+                assert reference_equation_residual(ham.terms, wrong_states, h) > self.GATE
 
 
 class TestRayleighSchroedingerBlock:

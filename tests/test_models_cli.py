@@ -281,6 +281,24 @@ class TestParseModel:
         assert outcome[0] in (g.SchemaError, g.NonFiniteEntry)
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[[0, 0], [0, 0]]]", ": matrix has 1 rows, expected 2"),
+            ("[[[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]",
+             ": matrix has 3 rows, expected 2"),
+            ("[[[0, 0]], [[0, 0], [0, 0]]]", "[0]: row has 1 entries, expected 2"),
+            ("[[[0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]", "[1]: row has 3 entries, expected 2"),
+            ("[[[0, 0], [0, 0]], 5]", "[1]: row is not a list, expected 2 entries"),
+        ],
+        ids=["few-rows", "many-rows", "short-row", "long-row", "non-list-row"],
+    )
+    def test_matrix_shape_errors_match_cell_loop(self, text, message):
+        outcome = _outcome(_parse_matrix, text)
+        assert outcome == _outcome(reference_parse_matrix, text)
+        assert outcome[0] is g.NonSquare
+        assert outcome[2] == "terms[0].matrix" + message
+
+    @pytest.mark.parametrize(
         "text, reason",
         [
             ("[" * 100_000, "maximum recursion depth"),

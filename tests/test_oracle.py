@@ -459,17 +459,13 @@ class TestFiniteDifferences:
         with pytest.raises(ValueError):
             g.fd_eigenvalue_derivatives(toy, 0, 5)
 
-    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1e-3])
-    def test_rejects_bad_step(self, toy, step):
-        with pytest.raises(ValueError):
-            g.fd_eigenvalue_derivatives(toy, 0, 2, step=step)
-
-    def test_degenerate_stencil_rejected(self):
+    def test_degenerate_stencil_rejected(self, monkeypatch):
         # crossing at q = 0.05 sits inside the default stencil of width 2e-3
         # only if the step is enlarged
+        monkeypatch.setattr(g.oracle, "_FD_STEP", 0.05)
         ham = g.PolynomialHamiltonian([np.diag([0.0, 0.1]), np.diag([1.0, -1.0])])
         with pytest.raises(g.DegenerateSpectrum):
-            g.fd_eigenvalue_derivatives(ham, 0, 1, step=0.05)
+            g.fd_eigenvalue_derivatives(ham, 0, 1)
 
 
 class TestRayResidual:
@@ -643,7 +639,7 @@ class TestSharedSweep:
             ham = g.builtin_model(name).to_hamiltonian()
         frame = g.eigenframe(ham.term(0))
         series = g.build_all_series(g.solve_model(ham, 3), 3)
-        estimates = _fd_coefficients(frame, ham, (1, 2, 3), 1e-3)
+        estimates = _fd_coefficients(frame, ham, (1, 2, 3))
         for k, block in zip((1, 2, 3), estimates):
             for n in range(frame.dim):
                 assert complex(block[n]) == reference_fd_derivative(ham, n, k)

@@ -26,6 +26,18 @@ class TestValidation:
         with pytest.raises(g.NonSquare):
             as_complex_matrix(np.zeros((3, 2)))
 
+    def test_empty_family_rejected_where_it_enters(self):
+        empty = np.zeros((0, 0))
+        for build in (g.eigenframe, lambda m: g.PolynomialHamiltonian([m])):
+            with pytest.raises(g.NonSquare, match="non-empty"):
+                build(empty)
+        doc = g.ModelDocument("empty", [empty])
+        for checks in (ALL_CHECKS, {"residual_order"}):
+            with pytest.raises(g.PipelineError) as err:
+                run_pipeline(doc, 3, checks)
+            assert err.value.stage == "validate"
+            assert isinstance(err.value.__cause__, g.NonSquare)
+
     def test_rejects_non_finite(self):
         bad = np.eye(2, dtype=complex)
         bad[0, 1] = np.nan
@@ -152,10 +164,11 @@ class TestEigenframe:
             frame = g.eigenframe(h0)
             assert np.abs(frame.left - frame.right.conj().T).max() < 1e-10
 
-    def test_unreachable_residual_tolerance(self, rng):
+    def test_unreachable_residual_tolerance(self, rng, monkeypatch):
         # residual postconditions are enforced, not assumed
+        monkeypatch.setattr(g.spectral, "DEFAULT_FRAME_TOL", 1e-18)
         with pytest.raises(g.NumericalFailure):
-            g.eigenframe(random_matrix(rng, 5), frame_tol=1e-18)
+            g.eigenframe(random_matrix(rng, 5))
 
     def test_biorthonormality_defect_rejected(self, rng, monkeypatch):
         # dual rows that are not V^-1 fail the W V = 1 postcondition
@@ -203,13 +216,14 @@ class TestRealFrame:
     @pytest.mark.parametrize(
         "family", [*g.BUILTIN_MODELS, "seeded-N6", "seeded-N16", "seeded-N64", "seeded-N128"]
     )
-    def test_correct_frames_pass(self, family):
+    def test_correct_frames_pass(self, family, monkeypatch):
         # with a hundredfold headroom under the default tolerance
+        monkeypatch.setattr(g.spectral, "DEFAULT_FRAME_TOL", 1e-12)
         if family.startswith("seeded-N"):
             h0 = seeded_quadratic_family(0, int(family.removeprefix("seeded-N"))).term(0)
         else:
             h0 = g.builtin_model(family).to_hamiltonian().term(0)
-        frame = g.eigenframe(h0, frame_tol=1e-12)
+        frame = g.eigenframe(h0)
         assert frame.eigenvalues.dtype == frame.right.dtype == np.complex128
 
 
