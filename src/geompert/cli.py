@@ -13,9 +13,10 @@ geompert models list | export NAME
 
 Exit codes: 0 pass, 1 report verdict fail, 2 bad input (usage, schema,
 malformed matrices, a model or output path that cannot be read or written,
-a missing or unknown `models export` name), 3 degenerate spectrum,
-4 numerical/oracle failure.  Every failure but a usage error prints one JSON
-line to stderr (`_fail`), with the stage of one raised inside a stage.
+a missing or unknown `models export` name, a request too large to
+allocate), 3 degenerate spectrum, 4 numerical/oracle failure.  Every
+failure but a usage error prints one JSON line to stderr (`_fail`), with
+the stage of one raised inside a stage.
 The GEOMPERT_GAP_TOL environment variable (a decimal string) overrides the
 degeneracy threshold; a value that is not finite and positive exits 2.
 """
@@ -102,6 +103,7 @@ _FAILURES = {
     FileNotFoundError: (EXIT_BAD_INPUT, "FileNotFound"),
     OSError: (EXIT_BAD_INPUT, None),  # reading the model, creating or writing the output
     ValueError: (EXIT_BAD_INPUT, "ValueError"),
+    MemoryError: (EXIT_BAD_INPUT, "MemoryError"),  # a request too large to allocate
     (SchemaError, NonSquare, NonFiniteEntry): (EXIT_BAD_INPUT, None),
     DegenerateSpectrum: (EXIT_DEGENERATE, None),
     GeompertError: (EXIT_NUMERICAL, None),
@@ -144,7 +146,7 @@ def main(argv=None) -> int:
         if verify:
             sys.stdout.write(report_json(report))
         return EXIT_PASS if report.passed else EXIT_VERDICT_FAIL
-    except (OSError, ValueError, GeompertError) as exc:
+    except (OSError, ValueError, MemoryError, GeompertError) as exc:
         return _fail(exc)
 
 

@@ -89,7 +89,8 @@ class PerturbationSeries:
 def _horner(coeffs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Truncations sum_k qs^k coeffs[s, k] of (S, K+1) coefficients at every
     sample, shape (S, len(qs)), by Horner's rule step for step as np.polyval.
-    Every truncated series in the package is evaluated here."""
+    Every truncated eigenvalue series is evaluated here; the truncated states
+    of `oracle._ray_residual_block` are summed by powers of q instead."""
     out = np.zeros_like(qs)
     for c in coeffs[:, ::-1].T:
         out = out * qs + c[:, None]

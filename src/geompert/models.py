@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteEntry, NonSquare, SchemaError
 from .generators import PolynomialHamiltonian
+from .spectral import is_integer
 
 # the highest term order a document may hold, since parse_model builds every
 # order below it; every CLI command runs the route check, which caps the
@@ -145,11 +146,7 @@ def parse_model(text) -> ModelDocument:
     for key in raw:
         _require(key in allowed, f"$.{key}", "unknown field")
     _require("name" in raw and isinstance(raw["name"], str), "$.name", "expected a string")
-    _require(
-        "dim" in raw and isinstance(raw["dim"], int) and not isinstance(raw["dim"], bool),
-        "$.dim",
-        "expected an integer",
-    )
+    _require(is_integer(raw.get("dim")), "$.dim", "expected an integer")
     dim = raw["dim"]
     _require(dim >= 1, "$.dim", "must be a positive integer")
     _require("terms" in raw and isinstance(raw["terms"], list), "$.terms", "expected a list")
@@ -160,13 +157,7 @@ def parse_model(text) -> ModelDocument:
         _require(isinstance(term, dict), path, "expected an object")
         for key in term:
             _require(key in {"order", "matrix"}, f"{path}.{key}", "unknown field")
-        _require(
-            "order" in term
-            and isinstance(term["order"], int)
-            and not isinstance(term["order"], bool),
-            f"{path}.order",
-            "expected an integer",
-        )
+        _require(is_integer(term.get("order")), f"{path}.order", "expected an integer")
         order = term["order"]
         _require(order >= 0, f"{path}.order", "must be non-negative")
         _require(order <= MAX_TERM_ORDER, f"{path}.order", f"must be at most {MAX_TERM_ORDER}")

@@ -28,8 +28,12 @@ This module owns every sampling decision of the checks: the grids
 the finite-difference stencils), the window rule (`_require_window`, which
 the grid and `series_residual_order` share), the rule that q^K is a finite
 float (`_require_power`, for the window and the ray residuals), the noise
-floors and the rule that a window is below the noise floor.  A sweep pairs
-under the degeneracy threshold its frame records.
+floors and the rule that a window is below the noise floor.  The pipeline's
+floors are measured: `_residual_slopes` compares its sweep with the
+permutation twin P H(q) P^T at three samples, and takes 10 times each
+state's noise, never less than RESIDUAL_FLOOR or RAY_FLOOR, the constant
+floors of the public views.  A sweep pairs under the degeneracy threshold
+its frame records.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -53,7 +57,8 @@ import numpy as np
 from .corrections import PerturbationSeries, _horner, _rowdot
 from .errors import DegenerateSpectrum, PairingAmbiguous, ResidualUnderflow
 from .generators import PolynomialHamiltonian
-from .spectral import SpectralFrame, eigenframe, require_count, require_order, require_state
+from .spectral import (SpectralFrame, eigenframe, is_integer, require_count, require_order,
+                       require_state)
 
 # residuals below this are roundoff, not signal
 RESIDUAL_FLOOR = 1e-14
@@ -63,6 +68,8 @@ _MIN_FIT_POINTS = 5
 # the fewest samples per decade of a window that a slope fit is given
 _PER_DECADE = 8
 _MARGIN_FACTOR = 2.0
+# a measured noise floor is this many times the noise
+_NOISE_FACTOR = 10.0
 # finite-difference spacing; the stencil also samples at half of it
 _FD_STEP = 1e-3
 
@@ -238,9 +245,10 @@ def log_log_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(_centred_slopes(x, y, np.ones(y.shape, dtype=bool))[0])
 
 
-def _fit_block(qs: np.ndarray, residuals: np.ndarray, floor: float) -> list:
+def _fit_block(qs: np.ndarray, residuals: np.ndarray, floor) -> list:
     """Log-log slope of each row of residuals (S, Q) over its points at or
-    above `floor`; None for a row with fewer than five such points."""
+    above `floor`, one float or each row's (S, 1); None for a row with fewer
+    than five such points."""
     usable = residuals >= floor
     rows = np.flatnonzero(usable.sum(axis=1) >= _MIN_FIT_POINTS)
     mask = usable[rows]
@@ -292,18 +300,38 @@ def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarra
 def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
                      states: np.ndarray, h: np.ndarray, qs: np.ndarray):
     """Eigenvalue and ray slopes of every state for a (K+1, N, N) state block and (K+1, N)
-    corrections, from one eigenvector sweep over the grid `qs` (a `_residual_grid`), and
-    whether the grid is below the noise floor: every |q_hi^k h_n^(k)|, k >= 1, under
-    RESIDUAL_FLOOR at its last sample q_hi, some h_n^(k) not 0, and no eigenvalue slope."""
+    corrections, from one eigenvector sweep over the grid `qs` (a `_residual_grid`) and fitted
+    above each state's noise floors; those value and ray floors (N,); and whether the grid
+    is below the noise floor: every |q_hi^k h_n^(k)|, k >= 1, under its state's value floor,
+    some h_n^(k) not 0, and no eigenvalue slope.
+
+    The noise is measured against the permutation twin P H(q) P^T, P the index reversal,
+    which has the same eigenpairs under other roundoff, at the grid's first, middle and
+    last samples: a state's value noise is its largest |E - E_twin|, its ray noise the
+    largest sine between its two eigenvectors.  A floor is `_NOISE_FACTOR` times the noise,
+    and at least RESIDUAL_FLOOR (values) or RAY_FLOOR (rays), since an exactly computed
+    family has no twin noise."""
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
+    picked = [0, qs.size // 2, qs.size - 1]
+    # the twin's eigenvalues pair with the sweep's as one sample pairs with the next
+    twin_values, twin_vectors = np.linalg.eig(hamiltonian.at_block(qs[picked])[:, ::-1, ::-1])
+    picks, _ = _pair_block(curve.values[:, picked].T, twin_values, qs[picked], frame.gap_tol)
+    value_noise = np.abs(curve.values[:, picked].T - np.take_along_axis(twin_values, picks, 1))
+    # undo P on the twin's vectors; each (state, sample) is one row, the twin's vector its
+    # order-0 series
+    twin = np.take_along_axis(twin_vectors[:, ::-1, :], picks[:, None, :], 2).transpose(2, 0, 1)
+    rows = (-1, 1, frame.dim)
+    sines = _ray_residual_block(vectors[:, picked].reshape(rows), twin.reshape(rows), np.ones(1))
+    value_floors = np.maximum(_NOISE_FACTOR * value_noise.max(axis=0), RESIDUAL_FLOOR)
+    ray_floors = np.maximum(_NOISE_FACTOR * sines.reshape(frame.dim, -1).max(axis=1), RAY_FLOOR)
     rays = _ray_residual_block(vectors, states.transpose(2, 0, 1), curve.qs)
     residuals = np.abs(curve.values - _horner(h.T, curve.qs))
-    value_slopes = _fit_block(curve.qs, residuals, RESIDUAL_FLOOR)
-    ray_slopes = _fit_block(curve.qs, rays, RAY_FLOOR)
+    value_slopes = _fit_block(curve.qs, residuals, value_floors[:, None])
+    ray_slopes = _fit_block(curve.qs, rays, ray_floors[:, None])
     reach = np.abs(h[1:]) * float(curve.qs[-1]) ** np.arange(1.0, len(h))[:, None]
-    blind = bool(np.any(h[1:] != 0) and reach.max(initial=0.0) < RESIDUAL_FLOOR
+    blind = bool(np.any(h[1:] != 0) and np.all(reach.max(axis=0) < value_floors)
                  and all(s is None for s in value_slopes))
-    return value_slopes, ray_slopes, blind
+    return value_slopes, ray_slopes, value_floors.tolist(), ray_floors.tolist(), blind
 
 
 def series_residual_order(
@@ -379,7 +407,7 @@ def fd_eigenvalue_derivatives(
     stencil must stay inside the non-degenerate region.
     """
     n = require_state(n, hamiltonian.dim)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= 4:
+    if not is_integer(k) or not 1 <= k <= 4:
         raise ValueError(f"derivative order k must be an integer in 1..4, got {k!r}")
     frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
     return complex(_fd_coefficients(frame, hamiltonian, (k,))[0, n])

@@ -12,10 +12,12 @@ grid (validating the residual window up front, before the frame) and owns
 every noise floor and finite-difference stencil.  The residual window is its
 grid: the check reads the window's ends from the grid's pinned first and
 last samples.  Every check is one line of the `_CHECKS` table, in report
-order; it returns whether it passed (None when skipped) and its entry, and
-`run_pipeline` loops the table and derives every status in one place.  Reports
-are deterministic for fixed input and flags; the timestamp and the per-stage
-timings live in the metadata block, never in the comparison payload.
+order; it builds its entry first and decides from the entry's own values and
+thresholds, so a reported threshold is the one applied.  It returns whether
+it passed (None when skipped) and its entry, and `run_pipeline` loops the
+table and derives every status in one place.  Reports are deterministic for
+fixed input and flags; the timestamp and the per-stage timings live in the
+metadata block, never in the comparison payload.
 Reports are strict JSON, written by one writer with one `isinstance` chain;
 a non-finite float raises ValueError rather than being written.
 """
@@ -150,15 +152,15 @@ def sweep_csv(report: Report) -> str:
 def _stage(name: str, timings: dict):
     """Tag errors with the stage, record its elapsed ms in `timings`.
 
-    A library error is wrapped in a PipelineError; a ValueError or OSError
-    keeps its type and gains a `stage` attribute.
+    A library error is wrapped in a PipelineError; a ValueError, OSError or
+    MemoryError keeps its type and gains a `stage` attribute.
     """
     start = time.perf_counter()
     try:
         yield
     except GeompertError as exc:
         raise PipelineError(name, exc) from exc
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         exc.stage = name
         raise
     finally:
@@ -171,69 +173,66 @@ def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b).max(axis=-2) / scale))
 
 
-# each check reads the run's values it names and returns (ok, entry): ok is
-# None for a skipped check, and run_pipeline writes the status in front of
-# the entry's keys
+# each check reads the run's values it names, builds its entry and decides from
+# the entry's own values and thresholds; it returns (ok, entry), ok None for a
+# skipped check, and run_pipeline writes the status in front of the entry's keys
 def _check_hierarchy(*, hamiltonian, gens, **_):
-    residuals = hierarchy_residuals(hamiltonian, gens)
-    stacks = (hamiltonian.terms, gens.k0, gens.k1)
-    scale = max(1.0, *(float(np.abs(np.stack(s)).max()) for s in stacks))
-    worst = float(residuals.max())
-    return worst <= 1e-11 * scale, {
-        "max_residual": worst,
+    mats = (*hamiltonian.terms, *gens.k0, *gens.k1)
+    scale = max(1.0, *(float(np.abs(m).max()) for m in mats))
+    entry = {
+        "max_residual": float(hierarchy_residuals(hamiltonian, gens).max()),
         "scale": scale,
         "threshold": 1e-11 * scale,
     }
+    return entry["max_residual"] <= entry["threshold"], entry
 
 
 def _check_routes(*, gens, states, h, order: int, **_):
     cols = np.arange(gens.frame.dim)
     bell, hb = _series_block(gens, cols, order, _bell_block(gens, cols, order))
-    state_dev = _worst_relative(states, bell)
-    value_dev = _worst_relative(h, hb)
-    return state_dev <= 1e-12 and value_dev <= 1e-11, {
-        "state_route_deviation": state_dev,
+    entry = {
+        "state_route_deviation": _worst_relative(states, bell),
         "state_threshold": 1e-12,
-        "eigenvalue_route_deviation": value_dev,
+        "eigenvalue_route_deviation": _worst_relative(h, hb),
         "eigenvalue_threshold": 1e-11,
     }
+    return (entry["state_route_deviation"] <= entry["state_threshold"]
+            and entry["eigenvalue_route_deviation"] <= entry["eigenvalue_threshold"]), entry
 
 
 def _check_residual_order(*, hamiltonian, frame, states, h, kc, residual_qs, **_):
-    value_slopes, ray_slopes, blind = _residual_slopes(
+    value_slopes, ray_slopes, value_floors, ray_floors, blind = _residual_slopes(
         frame, hamiltonian, states[: kc + 1], h[: kc + 1], residual_qs
     )
-    threshold = kc + 0.8
-    # a state without a slope has too few residuals above the noise floor:
-    # it is better than required, unless no residual can reach the floor
-    ok = not blind and not any(
-        s is not None and s < threshold for s in value_slopes + ray_slopes
-    )
-    return ok, {
+    entry = {
         **({"reason": "window below the noise floor"} if blind else {}),
         "order_checked": kc,
-        "threshold": threshold,
+        "threshold": kc + 0.8,
         "eigenvalue_slopes": value_slopes,
         "ray_slopes": ray_slopes,
+        "eigenvalue_floors": value_floors,
+        "ray_floors": ray_floors,
         "window": [float(residual_qs[0]), float(residual_qs[-1])],
     }
+    # a state without a slope has too few residuals above its noise floor:
+    # it is better than required, unless no residual can reach the floor
+    slopes = entry["eigenvalue_slopes"] + entry["ray_slopes"]
+    low = any(s is not None and s < entry["threshold"] for s in slopes)
+    return "reason" not in entry and not low, entry
 
 
 def _check_fd(*, hamiltonian, frame, h, kc, **_):
-    ks = range(1, kc + 1)
-    estimates = _fd_coefficients(frame, hamiltonian, ks)
-    rows = []
-    for n in range(frame.dim):
-        for k, estimate in zip(ks, estimates):
-            ref = complex(h[k, n])
-            dev = abs(complex(estimate[n]) - ref) / max(1.0, abs(ref))
-            rows.append({"n": n, "k": k, "deviation": dev})
-    worst = max([0.0] + [row["deviation"] for row in rows])
-    return worst <= 1e-5, {
-        "max_deviation": worst,
+    ref = h[1 : kc + 1]
+    diff = _fd_coefficients(frame, hamiltonian, range(1, kc + 1)) - ref
+    # hypot is Python's abs(complex) bit for bit; numpy's complex abs is not
+    devs = np.hypot(diff.real, diff.imag) / np.maximum(1.0, np.hypot(ref.real, ref.imag))
+    rows = devs.T.ravel().tolist()  # state-major: row i is n, k - 1 = divmod(i, kc)
+    entry = {
+        "max_deviation": float(devs.max()),
         "threshold": 1e-5,
-        "entries": rows,
+        "entries": [{"n": i // kc, "k": i % kc + 1, "deviation": d} for i, d in enumerate(rows)],
     }
+    return entry["max_deviation"] <= entry["threshold"], entry
 
 
 def _check_hermitian(*, hamiltonian, frame, h, kc, **_):
@@ -245,21 +244,24 @@ def _check_hermitian(*, hamiltonian, frame, h, kc, **_):
     terms = [v.conj().T @ t @ v for t in hamiltonian.terms[1:]]
     textbook = _rs_block(terms, frame.eigenvalues, kc)
     dev = float(np.max(np.abs(h[: kc + 1] - textbook) / np.maximum(1.0, np.abs(textbook))))
-    return bool(np.all(excess <= 0)) and dev <= 1e-10, {
+    entry = {
         "worst_imag_excess": max(float(excess.max()), 0.0),
         "textbook_deviation": dev,
         "textbook_threshold": 1e-10,
     }
+    return (entry["worst_imag_excess"] <= 0.0
+            and entry["textbook_deviation"] <= entry["textbook_threshold"]), entry
 
 
 def _check_linear(*, hamiltonian, gens, **_):
     if hamiltonian.degree != 1:
         return None, {"reason": "family is not linear"}
     result = _crosscheck(gens, hamiltonian.term(1))
-    return result.passed, {
+    entry = {
         "max_relative_deviation": result.max_relative_deviation,
         "threshold": result.tolerance,
     }
+    return entry["max_relative_deviation"] <= entry["threshold"], entry
 
 
 def _check_gauge(*, hamiltonian, frame, states, h, kc, **_):
@@ -271,14 +273,13 @@ def _check_gauge(*, hamiltonian, frame, states, h, kc, **_):
     ]
     shifted = solve_generators(hamiltonian, frame, kc - 1, k0_diagonals=diags)
     shifted_states, h_shifted = _all_block(shifted, kc)
-    value_dev = _worst_relative(h[: kc + 1], h_shifted)
-    state_change = float(np.abs(shifted_states[1] - states[1]).max())
-    return value_dev <= 1e-10, {
-        "eigenvalue_deviation": value_dev,
+    entry = {
+        "eigenvalue_deviation": _worst_relative(h[: kc + 1], h_shifted),
         "threshold": 1e-10,
-        "state_correction_change": state_change,
+        "state_correction_change": float(np.abs(shifted_states[1] - states[1]).max()),
         "gauge": shifted.gauge,
     }
+    return entry["eigenvalue_deviation"] <= entry["threshold"], entry
 
 
 # every check, in report order

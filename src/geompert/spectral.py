@@ -81,28 +81,32 @@ def resolve_gap_tol(gap_tol: float | None = None) -> float:
     return tol
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_state(n, dim: int) -> int:
     """`n` as a state index: an integer 0 <= n < dim (a bool is not one).
 
     Raises IndexError naming `n` and `dim`, so a negative index never wraps
     around to another state.
     """
-    integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-    if not (integral and 0 <= n < dim):
+    if not (is_integer(n) and 0 <= n < dim):
         raise IndexError(f"state index n = {n!r} must be an integer with 0 <= n < N = {dim}")
     return int(n)
 
 
 def require_count(name: str, value) -> None:
     """Raise ValueError naming `name` unless `value` is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def require_order(order, most: int | None = None) -> int:
     """`order` as a series order: an integer >= 0 (not a bool), else ValueError naming
     `order`, and at most `most`, the highest order the input supports, else InsufficientOrder."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+    if not is_integer(order):
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 0:
         raise ValueError("order must be non-negative")

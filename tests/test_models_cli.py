@@ -110,6 +110,17 @@ FAILURE_ROWS = {
                    3, "DegenerateSpectrum", "eigenframe"),
     "pairing": ({}, ["sweep", "--model", "toy-sec5", "--q-max", "0.1", "--points", "4",
                      "--out", "{tmp}/out"], 4, "PairingAmbiguous", "sweep"),
+    "memory-grid": ({}, ["verify", "--model", "toy-sec5", "--order", "3"],
+                    2, "MemoryError", None),
+    "memory-sweep": ({}, ["sweep", "--model", "toy-sec5", "--q-max", "1", "--points", "4",
+                          "--out", "{tmp}/out"], 2, "MemoryError", "sweep"),
+}
+# the pipeline function a row replaces, and what the replacement raises: a
+# failure no small input reaches (an allocation failure is never provoked)
+RAISED_BY = {
+    "pairing": ("_continued_sweep", g.PairingAmbiguous("no unambiguous match")),
+    "memory-grid": ("_residual_grid", MemoryError("Unable to allocate 7.45 GiB")),
+    "memory-sweep": ("_continued_sweep", MemoryError("Unable to allocate 7.45 GiB")),
 }
 
 
@@ -656,11 +667,13 @@ class TestCli:
         files, argv, code, error, stage = FAILURE_ROWS[row]
         for name, text in files.items():
             (tmp_path / name).write_text(text)
-        if error == "PairingAmbiguous":
-            def ambiguous(*_args, **_kwargs):
-                raise g.PairingAmbiguous("no unambiguous match")
+        if row in RAISED_BY:
+            name, exc = RAISED_BY[row]
 
-            monkeypatch.setattr(g.pipeline, "_continued_sweep", ambiguous)
+            def raise_it(*_args, **_kwargs):
+                raise exc
+
+            monkeypatch.setattr(g.pipeline, name, raise_it)
         assert main([a.format(tmp=tmp_path) for a in argv]) == code
         err = _diagnostic(capsys)
         assert err["error"] == error

@@ -5,7 +5,7 @@ import pytest
 
 import geompert as g
 from geompert.cli import main
-from geompert.corrections import _horner
+from geompert.corrections import _all_block, _horner
 from geompert.oracle import (
     _FD_STEP,
     _STENCILS,
@@ -598,6 +598,35 @@ class TestWindowBelowFloor:
         assert all(s is None for s in check["eigenvalue_slopes"] + check["ray_slopes"])
 
 
+class TestMeasuredFloors:
+    """`residual_order` fits each state above floors measured against the
+    permutation twin P H(q) P^T, never below the constant floors."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_seeded_families_pass_at_the_fixed_gate(self, n):
+        report = run_pipeline(_model(f"seeded-N{n}"), 3, {"residual_order"})
+        check = report.checks["residual_order"]
+        assert check["status"] == "pass" and check["threshold"] == 3 + 0.8
+        assert len(check["eigenvalue_floors"]) == len(check["ray_floors"]) == n
+        assert min(check["eigenvalue_floors"]) >= RESIDUAL_FLOOR
+        assert min(check["ray_floors"]) >= RAY_FLOOR
+        # the eigensolver's roundoff lies above the constant floor here
+        assert max(check["eigenvalue_floors"]) > RESIDUAL_FLOOR
+
+    def test_a_gross_error_still_fails(self, monkeypatch):
+        def wrong_h2(gens, order):
+            states, h = _all_block(gens, order)
+            h = h.copy()
+            h[2, 0] *= 1 + 1e-2
+            return states, h
+
+        monkeypatch.setattr(g.pipeline, "_all_block", wrong_h2)
+        check = run_pipeline(_model("seeded-N16"), 3, {"residual_order"}).checks["residual_order"]
+        assert check["status"] == "fail"
+        assert check["eigenvalue_slopes"][0] < check["threshold"]
+        assert all(s >= check["threshold"] for s in check["eigenvalue_slopes"][1:])
+
+
 class TestSharedSweep:
     """Each check diagonalizes its grid once for all states, from one frame,
     and reads the run's one generator solve and one series block."""
@@ -677,8 +706,9 @@ class TestSharedSweep:
 
     @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6", "seeded-N16"])
     def test_public_views_match_pipeline(self, name):
-        # seeded N = 16 FAILs `verify` (ROADMAP item 1); the views still
-        # reproduce every entry of the failing report
+        # seeded N = 16 FAILs `verify` (ROADMAP item 1(b)); the views still
+        # reproduce every entry of the failing report.  The report fits above
+        # the floors it measured, the public slope above RESIDUAL_FLOOR.
         order, q_lo, q_hi, points = 3, 1e-4, 1e-2, 25
         doc = _model(name)
         ham = doc.to_hamiltonian()
@@ -692,14 +722,19 @@ class TestSharedSweep:
                 ref = complex(s.eigenvalue_corrections[k])
                 dev = abs(g.fd_eigenvalue_derivatives(ham, n, k) - ref) / max(1.0, abs(ref))
                 assert next(entries) == {"n": n, "k": k, "deviation": dev}
+        check = report.checks["residual_order"]
         qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
         curve = g.exact_spectrum_sweep(ham, qs)
         for n, s in enumerate(series):
+            truncation = np.array([s.eigenvalue_at(q) for q in qs.tolist()])
+            residual = np.abs(curve.values[n] - truncation)[None]
+            slope = _fit_block(qs, residual, check["eigenvalue_floors"][n])[0]
+            assert check["eigenvalue_slopes"][n] == slope
             try:
-                slope = g.series_residual_order(curve, s, n, order, (q_lo, q_hi))
+                public = g.series_residual_order(curve, s, n, order, (q_lo, q_hi))
             except g.ResidualUnderflow:
-                slope = None
-            assert report.checks["residual_order"]["eigenvalue_slopes"][n] == slope
+                public = None
+            assert public == _fit_block(qs, residual, RESIDUAL_FLOOR)[0]
             rays = g.state_ray_residual(ham, s, n, order, qs)
-            slope = _fit_block(qs, rays[None], RAY_FLOOR)[0]
-            assert report.checks["residual_order"]["ray_slopes"][n] == slope
+            slope = _fit_block(qs, rays[None], check["ray_floors"][n])[0]
+            assert check["ray_slopes"][n] == slope
