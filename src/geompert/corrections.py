@@ -31,12 +31,22 @@ In the frame both tables are read off the coefficients, for n = cols[c]:
 each T entry one dot product of length N, so that h^(k) = (T[k-1, 0] +
 sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k touches only vectors of length
 len(cols), and no step depends on the order: a lower order's block is a
-prefix of a higher one's, bit for bit.  The same contraction runs on the
-recursion's coefficients (production) and on the Bell blocks (cross
-check), which stay in the computational basis, read the views
-`GeneratorSeries.k0`, and are mapped into the frame by one stacked W S; the
-two routes must agree to roundoff.  Diagonal gauge choices for K_0 change
-the state corrections but drop out of h_n^(k) identically.
+prefix of a higher one's, bit for bit.  T is formed only on the triangle
+j + m <= order - 1 that h reads, one anti-diagonal per order.  The same
+contraction runs on the recursion's coefficients (production) and on the
+Bell blocks (cross check), which stay in the computational basis, read the
+views `GeneratorSeries.k0`, and are mapped into the frame by one stacked
+W S; the two routes must agree to roundoff.  Diagonal gauge choices for K_0
+change the state corrections but drop out of h_n^(k) identically.
+
+Each order is a few stacked numpy calls, not one per term: the recursion's
+products K_0^(j-1) C^(k-j) are one stacked matmul and their sum one reduce,
+each h^(k) is the sum of one stacked term array, and each stored Bell grade
+is scaled by one multiply and summed by one reduce.  Every sum runs in the
+order of the per-term loop it replaces, under the two rules stated in
+`generators` (one BLAS call per stacked item; a reduce over a leading axis
+that is never the inner loop, as real pairs), so the blocks are the loop's
+bit for bit.
 
 Production series come from one all-state block per solve: `_all_block`
 keeps the read-only block of the highest order requested on the
@@ -106,42 +116,59 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
     """The block kernel: state blocks S^(0..order) and h^(0..order) of `cols`.
 
-    The recursion runs on the frame coefficients C^(k) = W S^(k), from
-    C^(0) = I[:, cols], and S = V C is formed once at the end.  `states`
-    supplies computational-basis blocks instead (the Bell route); the
-    contraction reads only W S^(0..order-1).  Returns the (order + 1, N, m)
-    state blocks and the (order + 1, m) eigenvalue corrections.
+    `cols` indexes the states: a slice (every state is `slice(None)`, read
+    without copying the K_1 rows) or an index array.  The recursion runs on
+    the frame coefficients C^(k) = W S^(k), from C^(0) = I[:, cols], and
+    S = V C is formed once at the end.  `states` supplies computational-basis
+    blocks instead (the Bell route); the contraction reads only
+    W S^(0..order-1).  Each order is one stacked product and one reduce in
+    the order of the sum.  Returns the (order + 1, N, m) state blocks and the
+    (order + 1, m) eigenvalue corrections.
     """
     order = require_order(order, gens.order + 1)  # corrections of order K read K_0^(K-1)
     frame = gens.frame
-    k0f, m = gens._k0f, len(cols)
+    k0f, idx = gens._k0f, np.arange(frame.dim)[cols]
+    m = len(idx)
     if states is None:
         coeffs = np.zeros((order + 1, frame.dim, m), dtype=np.complex128)
-        coeffs[0, cols, np.arange(m)] = 1.0
+        coeffs[0, idx, np.arange(m)] = 1.0
+        terms = np.empty((order, frame.dim, m), dtype=np.complex128)
         for k in range(1, order + 1):
-            last = k0f[k - 1][:, cols]  # the j = k term K_0^(k-1) C^(0): a column slice
-            if k == 1:
-                acc = last
-            else:
-                acc = k0f[0] @ coeffs[k - 1]
-                for j in range(2, k):
-                    acc += k0f[j - 1] @ coeffs[k - j]
-                acc += last
-            coeffs[k] = (-1j / k) * acc
+            # K_0^(j-1) C^(k-j) for j = 1..k-1, then the j = k term K_0^(k-1) C^(0),
+            # a column slice: summed in that order
+            if k > 1:
+                np.matmul(k0f[: k - 1], coeffs[k - 1 : 0 : -1], out=terms[: k - 1])
+            terms[k - 1] = k0f[k - 1][:, cols]
+            np.multiply(-1j / k, _sum(terms[:k], out=coeffs[k]), out=coeffs[k])
         states = frame.right @ coeffs
     else:
         coeffs = frame.left @ states[:order]
     h = np.zeros((order + 1, m), dtype=np.complex128)
-    h[0] = frame.eigenvalues[cols]
-    # pair[j, i, c] = [[K_1^(j)]][cols[c], :] . C^(i)[:, c], overlap[i, c] = C^(i)[cols[c], c]
-    pair = _rowdot(gens._k1f[:order, cols][:, None], coeffs[None, :order].transpose(0, 1, 3, 2))
-    overlap = coeffs[:order, cols, np.arange(m)]
+    h[0] = frame.eigenvalues[idx]
+    # pair(j, i)[c] = [[K_1^(j)]][cols[c], :] . C^(i)[:, c], read for j + i <= order - 1
+    # only: the order-k terms are pair(k-1, 0), then pair(j-1, k-j) - j h^(j)
+    # overlap[k-j] for j = 1..k-1, where overlap[i, c] = C^(i)[cols[c], c] is
+    # stored reversed so that every term array is contiguous
+    rows, columns = gens._k1f[:order, cols], coeffs[:order].transpose(0, 2, 1)
+    reverse = np.ascontiguousarray(coeffs[order - 1 :: -1, idx, np.arange(m)])
+    weights = np.arange(1, order, dtype=np.complex128)[:, None]
+    terms = np.empty((order, m), dtype=np.complex128)
     for k in range(1, order + 1):
-        acc = pair[k - 1, 0].copy()
-        for j in range(1, k):
-            acc += pair[j - 1, k - j] - j * h[j] * overlap[k - j]
-        h[k] = acc / k
+        pair = _rowdot(rows[:k], columns[k - 1 :: -1])  # pair(j, k-1-j), j = 0..k-1
+        terms[0] = pair[k - 1]
+        if k > 1:
+            np.multiply(weights[: k - 1] * h[1:k], reverse[order - k : order - 1], out=terms[1:k])
+            np.subtract(pair[: k - 1], terms[1:k], out=terms[1:k])
+        np.divide(_sum(terms[:k], out=h[k]), k, out=h[k])
     return states, h
+
+
+def _sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """terms[0] + terms[1] + ... in that order, into `out` if given, viewed as
+    real pairs so that the summed axis is never numpy's inner loop (see the
+    module docstring)."""
+    real = None if out is None else out.view(np.float64)
+    return np.add.reduce(terms.view(np.float64), axis=0, out=real).view(np.complex128)
 
 
 def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
@@ -163,40 +190,48 @@ def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
     per-grade sums would make this route a second copy of the recursion, not
     a check of it; its only independent content is the word combinatorics.
     The time therefore grows like 2^order N^2 m.  Memory: the stacks of
-    grades < order hold 2^(order-1) blocks of N x m, and one first-letter
-    chunk of at most 2^(order-2) more is scaled and summed at a time, about
+    grades < order hold 2^(order-1) blocks of N x m.  A chunk of
+    1 + 2^(order-2) more takes each stored grade's scaled words at once (one
+    multiply, one reduce) and the last grade's in two runs, about
     3 * 2^(order-2) N m complex numbers in all (200 MB at N = m = 64,
     order 12).
     """
     order = require_word_grade(require_order(order, gens.order + 1))
-    symbols = [None] + [factorial(a - 1) * -1j * gens.k0[a - 1] for a in range(1, order + 1)]
+    # symbols[a - 1] = P_a, every letter scaled in one call
+    weights = np.array([factorial(a - 1) * -1j for a in range(1, order + 1)])
+    symbols = weights.reshape(-1, 1, 1) * np.array(gens.k0[:order], dtype=np.complex128)
     v0 = gens.frame.right[:, cols]
     stacks = [v0[None]]  # grade 0: the identity word
-    # chunk[0] carries the running sum, chunk[1:] one first letter's terms
+    # chunk[0] carries the running sum; chunk[1:] takes a stored grade's scaled
+    # words, or holds the last grade's words until the next first letter's
+    # would not fit (twice per grade: a = 1, then a = 2..k)
     chunk = np.empty((1 + 2 ** max(order - 2, 0), *v0.shape), dtype=np.complex128)
     out = [v0]
     for k in range(1, order + 1):
-        coefficients = dual_bell_coefficients(k)
-        words = np.empty((2 ** (k - 1), *v0.shape), dtype=np.complex128) if k < order else None
-        total = np.zeros_like(v0)
-        start = 0
+        coefficients = dual_bell_coefficients(k)[:, None, None]
+        words = np.empty((2 ** (k - 1), *v0.shape), dtype=np.complex128) if k < order else chunk[1:]
+        chunk[0] = 0.0
+        start = done = 0  # words done..start-1 wait in `words`, from its front
         for a in range(1, k + 1):
-            stop = start + stacks[k - a].shape[0]
-            terms = chunk[1 : 1 + stop - start]
-            target = terms if words is None else words[start:stop]
-            np.matmul(symbols[a], stacks[k - a], out=target)
-            np.multiply(target, coefficients[start:stop, None, None], out=terms)
-            chunk[0] = total
-            # sum as real pairs: one word axis that is never the inner loop
-            # keeps numpy's reduction sequential (a 1 x 1 block would go pairwise)
-            total = np.add.reduce(chunk[: 1 + stop - start].view(np.float64), axis=0).view(
-                np.complex128
-            )
+            stop = start + len(stacks[k - a])
+            if stop - done > len(words):  # the last grade only
+                _add_scaled(chunk, words[: start - done], coefficients[done:start])
+                done = start
+            np.matmul(symbols[a - 1], stacks[k - a], out=words[start - done : stop - done])
             start = stop
-        if words is not None:
+        _add_scaled(chunk, words[: start - done], coefficients[done:start])
+        if k < order:
             stacks.append(words)
-        out.append(total / factorial(k))
+        out.append(chunk[0] / factorial(k))
     return np.stack(out)
+
+
+def _add_scaled(chunk: np.ndarray, words: np.ndarray, coefficients: np.ndarray) -> None:
+    """chunk[0] += coefficients[w] words[w] for each word w in order, through
+    chunk[1:] (which `words` may be)."""
+    count = len(words)
+    np.multiply(words, coefficients, out=chunk[1 : 1 + count])
+    chunk[0] = _sum(chunk[: 1 + count])
 
 
 def _all_block(gens: GeneratorSeries, order: int):
@@ -211,7 +246,7 @@ def _all_block(gens: GeneratorSeries, order: int):
     order = require_order(order, gens.order + 1)
     block = gens._block
     if block is None or order >= len(block[1]):
-        block = _series_block(gens, np.arange(gens.frame.dim), order)
+        block = _series_block(gens, slice(None), order)
         for a in block:
             a.setflags(write=False)
         object.__setattr__(gens, "_block", block)
@@ -305,6 +340,39 @@ def _rs_block(terms, h: np.ndarray, order: int) -> np.ndarray:
         out[k] = np.diag(x)
         coeffs.append(inv * (x - sum(coeffs[k - i] * out[i] for i in range(1, k))))
     return out
+
+
+def _equation_residuals(terms, states: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Relative residuals (K + 1, m) of H(q)|n(q)> = h_n(q)|n(q)>, order by order.
+
+    For the terms H_j of the family, the (K + 1, N, m) state blocks S (column
+    c of S^(k) is |n^(k)>) and the (K + 1, m) corrections h, entry [k, c] is
+    the 2-norm of column c of
+
+        R_k = sum_j H_j S^(k-j) - sum_i S^(k-i) diag(h^(i)),
+
+    over the size of the terms that cancel in it, sum_t w_t ||S^(k-t)_c||
+    with w_t = ||H_t||_2 + |h_c^(t)| (H_t = 0 past the degree; Kato 1966,
+    ch. II), and 0 where every term is 0.  It reads neither the generators
+    nor the frame, and no gauge of the states moves it.  The products
+    H_j S^(k) are one stacked matmul, the 2-norms one stacked SVD, and the
+    Cauchy sums shifted slice updates, one per term order.
+    """
+    size = len(states)
+    terms = np.array(terms[:size])  # a term of order above K enters no R_k
+    products = terms[:, None] @ states[None]  # H_j S^(k)
+    weights = np.abs(h)
+    weights[: len(terms)] += np.linalg.svd(terms, compute_uv=False)[:, :1]  # ||H_t||_2
+    lengths = np.linalg.norm(states, axis=1)  # ||S^(k)_c||
+    residual, scale = products[0], np.zeros_like(lengths)
+    for j in range(1, len(terms)):
+        residual[j:] += products[j, : size - j]
+    shifted = np.empty_like(residual)
+    for t in range(size):
+        residual[t:] -= np.multiply(states[: size - t], h[t], out=shifted[: size - t])
+        scale[t:] += weights[t] * lengths[: size - t]
+    gaps = np.linalg.norm(residual, axis=1)
+    return np.divide(gaps, scale, out=np.zeros_like(gaps), where=scale > 0)
 
 
 def rs_linear_corrections(

@@ -17,10 +17,23 @@ order ell into elementwise arithmetic in the eigenframe of H_0 (where
         but never eigenvalues).
 
 Each order only consumes strictly lower orders, so the sweep is a single
-forward pass.  The solved coefficients stay in the frame, as two
-(order + 1, N, N) stacks that the series kernel reads directly; the
-computational-basis matrices V K W are formed only when a consumer reads
-`GeneratorSeries.k0` or `.k1`, with one stacked product per stack.
+forward pass.  The solved coefficients stay in the frame, as one
+(2, order + 1, N, N) stack (K_0, then K_1) that the series kernel reads
+directly; the computational-basis matrices V K W are formed only when a
+consumer reads `GeneratorSeries.k0` or `.k1`, with one stacked product.
+
+Each order takes all its commutators [A_a, K^(ell-a)] of both stacks from
+one stacked product pair and sums them in one reduce, and keeps the bits of
+one product and one addition per term.  Two rules make that hold, here and
+in the series kernel (`corrections`):
+
+  - a stacked `np.matmul` makes one BLAS call per item, the call the item's
+    product makes alone, so the items are never widened into one GEMM;
+  - `np.add.reduce` over a leading stack axis adds the items one after
+    another only while that axis is not numpy's inner loop; a complex stack
+    of single numbers (a 1 x 1 family, one state) is summed pairwise, so
+    every stack is reduced as real pairs (`.view(np.float64)`).  A sum that
+    starts from zero keeps the zero: 0 - c is +0 where -c is -0.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ GAUGE_CUSTOM_DIAGONAL = "custom-diagonal"
 # relative tolerance on the implied-zero diagonal in step (i)
 _CONSISTENCY_RTOL = 1e-10
 _HERMITIAN_TOL = 1e-12  # relative, for `PolynomialHamiltonian.is_hermitian`
+_CHUNK_ENTRIES = 8192  # matrix entries per stack in one chunk of `hierarchy_residuals`
 
 
 class PolynomialHamiltonian:
@@ -122,13 +136,14 @@ class PolynomialHamiltonian:
 class GeneratorSeries:
     """Solved generator coefficients K_0^(j), K_1^(j), j = 0..order.
 
-    `k0` and `k1` are tuples of read-only computational-basis matrices;
-    `gauge` records how the residual diagonal freedom of K_0 was fixed.  The
-    series kernel reads the frame stacks `_k0f`, `_k1f` ((order + 1, N, N),
-    entries [[K]] = W K V).  A solve fills those and forms `k0`/`k1` on
-    first read, one stacked V K W per stack, cached; a race may recompute
-    them but never returns a partial tuple.  Direct construction (and
-    `dataclasses.replace`) takes `k0`/`k1` and forms the stacks once.
+    `k0` and `k1` are tuples of read-only computational-basis matrices, the
+    items of the stack `_kc` ((2, order + 1, N, N): K_0 then K_1); `gauge`
+    records how the residual diagonal freedom of K_0 was fixed.  The series
+    kernel reads the frame stack `_kf` of the same shape (entries
+    [[K]] = W K V), as `_k0f` and `_k1f`.  A solve fills that and forms `_kc`
+    and the tuples on first read, one stacked V K W, cached; a race may
+    recompute them but never returns a partial tuple.  Direct construction
+    (and `dataclasses.replace`) takes `k0`/`k1` and forms both stacks once.
     `_block` holds the series block of the highest order requested
     (`corrections._all_block`); every construction starts it empty.
     """
@@ -139,8 +154,8 @@ class GeneratorSeries:
     gauge: str
     frame: SpectralFrame
     _block: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _k0f: np.ndarray = field(init=False, repr=False, compare=False)
-    _k1f: np.ndarray = field(init=False, repr=False, compare=False)
+    _kf: np.ndarray = field(init=False, repr=False, compare=False)
+    _kc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.frame.dim
@@ -151,32 +166,34 @@ class GeneratorSeries:
                     f"{name} must hold order + 1 = {self.order + 1} matrices of shape "
                     f"({n}, {n}), got {[np.shape(m) for m in mats]}"
                 )
-        w, v = self.frame.left, self.frame.right
-        object.__setattr__(self, "_k0f", _frozen(w @ np.stack(self.k0) @ v))
-        object.__setattr__(self, "_k1f", _frozen(w @ np.stack(self.k1) @ v))
+        stack = _frozen(np.array([self.k0, self.k1], dtype=np.complex128))
+        object.__setattr__(self, "_kc", stack)
+        object.__setattr__(self, "_kf", _frozen(self.frame.left @ stack @ self.frame.right))
 
     @classmethod
-    def _from_frame(cls, order, k0f, k1f, gauge, frame) -> GeneratorSeries:
-        """A series over the frame stacks, its `k0`/`k1` not yet formed."""
+    def _from_frame(cls, order, kf, gauge, frame) -> GeneratorSeries:
+        """A series over the frame stack `kf`, its `k0`/`k1` not yet formed."""
         gens = object.__new__(cls)
-        gens.__dict__.update(
-            order=order, gauge=gauge, frame=frame, _block=None,
-            _k0f=_frozen(k0f), _k1f=_frozen(k1f),
-        )
+        gens.__dict__.update(order=order, gauge=gauge, frame=frame, _block=None, _kf=_frozen(kf))
         return gens
 
+    @property
+    def _k0f(self) -> np.ndarray:
+        return self._kf[0]
+
+    @property
+    def _k1f(self) -> np.ndarray:
+        return self._kf[1]
+
     def __getattr__(self, name):
-        # reached only while `k0`/`k1` are not yet set: form the view once
-        if name not in ("k0", "k1"):
+        # reached only while `_kc` is not yet set: form it and the tuples once
+        if name not in ("k0", "k1", "_kc"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        stack = self._k0f if name == "k0" else self._k1f
-        view = tuple(_frozen(self.frame.right @ stack @ self.frame.left))
-        object.__setattr__(self, name, view)
-        return view
-
-
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+        stack = _frozen(self.frame.right @ self._kf @ self.frame.left)
+        object.__setattr__(self, "k0", tuple(stack[0]))
+        object.__setattr__(self, "k1", tuple(stack[1]))
+        object.__setattr__(self, "_kc", stack)
+        return getattr(self, name)
 
 
 def solve_generators(
@@ -230,42 +247,61 @@ def solve_generators(
     delta = h[:, None] - h[None, :]
     np.fill_diagonal(delta, 1.0)  # off-diagonal use only: the diagonals are overwritten
 
-    # frame representation of each Hamiltonian coefficient (zeros past degree)
+    # frame representation of each Hamiltonian coefficient
     ah = [double_bracket(frame, m) for m in hamiltonian.terms]
-    ah += [np.zeros((n, n), dtype=np.complex128)] * (order + 2 - len(ah))
-    ah_max = [float(np.abs(m).max(initial=0.0)) for m in ah[: degree + 1]]
+    ah_max = [float(np.abs(m).max(initial=0.0)) for m in ah]
+    terms = np.array(ah[1:]).reshape(degree, n, n)  # A_1..A_p
+    # the drives (ell + 1) [[H_{ell+1}]] of the K_1 diagonal, zero past the degree
+    drive = np.zeros((max(order + 1, degree), n), dtype=np.complex128)
+    drive[:degree] = np.arange(1, degree + 1)[:, None] * terms.diagonal(axis1=1, axis2=2)
 
-    k0f = np.empty((order + 1, n, n), dtype=np.complex128)
-    k1f = np.empty((order + 1, n, n), dtype=np.complex128)
+    # kf[0] is the K_0 stack, kf[1] the K_1 stack, `diagonals` views their
+    # diagonals; implied[ell] is the diagonal of step (i)'s right-hand side
+    kf = np.empty((2, order + 1, n, n), dtype=np.complex128)
+    diagonals = kf.reshape(2, order + 1, n * n)[..., :: n + 1]
+    implied = np.empty((order + 1, n), dtype=np.complex128)
+    # comm[s, 0] = 0 and comm[s, a] = [A_a, K_s^(ell-a)]; ka holds K A
+    comm = np.zeros((2, degree + 1, n, n), dtype=np.complex128)
+    ka = np.empty((2, degree, n, n), dtype=np.complex128)
     for ell in range(order + 1):
         amax = min(degree, ell)
+        # every commutator of the order from one stacked product pair
+        lower = kf[:, ell - amax : ell][:, ::-1]  # K^(ell-1), ..., K^(ell-amax)
+        np.matmul(terms[:amax], lower, out=comm[:, 1 : amax + 1])
+        np.matmul(lower, terms[:amax], out=ka[:, :amax])
+        np.subtract(comm[:, 1 : amax + 1], ka[:, :amax], out=comm[:, 1 : amax + 1])
+        # 0 - c_1 - c_2 - ... and 0 + c_1 + c_2 + ..., each in order (module docstring)
+        rhs1 = np.subtract.reduce(comm[1, : amax + 1].view(np.float64), axis=0)
+        comm0 = np.add.reduce(comm[0, : amax + 1].view(np.float64), axis=0)
+        rhs1, comm0 = rhs1.view(np.complex128), comm0.view(np.complex128)
 
-        rhs1 = np.zeros((n, n), dtype=np.complex128)
-        scale1 = 1.0
-        for a in range(1, amax + 1):
-            rhs1 -= _commutator(ah[a], k1f[ell - a])
-            scale1 = max(scale1, ah_max[a] * float(np.abs(k1f[ell - a]).max(initial=0.0)))
-        worst = float(np.abs(np.diag(rhs1)).max(initial=0.0))
-        if worst > _CONSISTENCY_RTOL * scale1:
-            raise ConsistencyFailure(
-                f"order {ell}: commuting-part equation has nonzero diagonal "
-                f"{worst:.3e} (scale {scale1:.3e})"
-            )
-        k1 = np.divide(rhs1, delta, out=k1f[ell])
+        implied[ell] = rhs1.diagonal()
+        k1 = np.divide(rhs1, delta, out=kf[1, ell])
+        diagonals[1, ell] = drive[ell] - 1j * comm0.diagonal()
 
-        comm0 = np.zeros((n, n), dtype=np.complex128)
-        for a in range(1, amax + 1):
-            comm0 += _commutator(ah[a], k0f[ell - a])
-        np.fill_diagonal(
-            k1, (ell + 1) * np.diag(ah[ell + 1]) - 1j * np.diag(comm0)
+        rhs0 = 1j * k1
+        if ell < degree:  # i (ell + 1) [[H_{ell+1}]]; past the degree, subtracting 0 is exact
+            rhs0 -= 1j * (ell + 1) * terms[ell]
+        rhs0 -= comm0
+        np.divide(rhs0, delta, out=kf[0, ell])
+        diagonals[0, ell] = 0.0 if diags is None else diags[ell]
+
+    # step (i)'s implied zero, for every order at once: each order's scale is
+    # the largest max|[[H_a]]| max|K_1^(ell-a)|, at least 1
+    worst = np.abs(implied).max(axis=1)
+    k1_max = np.abs(kf[1]).max(axis=(1, 2))
+    scale = np.ones(order + 1)
+    for a in range(1, degree + 1):
+        np.fmax(scale[a:], ah_max[a] * k1_max[: order + 1 - a], out=scale[a:])
+    failed = np.flatnonzero(worst > _CONSISTENCY_RTOL * scale)
+    if failed.size:
+        ell = failed[0]
+        raise ConsistencyFailure(
+            f"order {ell}: commuting-part equation has nonzero diagonal "
+            f"{worst[ell]:.3e} (scale {scale[ell]:.3e})"
         )
-
-        rhs0 = 1j * k1 - 1j * (ell + 1) * ah[ell + 1] - comm0
-        k0 = np.divide(rhs0, delta, out=k0f[ell])
-        np.fill_diagonal(k0, 0.0 if diags is None else diags[ell])
-
     return GeneratorSeries._from_frame(
-        order, k0f, k1f, GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL, frame
+        order, kf, GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL, frame
     )
 
 
@@ -292,18 +328,30 @@ def hierarchy_residuals(
 
     (max of the two).  Both vanish to roundoff for a valid solution, and are
     insensitive to diagonal (gauge) shifts of K_0 that commute with H_0.
-    Each H_a adds one stacked commutator to all orders' defects, a = 0, 1, ...
+    The orders are taken in chunks of at most `_CHUNK_ENTRIES` matrix entries
+    (all of them up to N = 16, two at N = 64), so that a chunk's buffers stay
+    in cache; within a chunk each H_a adds one stacked commutator of both
+    stacks to every order's defects, a = 0, 1, ...
     """
     if hamiltonian.dim != gens.frame.dim:
         raise DimensionMismatch("Hamiltonian and generator dimensions differ")
     size = gens.order + 1
-    k0, k1 = np.stack(gens.k0), np.stack(gens.k1)
-    d0, d1 = -1j * k1, np.zeros_like(k1)
+    kc = gens._kc
+    n = gens.frame.dim
+    # d[0], d[1]: the defects of the K_0 and the K_1 equation
+    d = np.zeros_like(kc)
+    np.multiply(-1j, kc[1], out=d[0])
     for ell, term in enumerate(hamiltonian.terms[1 : size + 1]):
-        d0[ell] += 1j * (ell + 1) * term  # H_{ell+1}: none past the degree
-    for a, term in enumerate(hamiltonian.terms[:size]):
-        for d, k in ((d0, k0), (d1, k1)):
-            comm = term @ k[: size - a]
-            comm -= k[: size - a] @ term
-            d[a:] += comm
-    return np.maximum(np.abs(d0).max(axis=(1, 2)), np.abs(d1).max(axis=(1, 2)))
+        d[0, ell] += 1j * (ell + 1) * term  # H_{ell+1}: none past the degree
+    chunk = min(size, max(1, _CHUNK_ENTRIES // (n * n)))
+    comm, ka = np.empty((2, 2, chunk, n, n), dtype=np.complex128)
+    for lo in range(0, size, chunk):
+        hi = min(size, lo + chunk)
+        for a, term in enumerate(hamiltonian.terms[:hi]):
+            first = max(lo, a)  # orders first..hi-1 read K^(first-a..hi-1-a)
+            lower, products = kc[:, first - a : hi - a], comm[:, : hi - first]
+            np.matmul(term, lower, out=products)
+            np.matmul(lower, term, out=ka[:, : hi - first])
+            products -= ka[:, : hi - first]
+            d[:, first:hi] += products
+    return np.abs(d).max(axis=(2, 3)).max(axis=0)

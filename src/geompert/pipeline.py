@@ -40,6 +40,7 @@ from .corrections import (
     _all_block,
     _bell_block,
     _crosscheck,
+    _equation_residuals,
     _horner,
     _rs_block,
     _series_block,
@@ -177,7 +178,7 @@ def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
 # the entry's own values and thresholds; it returns (ok, entry), ok None for a
 # skipped check, and run_pipeline writes the status in front of the entry's keys
 def _check_hierarchy(*, hamiltonian, gens, **_):
-    mats = (*hamiltonian.terms, *gens.k0, *gens.k1)
+    mats = (*hamiltonian.terms, gens._kc)
     scale = max(1.0, *(float(np.abs(m).max()) for m in mats))
     entry = {
         "max_residual": float(hierarchy_residuals(hamiltonian, gens).max()),
@@ -188,8 +189,8 @@ def _check_hierarchy(*, hamiltonian, gens, **_):
 
 
 def _check_routes(*, gens, states, h, order: int, **_):
-    cols = np.arange(gens.frame.dim)
-    bell, hb = _series_block(gens, cols, order, _bell_block(gens, cols, order))
+    every = slice(None)
+    bell, hb = _series_block(gens, every, order, _bell_block(gens, every, order))
     entry = {
         "state_route_deviation": _worst_relative(states, bell),
         "state_threshold": 1e-12,
@@ -198,6 +199,18 @@ def _check_routes(*, gens, states, h, order: int, **_):
     }
     return (entry["state_route_deviation"] <= entry["state_threshold"]
             and entry["eigenvalue_route_deviation"] <= entry["eigenvalue_threshold"]), entry
+
+
+def _check_equation(*, hamiltonian, states, h, **_):
+    relative = _equation_residuals(hamiltonian.terms, states, h)
+    order, state = np.unravel_index(int(np.argmax(relative)), relative.shape)
+    entry = {
+        "max_relative_residual": float(relative[order, state]),
+        "threshold": 1e-12,
+        "state": int(state),
+        "order": int(order),
+    }
+    return entry["max_relative_residual"] <= entry["threshold"], entry
 
 
 def _check_residual_order(*, hamiltonian, frame, states, h, kc, residual_qs, **_):
@@ -286,6 +299,7 @@ def _check_gauge(*, hamiltonian, frame, states, h, kc, **_):
 _CHECKS = {
     "hierarchy": _check_hierarchy,
     "route_equivalence": _check_routes,
+    "equation_residual": _check_equation,
     "residual_order": _check_residual_order,
     "fd_concordance": _check_fd,
     "hermitian_reduction": _check_hermitian,
@@ -293,7 +307,7 @@ _CHECKS = {
     "gauge_invariance": _check_gauge,
 }
 ALL_CHECKS = frozenset(_CHECKS)
-FAST_CHECKS = frozenset({"hierarchy", "route_equivalence"})
+FAST_CHECKS = frozenset({"hierarchy", "route_equivalence", "equation_residual"})
 
 
 def run_pipeline(

@@ -300,6 +300,77 @@ def reference_hierarchy_residuals(hamiltonian, gens):
 
 
 # ---------------------------------------------------------------------------
+# the generator solve and the block kernel one product and one addition per
+# term: the references that the stacked kernels must equal bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_generator_stacks(hamiltonian, frame, order, k0_diagonals=None):
+    """The frame stacks (K_0, K_1), each (order + 1, N, N), of the hierarchy
+    solved with one commutator, one accumulation and one max|K_1^(l)| per
+    (order, term)."""
+    n, degree = frame.dim, hamiltonian.degree
+    h = frame.eigenvalues
+    delta = h[:, None] - h[None, :]
+    np.fill_diagonal(delta, 1.0)
+    ah = [double_bracket(frame, m) for m in hamiltonian.terms]
+    ah += [np.zeros((n, n), dtype=np.complex128)] * (order + 2 - len(ah))
+    k0f = np.empty((order + 1, n, n), dtype=np.complex128)
+    k1f = np.empty((order + 1, n, n), dtype=np.complex128)
+    for ell in range(order + 1):
+        rhs1 = np.zeros((n, n), dtype=np.complex128)
+        comm0 = np.zeros((n, n), dtype=np.complex128)
+        for a in range(1, min(degree, ell) + 1):
+            rhs1 -= ah[a] @ k1f[ell - a] - k1f[ell - a] @ ah[a]
+        k1 = np.divide(rhs1, delta, out=k1f[ell])
+        for a in range(1, min(degree, ell) + 1):
+            comm0 += ah[a] @ k0f[ell - a] - k0f[ell - a] @ ah[a]
+        np.fill_diagonal(k1, (ell + 1) * np.diag(ah[ell + 1]) - 1j * np.diag(comm0))
+        rhs0 = 1j * k1 - 1j * (ell + 1) * ah[ell + 1] - comm0
+        k0 = np.divide(rhs0, delta, out=k0f[ell])
+        np.fill_diagonal(k0, 0.0 if k0_diagonals is None else k0_diagonals[ell])
+    return k0f, k1f
+
+
+def reference_series_block(gens, cols, order, states=None):
+    """State blocks and h^(0..order) of the columns `cols` (an index array),
+    as the block kernel computes them, one product and one addition per term:
+    the transport recursion on the frame coefficients, the full contraction
+    table [[K_1^(j)]][cols[c], :] . C^(i)[:, c] from a copy of the K_1 rows,
+    and h^(k) accumulated term by term."""
+    frame, m = gens.frame, len(cols)
+    k0f = gens._k0f
+    if states is None:
+        coeffs = np.zeros((order + 1, frame.dim, m), dtype=np.complex128)
+        coeffs[0, cols, np.arange(m)] = 1.0
+        for k in range(1, order + 1):
+            last = k0f[k - 1][:, cols]  # the j = k term K_0^(k-1) C^(0): a column slice
+            if k == 1:
+                acc = last
+            else:
+                acc = k0f[0] @ coeffs[k - 1]
+                for j in range(2, k):
+                    acc += k0f[j - 1] @ coeffs[k - j]
+                acc += last
+            coeffs[k] = (-1j / k) * acc
+        states = frame.right @ coeffs
+    else:
+        coeffs = frame.left @ states[:order]
+    h = np.zeros((order + 1, m), dtype=np.complex128)
+    h[0] = frame.eigenvalues[cols]
+    rows = gens._k1f[:order, cols]  # (order, m, N)
+    columns = coeffs[:order].transpose(0, 2, 1)  # (order, m, N)
+    pair = (rows[:, None, :, None, :] @ columns[None, :, :, :, None])[..., 0, 0]
+    overlap = coeffs[:order, cols, np.arange(m)]
+    for k in range(1, order + 1):
+        acc = pair[k - 1, 0].copy()
+        for j in range(1, k):
+            acc += pair[j - 1, k - j] - j * h[j] * overlap[k - j]
+        h[k] = acc / k
+    return states, h
+
+
+# ---------------------------------------------------------------------------
 # per-state series loops, one state at a time: the reference for the block
 # kernel, which reorders the same sums
 # ---------------------------------------------------------------------------

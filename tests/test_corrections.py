@@ -6,7 +6,14 @@ import pytest
 
 import geompert as g
 from geompert.bellpoly import MAX_WORD_GRADE
-from geompert.corrections import _all_block, _bell_block, _rs_block, _series_block
+from geompert.corrections import (
+    _all_block,
+    _bell_block,
+    _equation_residuals,
+    _rs_block,
+    _series_block,
+)
+from geompert.pipeline import run_pipeline
 from oracles import (
     linear_family,
     reference_bell_blocks,
@@ -14,6 +21,7 @@ from oracles import (
     reference_equation_residual,
     reference_rs_closed_forms,
     reference_rs_extended,
+    reference_series_block,
     reference_state_corrections,
     seeded_quadratic_family,
     textbook_rs_corrections,
@@ -522,6 +530,67 @@ class TestLinearClosedForms:
             g.rs_linear_corrections(toy_frame, np.eye(3), 0)
 
 
+def _family(name):
+    if name in g.BUILTIN_MODELS:
+        return g.builtin_model(name).to_hamiltonian()
+    return seeded_quadratic_family(0, int(name.removeprefix("seeded-N")))
+
+
+class TestStackedSeriesKernel:
+    """The series kernel makes each order's products in one stacked matmul,
+    sums them and each h^(k)'s terms in one reduce, and forms the contraction
+    table on the triangle it reads: its blocks are the per-term loop's bit for
+    bit, for every column or one (where a complex sum of single numbers would
+    go pairwise), on the recursion and on the Bell route."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 12])
+    @pytest.mark.parametrize(
+        "family", [*g.BUILTIN_MODELS, "seeded-N1", "seeded-N6", "seeded-N16", "seeded-N64"]
+    )
+    def test_blocks_are_the_per_term_loop(self, family, order):
+        ham = _family(family)
+        frame = g.eigenframe(ham.term(0))
+        rng = np.random.default_rng(order)
+        custom = [
+            0.5 * (rng.standard_normal(ham.dim) + 1j * rng.standard_normal(ham.dim))
+            for _ in range(order + 1)
+        ]
+        for diags in (None, custom):
+            gens = g.solve_generators(ham, frame, order, k0_diagonals=diags)
+            for cols in (np.arange(ham.dim), np.array([ham.dim - 1])):
+                # order + 1 reads K_0^(order), the highest the solve holds
+                for a, b in zip(_series_block(gens, cols, order + 1),
+                                reference_series_block(gens, cols, order + 1)):
+                    # bytes compare signs of zero too
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            states, h = _all_block(gens, order + 1)
+            ref_states, ref_h = reference_series_block(gens, np.arange(ham.dim), order + 1)
+            assert states.tobytes() == ref_states.tobytes() and h.tobytes() == ref_h.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 12])
+    @pytest.mark.parametrize(
+        "family", [*g.BUILTIN_MODELS, "seeded-N1", "seeded-N6", "seeded-N16", "seeded-N64"]
+    )
+    def test_bell_routes_are_the_per_term_loop(self, family, order):
+        ham = _family(family)
+        gens = g.solve_model(ham, order)
+        n = ham.dim - 1
+        words = reference_bell_blocks(gens, [n], order + 1)
+        for a, b in zip(g.state_corrections_bell(gens, n, order + 1), words, strict=True):
+            assert a.tobytes() == b[:, 0].tobytes()
+        expected = reference_series_block(gens, [n], order + 1, np.stack(words[: order + 1]))[1]
+        got = g.eigenvalue_corrections_bell(gens, n, order + 1)
+        assert got.tobytes() == expected[:, 0].tobytes()
+        if ham.dim <= 16:  # every column: 3 * 2^(K-2) N^2 complex numbers
+            cols = np.arange(ham.dim)
+            bell = _bell_block(gens, cols, order + 1)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(bell, reference_bell_blocks(gens, cols, order + 1)))
+            for a, b in zip(_series_block(gens, slice(None), order + 1, bell),
+                            reference_series_block(gens, cols, order + 1, bell)):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestEigenEquationCertificate:
     """The run's series block solves H(q)|n(q)> = h_n(q)|n(q)> order by order,
     to roundoff relative to the terms that cancel, and a 1e-8 error in one
@@ -550,6 +619,67 @@ class TestEigenEquationCertificate:
                     1.0, float(np.linalg.norm(states[k][:, n]))
                 )
                 assert reference_equation_residual(ham.terms, wrong_states, h) > self.GATE
+
+
+class TestEquationResidualCheck:
+    """The FAST check `equation_residual` is the certificate above, run on the
+    pipeline's block: it PASSes correct series through order 18, names its
+    worst entry, and FAILs one wrong coefficient injected in the kernel."""
+
+    GATE = 1e-12
+
+    @staticmethod
+    def _run(family, order):
+        doc = g.ModelDocument(family, list(_family(family).terms))
+        return run_pipeline(doc, order, {"equation_residual"}).checks["equation_residual"]
+
+    @pytest.mark.parametrize("order", [1, 3, 12, 18])
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16", "seeded-N64"])
+    def test_passes_correct_series(self, family, order):
+        entry = self._run(family, order)
+        assert list(entry) == ["status", "max_relative_residual", "threshold", "state", "order"]
+        assert entry["status"] == "pass" and entry["threshold"] == self.GATE
+        ham = _family(family)
+        states, h = _all_block(g.solve_model(ham, max(order, 2)), order)
+        relative = _equation_residuals(ham.terms, states, h)
+        assert relative.shape == (order + 1, ham.dim)
+        assert relative[entry["order"], entry["state"]] == relative.max()
+        assert entry["max_relative_residual"] == relative.max()
+        # the reference sums each scale in another order: roundoff apart
+        reference = reference_equation_residual(ham.terms, states, h)
+        assert entry["max_relative_residual"] == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("order", [3, 12])
+    @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16"])
+    def test_fails_one_wrong_coefficient(self, family, order, monkeypatch):
+        dim = _family(family).dim
+        original = g.corrections._series_block
+
+        def wrong_h(k, n):
+            def inject(states, h):
+                h[k, n] += 1e-8 * max(1.0, abs(h[k, n]))
+            return inject
+
+        def wrong_state(k, n):
+            # an entry off the state's own row: not along |n^(0)>, the gauge direction
+            def inject(states, h):
+                size = max(1.0, float(np.linalg.norm(states[k][:, n])))
+                states[k, (n + 1) % dim, n] += 1e-8 * size
+            return inject
+
+        # h^(k) for k <= 3: a 1e-8 error in a high order can read below the gate
+        cases = [wrong_h(k, n) for k in range(4) for n in (0, dim - 1)]
+        cases += [wrong_state(k, n) for k in range(order + 1) for n in (0, dim - 1)]
+        for inject in cases:
+            def kernel(*args, inject=inject):
+                states, h = (a.copy() for a in original(*args))
+                inject(states, h)
+                return states, h
+
+            monkeypatch.setattr(g.corrections, "_series_block", kernel)
+            entry = self._run(family, order)
+            assert entry["status"] == "fail"
+            assert entry["max_relative_residual"] > 5 * self.GATE
 
 
 class TestRayleighSchroedingerBlock:

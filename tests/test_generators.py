@@ -12,6 +12,7 @@ from oracles import (
     k1_order1_diag,
     k1_order2_diag,
     linear_family,
+    reference_generator_stacks,
     reference_hierarchy_residuals,
     seeded_quadratic_family,
 )
@@ -211,7 +212,8 @@ class TestHierarchyResiduals:
 
     @pytest.mark.parametrize("order", [0, 1, 12])
     @pytest.mark.parametrize(
-        "family", [*g.BUILTIN_MODELS, "degree-0", "seeded-N6", "seeded-N16"]
+        "family", [*g.BUILTIN_MODELS, "degree-0", "seeded-N1", "seeded-N6", "seeded-N16",
+                   "seeded-N64"]
     )
     def test_stacked_orders_match_the_per_order_loop(self, family, order):
         ham = _hamiltonian(family)
@@ -289,6 +291,41 @@ def _hamiltonian(family):
 def _relative(a, b):
     """Largest max|a - b| relative to max(1, max|b|)."""
     return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+
+
+class TestStackedSolve:
+    """Each order takes its commutators from one stacked product pair and sums
+    them in one reduce: the frame stacks are the per-term loop's bit for bit,
+    in the zero and in a custom K_0 gauge."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 12])
+    @pytest.mark.parametrize(
+        "family", [*g.BUILTIN_MODELS, "degree-0", "seeded-N1", "seeded-N6", "seeded-N16",
+                   "seeded-N64"]
+    )
+    def test_frame_stacks_are_the_per_term_loop(self, family, order):
+        ham = _hamiltonian(family)
+        frame = g.eigenframe(ham.term(0))
+        rng = np.random.default_rng(order)
+        custom = [
+            0.5 * (rng.standard_normal(ham.dim) + 1j * rng.standard_normal(ham.dim))
+            for _ in range(order + 1)
+        ]
+        for diags in (None, custom):
+            gens = g.solve_generators(ham, frame, order, k0_diagonals=diags)
+            k0f, k1f = reference_generator_stacks(ham, frame, order, diags)
+            # bytes compare signs of zero too
+            assert gens._k0f.tobytes() == k0f.tobytes()
+            assert gens._k1f.tobytes() == k1f.tobytes()
+            assert gens.gauge == ("zero-diagonal" if diags is None else "custom-diagonal")
+
+    def test_consistency_failure_names_the_first_order(self, toy, toy_frame, monkeypatch):
+        # every order's implied zero is read after the sweep; a gate no order
+        # can meet fails order 0, at the floor scale 1
+        monkeypatch.setattr(g.generators, "_CONSISTENCY_RTOL", -1.0)
+        message = r"^order 0: .* 0\.000e\+00 \(scale 1\.000e\+00\)$"
+        with pytest.raises(g.ConsistencyFailure, match=message):
+            g.solve_generators(toy, toy_frame, 4)
 
 
 class TestFrameStacks:

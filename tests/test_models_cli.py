@@ -483,8 +483,8 @@ class TestPipeline:
             doc = g.builtin_model(name)
         report = run_pipeline(doc, 3, ALL_CHECKS)
         assert list(report.checks) == [
-            "hierarchy", "route_equivalence", "residual_order", "fd_concordance",
-            "hermitian_reduction", "linear_crosscheck", "gauge_invariance",
+            "hierarchy", "route_equivalence", "equation_residual", "residual_order",
+            "fd_concordance", "hermitian_reduction", "linear_crosscheck", "gauge_invariance",
         ]  # report order
         for check in report.checks.values():
             assert next(iter(check)) == "status"
@@ -537,8 +537,8 @@ class TestPipeline:
         timings = report.metadata["timings"]
         expected = ["validate", "eigenframe", "generators", "corrections"]
         expected += [f"check:{name}" for name in (
-            "hierarchy", "route_equivalence", "residual_order", "fd_concordance",
-            "hermitian_reduction", "linear_crosscheck", "gauge_invariance",
+            "hierarchy", "route_equivalence", "equation_residual", "residual_order",
+            "fd_concordance", "hermitian_reduction", "linear_crosscheck", "gauge_invariance",
         )]
         assert list(timings) == expected + ["sweep"]
         assert all(isinstance(ms, float) and ms >= 0 for ms in timings.values())
