@@ -43,10 +43,8 @@ Each order is a few stacked numpy calls, not one per term: the recursion's
 products K_0^(j-1) C^(k-j) are one stacked matmul and their sum one reduce,
 each h^(k) is the sum of one stacked term array, and each stored Bell grade
 is scaled by one multiply and summed by one reduce.  Every sum runs in the
-order of the per-term loop it replaces, under the two rules stated in
-`generators` (one BLAS call per stacked item; a reduce over a leading axis
-that is never the inner loop, as real pairs), so the blocks are the loop's
-bit for bit.
+order of the per-term loop it replaces, under the two stacking rules
+stated in `spectral`, so the blocks are the loop's bit for bit.
 
 Production series come from one all-state block per solve: `_all_block`
 keeps the read-only block of the highest order requested on the
@@ -75,8 +73,8 @@ import numpy as np
 from .bellpoly import dual_bell_coefficients, require_word_grade
 from .errors import DegreeMismatch
 from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
-from .spectral import (SpectralFrame, as_complex_matrix, double_bracket, eigenframe,
-                       require_order, require_state)
+from .spectral import (SpectralFrame, _frozen, _reduce, _rowdot, as_complex_matrix,
+                       double_bracket, eigenframe, require_order, require_state)
 
 _CROSSCHECK_TOL = 1e-10  # the linear cross check's fixed gate
 
@@ -107,12 +105,6 @@ def _horner(coeffs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum(a * b) over the last axis: one BLAS dot (that of `np.vdot`) per
-    entry, whatever the batch shape, so each entry keeps a loop's bits."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
     """The block kernel: state blocks S^(0..order) and h^(0..order) of `cols`.
 
@@ -139,7 +131,7 @@ def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
             if k > 1:
                 np.matmul(k0f[: k - 1], coeffs[k - 1 : 0 : -1], out=terms[: k - 1])
             terms[k - 1] = k0f[k - 1][:, cols]
-            np.multiply(-1j / k, _sum(terms[:k], out=coeffs[k]), out=coeffs[k])
+            np.multiply(-1j / k, _reduce(np.add, terms[:k], out=coeffs[k]), out=coeffs[k])
         states = frame.right @ coeffs
     else:
         coeffs = frame.left @ states[:order]
@@ -159,16 +151,8 @@ def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
         if k > 1:
             np.multiply(weights[: k - 1] * h[1:k], reverse[order - k : order - 1], out=terms[1:k])
             np.subtract(pair[: k - 1], terms[1:k], out=terms[1:k])
-        np.divide(_sum(terms[:k], out=h[k]), k, out=h[k])
+        np.divide(_reduce(np.add, terms[:k], out=h[k]), k, out=h[k])
     return states, h
-
-
-def _sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """terms[0] + terms[1] + ... in that order, into `out` if given, viewed as
-    real pairs so that the summed axis is never numpy's inner loop (see the
-    module docstring)."""
-    real = None if out is None else out.view(np.float64)
-    return np.add.reduce(terms.view(np.float64), axis=0, out=real).view(np.complex128)
 
 
 def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
@@ -231,7 +215,7 @@ def _add_scaled(chunk: np.ndarray, words: np.ndarray, coefficients: np.ndarray) 
     chunk[1:] (which `words` may be)."""
     count = len(words)
     np.multiply(words, coefficients, out=chunk[1 : 1 + count])
-    chunk[0] = _sum(chunk[: 1 + count])
+    chunk[0] = _reduce(np.add, chunk[: 1 + count])
 
 
 def _all_block(gens: GeneratorSeries, order: int):
@@ -246,9 +230,7 @@ def _all_block(gens: GeneratorSeries, order: int):
     order = require_order(order, gens.order + 1)
     block = gens._block
     if block is None or order >= len(block[1]):
-        block = _series_block(gens, slice(None), order)
-        for a in block:
-            a.setflags(write=False)
+        block = tuple(map(_frozen, _series_block(gens, slice(None), order)))
         object.__setattr__(gens, "_block", block)
     return block[0][: order + 1], block[1][: order + 1]
 
@@ -296,10 +278,8 @@ def _series_views(gens: GeneratorSeries, cols: slice, order: int) -> list[Pertur
     """The series of the columns `cols` of the all-state block, each holding
     read-only copies of its state and eigenvalue corrections."""
     states, h = _all_block(gens, order)
-    per_state = np.ascontiguousarray(states[:, :, cols].transpose(2, 0, 1))
-    values = np.ascontiguousarray(h[:, cols].T)
-    for a in (per_state, values):
-        a.setflags(write=False)
+    per_state = _frozen(np.ascontiguousarray(states[:, :, cols].transpose(2, 0, 1)))
+    values = _frozen(np.ascontiguousarray(h[:, cols].T))
     return [
         PerturbationSeries(
             state=n,

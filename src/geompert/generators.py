@@ -24,16 +24,8 @@ consumer reads `GeneratorSeries.k0` or `.k1`, with one stacked product.
 
 Each order takes all its commutators [A_a, K^(ell-a)] of both stacks from
 one stacked product pair and sums them in one reduce, and keeps the bits of
-one product and one addition per term.  Two rules make that hold, here and
-in the series kernel (`corrections`):
-
-  - a stacked `np.matmul` makes one BLAS call per item, the call the item's
-    product makes alone, so the items are never widened into one GEMM;
-  - `np.add.reduce` over a leading stack axis adds the items one after
-    another only while that axis is not numpy's inner loop; a complex stack
-    of single numbers (a 1 x 1 family, one state) is summed pairwise, so
-    every stack is reduced as real pairs (`.view(np.float64)`).  A sum that
-    starts from zero keeps the zero: 0 - c is +0 where -c is -0.
+one product and one addition per term, by the two stacking rules stated in
+`spectral`.
 """
 
 from __future__ import annotations
@@ -44,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyFailure, DimensionMismatch
-from .spectral import SpectralFrame, as_complex_matrix, double_bracket, eigenframe, require_order
+from .spectral import (SpectralFrame, _frozen, _reduce, as_complex_matrix, double_bracket,
+                       eigenframe, require_order)
 
 GAUGE_ZERO_DIAGONAL = "zero-diagonal"
 GAUGE_CUSTOM_DIAGONAL = "custom-diagonal"
@@ -72,9 +65,7 @@ class PolynomialHamiltonian:
                 raise DimensionMismatch(
                     f"term {j} has dimension {m.shape[0]}, expected {dim}"
                 )
-        self._terms = tuple(m.copy() for m in mats)
-        for m in self._terms:
-            m.setflags(write=False)
+        self._terms = tuple(_frozen(m.copy()) for m in mats)
 
     @property
     def dim(self) -> int:
@@ -270,10 +261,9 @@ def solve_generators(
         np.matmul(terms[:amax], lower, out=comm[:, 1 : amax + 1])
         np.matmul(lower, terms[:amax], out=ka[:, :amax])
         np.subtract(comm[:, 1 : amax + 1], ka[:, :amax], out=comm[:, 1 : amax + 1])
-        # 0 - c_1 - c_2 - ... and 0 + c_1 + c_2 + ..., each in order (module docstring)
-        rhs1 = np.subtract.reduce(comm[1, : amax + 1].view(np.float64), axis=0)
-        comm0 = np.add.reduce(comm[0, : amax + 1].view(np.float64), axis=0)
-        rhs1, comm0 = rhs1.view(np.complex128), comm0.view(np.complex128)
+        # 0 - c_1 - c_2 - ... and 0 + c_1 + c_2 + ..., each in order
+        rhs1 = _reduce(np.subtract, comm[1, : amax + 1])
+        comm0 = _reduce(np.add, comm[0, : amax + 1])
 
         implied[ell] = rhs1.diagonal()
         k1 = np.divide(rhs1, delta, out=kf[1, ell])
@@ -303,11 +293,6 @@ def solve_generators(
     return GeneratorSeries._from_frame(
         order, kf, GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL, frame
     )
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
 
 
 def solve_model(hamiltonian: PolynomialHamiltonian, order: int, **kwargs) -> GeneratorSeries:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NonFiniteEntry, NonSquare, SchemaError
 from .generators import PolynomialHamiltonian
-from .spectral import is_integer
+from .spectral import _frozen, is_integer
 
 # the highest term order a document may hold, since parse_model builds every
 # order below it; every CLI command runs the route check, which caps the
@@ -42,11 +42,8 @@ class ModelDocument:
 
     def __init__(self, name: str, terms, metadata: dict[str, str] | None = None):
         self.name = str(name)
-        mats = [np.array(t, dtype=np.complex128) for t in terms]
-        for m in mats:
-            m.setflags(write=False)
-        self.terms = tuple(mats)
-        self.dim = int(mats[0].shape[0]) if mats else 0
+        self.terms = tuple(_frozen(np.array(t, dtype=np.complex128)) for t in terms)
+        self.dim = int(self.terms[0].shape[0]) if self.terms else 0
         self.metadata = dict(metadata or {})
 
     @property

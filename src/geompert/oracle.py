@@ -20,8 +20,10 @@ no LAPACK call.  Truncated series are then certified empirically:
 All three are one-row views of the all-state helpers `_horner` (with
 `_fit_block`), `_fd_coefficients` and `_ray_residual_block`; the pipeline
 calls `_residual_slopes` and `_fd_coefficients`, one sweep per check, with
-the coefficients of its one series block, and a row's slope has the same
-bits alone or in a block.
+the coefficients of its one series block.  The finite differences and the
+ray residuals have the same bits alone or in a block; the slopes do not,
+since the pipeline fits above measured floors and `series_residual_order`
+above RESIDUAL_FLOOR.
 
 This module owns every sampling decision of the checks: the grids
 (`_residual_grid`, which the pipeline calls before it builds the frame, and
@@ -54,10 +56,11 @@ from math import factorial
 
 import numpy as np
 
-from .corrections import PerturbationSeries, _horner, _rowdot
+from .corrections import PerturbationSeries, _horner
 from .errors import DegenerateSpectrum, PairingAmbiguous, ResidualUnderflow
 from .generators import PolynomialHamiltonian
-from .spectral import (SpectralFrame, eigenframe, is_integer, require_count, require_order,
+from .spectral import (SpectralFrame, _degenerate, _frozen, _rowdot, _rownorm, eigenframe,
+                       is_integer, min_pairwise_gap, require_count, require_order,
                        require_state)
 
 # residuals below this are roundoff, not signal
@@ -105,12 +108,9 @@ def _pair_block(prev: np.ndarray, vals: np.ndarray, qs: np.ndarray, gap_tol: flo
     degenerate spectrum, then PairingAmbiguous when the runner-up candidate
     is within a factor 2 of the best one or two states claim one successor.
     """
-    n = vals.shape[1]
-    if n == 1:
+    if vals.shape[1] == 1:
         return np.zeros(vals.shape, dtype=np.intp), np.inf
-    gaps = np.abs(vals[:, :, None] - vals[:, None, :])
-    gaps[:, np.arange(n), np.arange(n)] = np.inf
-    degenerate = gaps.min(axis=(1, 2)) < gap_tol * np.maximum(1.0, np.abs(vals).max(axis=1))
+    degenerate = _degenerate(min_pairwise_gap(vals), vals, gap_tol)
     dist = np.abs(prev[:, :, None] - vals[:, None, :])
     picks = np.argmin(dist, axis=2)
     part = np.partition(dist, 1, axis=2)
@@ -192,9 +192,7 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    for arr in (qs, values):
-        arr.setflags(write=False)
-    return SpectrumCurve(qs=qs, values=values, pair_margin=margin), vectors
+    return SpectrumCurve(qs=_frozen(qs), values=_frozen(values), pair_margin=margin), vectors
 
 
 def exact_spectrum_sweep(
@@ -411,10 +409,6 @@ def fd_eigenvalue_derivatives(
         raise ValueError(f"derivative order k must be an integer in 1..4, got {k!r}")
     frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
     return complex(_fd_coefficients(frame, hamiltonian, (k,))[0, n])
-
-
-def _rownorm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(_rowdot(x.real, x.real) + _rowdot(x.imag, x.imag))
 
 
 def _ray_residual_block(exact: np.ndarray, corrections: np.ndarray, qs) -> np.ndarray:

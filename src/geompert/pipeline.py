@@ -52,7 +52,8 @@ from .oracle import _continued_sweep, _fd_coefficients, _residual_grid, _residua
 from .spectral import eigenframe, require_count
 
 _GAUGE_SEED = 20210707
-# the highest order the oracle checks (residual, FD, Hermitian, gauge) read
+# the highest order the residual, FD and gauge checks and the Hermitian check's
+# textbook comparison read; its imaginary-part bound reads every order up to K
 _CHECK_ORDER = 3
 
 

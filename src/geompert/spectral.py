@@ -25,10 +25,25 @@ and ||H0||_F / sqrt(N) <= ||H0||_2, this implies the spectral-norm test at
 The degeneracy threshold is resolved here and nowhere else: `eigenframe`
 reads it once (argument, else GEOMPERT_GAP_TOL, else the default) and
 records it as `SpectralFrame.gap_tol`, which every exact sweep continued
-from the frame pairs under.
+from the frame pairs under.  The test itself, a minimum gap below
+gap_tol * max(1, max|h|), is `_degenerate`, for one spectrum or a stack.
 
-All returned objects are immutable; operations are pure functions and safe
-to share across threads.
+All returned objects are immutable (`_frozen` is the one way an array is
+made read-only); operations are pure functions and safe to share across
+threads.
+
+The stacked kernels (`generators`, `corrections`, `oracle`) make one numpy
+call per order where a loop made one per term, and keep the loop's bits by
+two rules, whose primitives live here:
+
+  - a stacked `np.matmul` makes one BLAS call per item, the call the item's
+    product makes alone, never one wide GEMM; `_rowdot` (and `_rownorm`) is
+    one BLAS dot per entry, that of `np.vdot`, whatever the batch shape;
+  - `_reduce` adds (or subtracts) in order along a leading axis that is never
+    numpy's inner loop, by taking the stack as real pairs (a complex stack of
+    single numbers, a 1 x 1 family or one state, is summed pairwise), and a
+    sum whose sign of zero matters starts from a zero item: 0 - c is +0 where
+    -c is -0.
 """
 
 from __future__ import annotations
@@ -115,14 +130,45 @@ def require_order(order, most: int | None = None) -> int:
     return int(order)
 
 
-def min_pairwise_gap(values: np.ndarray) -> float:
-    """Smallest |h_i - h_j| over i != j (inf for fewer than two values)."""
+def min_pairwise_gap(values):
+    """Smallest |h_i - h_j| over i != j of one spectrum (a float), or of each
+    spectrum of a (..., N) stack (an array); inf for fewer than two values."""
     values = np.asarray(values)
-    if values.size < 2:
-        return np.inf
-    dist = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+    dist = np.abs(values[..., :, None] - values[..., None, :])
+    dist[..., np.eye(values.shape[-1], dtype=bool)] = np.inf
+    gaps = dist.min(axis=(-2, -1), initial=np.inf)
+    return float(gaps) if values.ndim == 1 else gaps
+
+
+def _degenerate(gap, values: np.ndarray, gap_tol: float):
+    """Whether a spectrum, or each spectrum of a (..., N) stack, is numerically
+    degenerate: its `min_pairwise_gap` `gap` below gap_tol * max(1, max|h|)."""
+    return gap < gap_tol * np.maximum(1.0, np.abs(values).max(axis=-1))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+def _reduce(ufunc, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """terms[0] o terms[1] o ... in that order, o = `ufunc` (np.add, np.subtract),
+    over the leading axis of a complex stack, into `out` if given (module docstring)."""
+    real = None if out is None else out.view(np.float64)
+    return ufunc.reduce(terms.view(np.float64), axis=0, out=real).view(np.complex128)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last axis: one BLAS dot (that of `np.vdot`) per
+    entry, whatever the batch shape, so each entry keeps a loop's bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _rownorm(x: np.ndarray) -> np.ndarray:
+    """The 2-norm over the last axis, as the pair of real dots `np.linalg.norm`
+    takes of a contiguous complex vector."""
+    return np.sqrt(_rowdot(x.real, x.real) + _rowdot(x.imag, x.imag))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +204,11 @@ class SpectralFrame:
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
     """Unit 2-norm columns with the first significant component real positive.
 
-    One pass over all columns.  Each squared norm is the pair of BLAS dots
-    that `np.linalg.norm` takes over the real and imaginary parts of a
-    contiguous copy of the column, so every column keeps a per-column
-    loop's bits.
+    One pass over all columns.  Each norm is `_rownorm` of a contiguous copy
+    of the column, so every column keeps a per-column loop's bits.
     """
     out = np.array(vecs, dtype=np.complex128)
-    rows = out.T.copy()  # column j as a contiguous row
-    re, im = rows.real, rows.imag
-    squares = (re[:, None, :] @ re[:, :, None]) + (im[:, None, :] @ im[:, :, None])
-    out /= np.sqrt(squares[:, 0, 0])
+    out /= _rownorm(out.T.copy())  # column j as a contiguous row
     mags = np.abs(out)
     idx = np.argmax(mags > _PHASE_TOL * mags.max(axis=0), axis=0)
     cols = np.arange(out.shape[1])
@@ -202,10 +243,9 @@ def eigenframe(h0, *, gap_tol: float | None = None) -> SpectralFrame:
     values = values[order].astype(np.complex128)
     vectors = _normalize_columns(vectors[:, order])
 
-    radius = float(np.max(np.abs(values)))
     gap = min_pairwise_gap(values)
     tol = resolve_gap_tol(gap_tol)
-    if gap < tol * max(1.0, radius):
+    if _degenerate(gap, values, tol):
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {gap:.3e} below threshold "
             f"(relative tolerance {tol:.1e})"
@@ -226,11 +266,8 @@ def eigenframe(h0, *, gap_tol: float | None = None) -> SpectralFrame:
             f"biorthonormality defect {bio:.3e} exceeds tolerance"
         )
 
-    for arr in (values, vectors, left):
-        arr.setflags(write=False)
-    return SpectralFrame(
-        dim=n, eigenvalues=values, right=vectors, left=left, min_gap=gap, gap_tol=tol
-    )
+    return SpectralFrame(dim=n, eigenvalues=_frozen(values), right=_frozen(vectors),
+                         left=_frozen(left), min_gap=gap, gap_tol=tol)
 
 
 def double_bracket(frame: SpectralFrame, a) -> np.ndarray:

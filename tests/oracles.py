@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -282,6 +284,88 @@ def seeded_quadratic_family(seed, n):
     h1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h2 = rng.standard_normal((n, n))
     return PolynomialHamiltonian([h0, h1, h2])
+
+
+@dataclass(frozen=True)
+class ManufacturedFamily:
+    """A family whose every series coefficient is known exactly.
+
+    `blocks` holds each dimer's dyadic (e, a, u, c, d) as Fractions; state
+    2b is block b's lower eigenvalue e - a and state 2b + 1 its upper e + a,
+    which is the canonical (ascending) order.  `branch_points[n]` is the pair
+    -a/(u - c), -a/(u + c) of n's block, the real q where its two
+    eigenvalues meet, and `partners[n]` the block's other state.
+    """
+
+    hamiltonian: PolynomialHamiltonian
+    blocks: tuple
+    branch_points: tuple
+    partners: tuple
+
+    def coefficients(self, order):
+        """h_n^(k) for k = 0..order as Fractions, a list of rows [k][n]:
+        e + d q^2 -/+ s(q), with s the power-series square root of
+        (a + u q)^2 - c^2 q^2 = a^2 + 2 a u q + (u^2 - c^2) q^2, s_0 = a."""
+        rows = [[] for _ in range(order + 1)]
+        for e, a, u, c, d in self.blocks:
+            p = [a * a, 2 * a * u, u * u - c * c] + [Fraction(0)] * order
+            s = [a]
+            for k in range(1, order + 1):
+                s.append((p[k] - sum(s[i] * s[k - i] for i in range(1, k))) / (2 * a))
+            for k in range(order + 1):
+                shift = e if k == 0 else d if k == 2 else Fraction(0)
+                rows[k] += [shift - s[k], shift + s[k]]
+        return rows
+
+    def exact(self, order):
+        """The coefficients of `coefficients(order)` rounded to complex128,
+        shape (order + 1, N)."""
+        return np.array(self.coefficients(order), dtype=float).astype(np.complex128)
+
+
+def manufactured_family(seed, n, t, dense):
+    """N/2 non-Hermitian dimers with exactly known series (method of
+    manufactured solutions).
+
+    Block b has H_0 = diag(e+a, e-a), H_1 = [[u, i c], [i c, -u]] and
+    H_2 = d I, so its eigenvalues are e + d q^2 +/- sqrt((a + u q)^2 - c^2 q^2).
+    Every parameter is a dyadic rational drawn from numpy's default_rng(seed):
+    e = 5 b + [-1/4, 1/4], a in [1, 2), c in [1/2, 1), 0 < |u| < c and
+    |d| <= 1/2, so the spectrum of H_0 has gaps >= 1/2 and each block's
+    branch points lie at |q| > 1/2.  Each block is conjugated by
+    T = [[1, t], [0, 1]] (t dyadic; the eigenvector condition grows with t),
+    and with `dense` (N a power of two) every term becomes S H_j S^T / N for
+    the Sylvester-Hadamard matrix S (S S^T = N I).  Dyadic data keep every
+    entry exact in double.
+    """
+    if n % 2 or (dense and n & (n - 1)):
+        raise ValueError(f"need an even N (a power of two when dense), got {n}")
+    rng = np.random.default_rng(seed)
+    blocks, points = [], []
+    terms = np.zeros((3, n, n), dtype=np.complex128)
+    conj = np.array([[1.0, t], [0.0, 1.0]])
+    inv = np.array([[1.0, -t], [0.0, 1.0]])
+    for b in range(n // 2):
+        e = Fraction(20 * b + int(rng.integers(-1, 2)), 4)
+        a = Fraction(int(rng.integers(64, 128)), 64)
+        c = Fraction(int(rng.integers(32, 64)), 64)
+        u = Fraction(int(rng.integers(1, int(c * 64))) * int(rng.choice([-1, 1])), 64)
+        d = Fraction(int(rng.integers(-32, 33)), 64)
+        blocks.append((e, a, u, c, d))
+        points += [(-a / (u - c), -a / (u + c))] * 2
+        ef, af, uf, cf, df = (float(x) for x in (e, a, u, c, d))
+        block = [np.diag([ef + af, ef - af]), np.array([[uf, 1j * cf], [1j * cf, -uf]]),
+                 df * np.eye(2)]
+        for j, m in enumerate(block):
+            terms[j, 2 * b : 2 * b + 2, 2 * b : 2 * b + 2] = conj @ m @ inv
+    if dense:
+        s = np.ones((1, 1))
+        while len(s) < n:
+            s = np.block([[s, s], [s, -s]])
+        terms = s @ terms @ s.T / n
+    partners = tuple(k ^ 1 for k in range(n))
+    return ManufacturedFamily(PolynomialHamiltonian(list(terms)), tuple(blocks), tuple(points),
+                              partners)
 
 
 def reference_hierarchy_residuals(hamiltonian, gens):

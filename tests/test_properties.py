@@ -1,16 +1,18 @@
 """Property tests of the block series kernel, of the Bell route's grade-stack
-kernel, of the Hermitian reduction to Rayleigh-Schroedinger theory and of the
-frame's column normalization."""
+kernel, of the Hermitian reduction to Rayleigh-Schroedinger theory, of the
+frame's column normalization and of the verdict on a wrong series."""
 
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geompert as g
-from geompert.corrections import _bell_block, _rs_block, _series_block
-from geompert.spectral import _PHASE_TOL, _normalize_columns
+from geompert.corrections import _all_block, _bell_block, _equation_residuals, _rs_block, _series_block
+from geompert.pipeline import ALL_CHECKS, run_pipeline
+from geompert.spectral import _PHASE_TOL, _normalize_columns, min_pairwise_gap
 from oracles import linear_family, reference_bell_blocks, reference_normalize_columns
 
 PROPERTY_SETTINGS = settings(
@@ -148,3 +150,65 @@ def test_normalize_columns_equals_per_column_loop(seed, dim, small, zeros):
     vecs[:-1][rng.random((dim - 1, dim)) < zeros] = 0.0
     out = _normalize_columns(vecs)
     assert out.tobytes() == reference_normalize_columns(vecs, _PHASE_TOL).tobytes()
+
+
+def _conditioned_family(seed, dim, degree):
+    """H_0 = V diag(e) V^-1 with relative gap >= 0.05 and cond(V) <= 10, and
+    H_1..H_degree complex Gaussian with ||H_j||_2 <= ||H_0||_2."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    # real parts one per slot of (-1, 1), at least 1.2 / dim apart
+    real = -1.0 + 2.0 * (np.arange(dim) + 0.5 + rng.uniform(-0.2, 0.2, dim)) / dim
+    e = real + 1j * rng.uniform(-0.2, 0.2, dim) / dim
+    u, w = np.linalg.qr(gaussian())[0], np.linalg.qr(gaussian())[0]
+    v = u @ np.diag(10.0 ** rng.uniform(0.0, 1.0, dim)) @ w.conj().T
+    assert min_pairwise_gap(e) >= 0.05 * np.abs(e).max() and np.linalg.cond(v) <= 10.0
+    h0 = v @ np.diag(e) @ np.linalg.inv(v)
+    size = np.linalg.norm(h0, 2)
+    terms = [h0]
+    for _ in range(degree):
+        b = gaussian()
+        terms.append(b * (rng.uniform(0.1, 1.0) * size / np.linalg.norm(b, 2)))
+    return g.PolynomialHamiltonian(terms)
+
+
+@st.composite
+def wrong_series(draw):
+    """A drawn family, its order K, and one h_n^(k), k in 1..K, times 1 + delta."""
+    dim, order = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    return (draw(st.integers(0, 2**32 - 1)), dim, draw(st.integers(1, 3)), order,
+            draw(st.integers(1, order)), draw(st.integers(0, dim - 1)),
+            10.0 ** draw(st.floats(-8.0, -2.0)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(wrong_series())
+def test_one_wrong_coefficient_fails_verify(case):
+    # injected in the kernel that the production and the Bell routes share,
+    # so the route check recomputes the same wrong h
+    seed, dim, degree, order, k, n, delta = case
+    ham = _conditioned_family(seed, dim, degree)
+    original = _series_block
+
+    def kernel(*args):
+        states, h = original(*args)
+        h = h.copy()
+        if len(h) > k:
+            h[k, n] *= 1.0 + delta
+        return states, h
+
+    with patch.object(g.corrections, "_series_block", kernel), \
+            patch.object(g.pipeline, "_series_block", kernel):
+        report = run_pipeline(g.ModelDocument("drawn", list(ham.terms)), order, ALL_CHECKS)
+        states, h = _all_block(g.solve_model(ham, order), order)
+    assert report.verdict == "fail"
+    assert report.checks["equation_residual"]["status"] == "fail"
+    # the entry's `order` is the worst order, which may lie above k
+    readings = _equation_residuals(ham.terms, states, h).max(axis=1)
+    assert np.flatnonzero(readings > 1e-12)[0] == k
+    # the control: the same family's correct series passes the certificate
+    correct = _all_block(g.solve_model(ham, order), order)
+    assert _equation_residuals(ham.terms, *correct).max() <= 1e-12

@@ -10,8 +10,10 @@ from geompert.spectral import (
     GAP_TOL_ENV,
     _normalize_columns,
     as_complex_matrix,
+    min_pairwise_gap,
     resolve_gap_tol,
 )
+from geompert.oracle import _pair_block
 from oracles import reference_normalize_columns, seeded_quadratic_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -176,6 +178,46 @@ class TestEigenframe:
         monkeypatch.setattr(g.spectral.np.linalg, "inv", lambda a: 1.5 * inv(a))
         with pytest.raises(g.NumericalFailure, match="biorthonormality defect"):
             g.eigenframe(random_matrix(rng, 5))
+
+
+class TestDegeneracyTest:
+    """One rule, min gap < gap_tol * max(1, max|h|), decides both the frame
+    and every exact sample; `min_pairwise_gap` takes one spectrum or a stack."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_batched_gaps_equal_per_spectrum(self, rng, dim):
+        stack = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        stack[-1, -1] = stack[-1, 0]  # an exactly degenerate spectrum, where N > 1
+        gaps = min_pairwise_gap(stack)
+        assert gaps.shape == (len(stack),)
+        singles = [min_pairwise_gap(row) for row in stack]
+        assert all(type(x) is float for x in singles)
+        assert gaps.tolist() == singles
+        if dim == 1:
+            assert singles == [np.inf] * len(stack)
+        else:
+            assert singles[-1] == 0.0 and min(singles[:-1]) > 0.0
+
+    @pytest.mark.parametrize("radius", [0.5, 3.0, 1e4])
+    @pytest.mark.parametrize("gap_tol", [1e-8, 1e-3])
+    def test_frame_and_sampler_decide_alike(self, radius, gap_tol):
+        # gaps one part in 1e6 below and above the threshold; diagonal
+        # matrices keep the eigenvalues exact
+        threshold = gap_tol * max(1.0, radius)
+        for factor, degenerate in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            values = np.array([-radius, radius - threshold * factor, radius])
+            try:
+                g.eigenframe(np.diag(values), gap_tol=gap_tol)
+                frame_says = False
+            except g.DegenerateSpectrum:
+                frame_says = True
+            stack = np.array([values[::-1], values], dtype=np.complex128)
+            try:
+                _pair_block(stack, stack, np.array([0.1, 0.2]), gap_tol)
+                sampler_says = False
+            except g.DegenerateSpectrum:
+                sampler_says = True
+            assert frame_says == sampler_says == degenerate
 
 
 class TestRealFrame:
