@@ -16,7 +16,8 @@ malformed matrices, a model or output path that cannot be read or written,
 a missing or unknown `models export` name, a request too large to
 allocate), 3 degenerate spectrum, 4 numerical/oracle failure.  Every
 failure but a usage error prints one JSON line to stderr (`_fail`), with
-the stage of one raised inside a stage.
+the stage of one raised inside a stage, and the sample q of a degenerate
+spectrum or an ambiguous pairing.
 The GEOMPERT_GAP_TOL environment variable (a decimal string) overrides the
 degeneracy threshold; a value that is not finite and positive exits 2.
 """
@@ -118,6 +119,9 @@ def _fail(exc: Exception) -> int:
     diag = {"error": name or type(cause).__name__, "message": str(cause)}
     if stage is not None:
         diag["stage"] = stage
+    q = getattr(cause, "q", None)  # where a DegenerateSpectrum or PairingAmbiguous was found
+    if q is not None:
+        diag["q"] = q
     print(json.dumps(diag), file=sys.stderr)
     return code
 

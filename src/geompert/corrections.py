@@ -428,15 +428,11 @@ def _crosscheck(gens: GeneratorSeries, h1) -> LinearCrosscheck:
     )
 
 
-def crosscheck_linear(
-    hamiltonian: PolynomialHamiltonian,
-    *,
-    gap_tol: float | None = None,
-) -> LinearCrosscheck:
+def crosscheck_linear(hamiltonian: PolynomialHamiltonian) -> LinearCrosscheck:
     """Compare the three linear-family routes to h^(1..3) for every state."""
     if hamiltonian.degree != 1:
         raise DegreeMismatch(
             f"expected a linear family (degree 1), got degree {hamiltonian.degree}"
         )
-    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    frame = eigenframe(hamiltonian.term(0))
     return _crosscheck(solve_generators(hamiltonian, frame, 2), hamiltonian.term(1))

@@ -22,12 +22,22 @@ class DimensionMismatch(GeompertError):
     """Operands have incompatible dimensions."""
 
 
-class DegenerateSpectrum(GeompertError):
+class _AtSample(GeompertError):
+    """An error found at one sample of the family H(q); `q` is that sample (a
+    float), or None where the raiser does not know it."""
+
+    def __init__(self, message, *, q: float | None = None):
+        super().__init__(message)
+        self.q = q
+
+
+class DegenerateSpectrum(_AtSample):
     """The unperturbed spectrum is (numerically) degenerate.
 
     Raised whenever an eigenvalue gap falls below the degeneracy threshold;
     the perturbative construction divides by these gaps and is invalid at or
-    near such points (eigenvector coalescence / exceptional points).
+    near such points (eigenvector coalescence / exceptional points).  `q` is
+    0.0 for the frame of H_0 and the sample q for an exact sweep.
     """
 
 
@@ -56,8 +66,8 @@ class DegreeMismatch(GeompertError):
     """An operation requires a specific polynomial degree."""
 
 
-class PairingAmbiguous(GeompertError):
-    """Eigenvalue continuation could not be matched unambiguously."""
+class PairingAmbiguous(_AtSample):
+    """Eigenvalue continuation could not be matched unambiguously at the sample `q`."""
 
 
 class ResidualUnderflow(GeompertError):

@@ -295,10 +295,9 @@ def solve_generators(
     )
 
 
-def solve_model(hamiltonian: PolynomialHamiltonian, order: int, **kwargs) -> GeneratorSeries:
-    """Convenience: build the frame of H_0 and solve in one call."""
-    frame = eigenframe(hamiltonian.term(0), gap_tol=kwargs.pop("gap_tol", None))
-    return solve_generators(hamiltonian, frame, order, **kwargs)
+def solve_model(hamiltonian: PolynomialHamiltonian, order: int) -> GeneratorSeries:
+    """Convenience: the canonical-gauge solve on the frame of H_0."""
+    return solve_generators(hamiltonian, eigenframe(hamiltonian.term(0)), order)
 
 
 def hierarchy_residuals(

@@ -126,13 +126,13 @@ def _pair_block(prev: np.ndarray, vals: np.ndarray, qs: np.ndarray, gap_tol: flo
         i = int(np.argmax(faulty))
         q = float(qs[i])
         if degenerate[i]:
-            raise DegenerateSpectrum(f"spectrum numerically degenerate at q = {q:.6g}")
+            raise DegenerateSpectrum(f"spectrum numerically degenerate at q = {q:.6g}", q=q)
         if ambiguous[i]:
             raise PairingAmbiguous(
                 f"eigenvalue continuation ambiguous at q = {q:.6g} "
-                f"(margin {float(margins[i]):.3g} < {_MARGIN_FACTOR})"
+                f"(margin {float(margins[i]):.3g} < {_MARGIN_FACTOR})", q=q
             )
-        raise PairingAmbiguous(f"two states matched the same eigenvalue at q = {q:.6g}")
+        raise PairingAmbiguous(f"two states matched the same eigenvalue at q = {q:.6g}", q=q)
     return picks, float(margins.min())
 
 
@@ -195,18 +195,14 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
     return SpectrumCurve(qs=_frozen(qs), values=_frozen(values), pair_margin=margin), vectors
 
 
-def exact_spectrum_sweep(
-    hamiltonian: PolynomialHamiltonian,
-    qs,
-    gap_tol: float | None = None,
-) -> SpectrumCurve:
+def exact_spectrum_sweep(hamiltonian: PolynomialHamiltonian, qs) -> SpectrumCurve:
     """Diagonalize H(q) at each sample and pair eigenvalues into curves.
 
     `qs` must be strictly increasing; pairing is anchored at q = 0 by the
     canonical frame of H_0 and folded outward in both directions, so samples
     should start near zero.  Identical inputs give bitwise-identical curves.
     """
-    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    frame = eigenframe(hamiltonian.term(0))
     return _continued_sweep(frame, hamiltonian, qs, False)[0]
 
 
@@ -391,13 +387,7 @@ def _fd_coefficients(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, k
                      for k in ks])
 
 
-def fd_eigenvalue_derivatives(
-    hamiltonian: PolynomialHamiltonian,
-    n: int,
-    k: int,
-    *,
-    gap_tol: float | None = None,
-) -> complex:
+def fd_eigenvalue_derivatives(hamiltonian: PolynomialHamiltonian, n: int, k: int) -> complex:
     """Finite-difference estimate of the series coefficient h_n^(k).
 
     Central stencil of second-order accuracy at spacings `_FD_STEP` and half of it,
@@ -407,7 +397,7 @@ def fd_eigenvalue_derivatives(
     n = require_state(n, hamiltonian.dim)
     if not is_integer(k) or not 1 <= k <= 4:
         raise ValueError(f"derivative order k must be an integer in 1..4, got {k!r}")
-    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    frame = eigenframe(hamiltonian.term(0))
     return complex(_fd_coefficients(frame, hamiltonian, (k,))[0, n])
 
 
@@ -433,7 +423,6 @@ def state_ray_residual(
     n: int,
     order: int,
     qs,
-    gap_tol: float | None = None,
 ) -> np.ndarray:
     """Sine of the angle between truncated and exact eigenvectors, per q.
 
@@ -442,7 +431,7 @@ def state_ray_residual(
     """
     n = require_state(n, hamiltonian.dim)
     order = require_order(order, series.order)
-    frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+    frame = eigenframe(hamiltonian.term(0))
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
     corrections = np.array(series.state_corrections[: order + 1])[None]
     return _ray_residual_block(vectors[n : n + 1], corrections, curve.qs)[0]

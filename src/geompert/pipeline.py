@@ -321,7 +321,6 @@ def run_pipeline(
     q_hi: float = 1e-2,
     points: int = 25,
     sweep: tuple[float, int] | None = None,
-    gap_tol: float | None = None,
 ) -> Report:
     """Run the full pipeline on a model document and return the Report.
 
@@ -351,7 +350,7 @@ def run_pipeline(
     with _stage("validate", timings):
         hamiltonian = doc.to_hamiltonian()
     with _stage("eigenframe", timings):
-        frame = eigenframe(hamiltonian.term(0), gap_tol=gap_tol)
+        frame = eigenframe(hamiltonian.term(0))
     with _stage("generators", timings):
         gens = solve_generators(hamiltonian, frame, max(order, 2))
     with _stage("corrections", timings):

@@ -25,8 +25,10 @@ and ||H0||_F / sqrt(N) <= ||H0||_2, this implies the spectral-norm test at
 The degeneracy threshold is resolved here and nowhere else: `eigenframe`
 reads it once (argument, else GEOMPERT_GAP_TOL, else the default) and
 records it as `SpectralFrame.gap_tol`, which every exact sweep continued
-from the frame pairs under.  The test itself, a minimum gap below
-gap_tol * max(1, max|h|), is `_degenerate`, for one spectrum or a stack.
+from the frame pairs under.  Every other function that builds its own
+frame calls `eigenframe(H_0)`, so GEOMPERT_GAP_TOL is its only way in.  The
+test itself, a minimum gap below gap_tol * max(1, max|h|), is `_degenerate`,
+for one spectrum or a stack.
 
 All returned objects are immutable (`_frozen` is the one way an array is
 made read-only); operations are pure functions and safe to share across
@@ -248,7 +250,7 @@ def eigenframe(h0, *, gap_tol: float | None = None) -> SpectralFrame:
     if _degenerate(gap, values, tol):
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {gap:.3e} below threshold "
-            f"(relative tolerance {tol:.1e})"
+            f"(relative tolerance {tol:.1e})", q=0.0
         )
 
     left = np.linalg.inv(vectors)

@@ -22,11 +22,29 @@ from geompert.pipeline import (
     sweep_csv,
 )
 from oracles import (
+    manufactured_family,
     reference_json_text,
     reference_parse_matrix,
     reference_serialize_model,
     seeded_quadratic_family,
 )
+
+# a linear two-level family, degenerate under a threshold of 0.1 only
+NEAR_LEVELS = g.PolynomialHamiltonian([np.diag([0.0, 0.05]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+NEAR_LEVELS_QS = np.linspace(0.0, 0.1, 5)  # the pipeline's sweep=(0.1, 5)
+# every public function that builds its frame of NEAR_LEVELS itself, given a
+# series of its state 0 at order 3
+OWN_FRAME_CALLS = {
+    "run_pipeline": lambda series: run_pipeline(
+        g.ModelDocument("near-levels", list(NEAR_LEVELS.terms)), 3, ALL_CHECKS, sweep=(0.1, 5)
+    ),
+    "exact_spectrum_sweep": lambda series: g.exact_spectrum_sweep(NEAR_LEVELS, NEAR_LEVELS_QS),
+    "fd_eigenvalue_derivatives": lambda series: g.fd_eigenvalue_derivatives(NEAR_LEVELS, 0, 1),
+    "state_ray_residual": lambda series: g.state_ray_residual(NEAR_LEVELS, series, 0, 3,
+                                                              NEAR_LEVELS_QS),
+    "crosscheck_linear": lambda series: g.crosscheck_linear(NEAR_LEVELS),
+    "solve_model": lambda series: g.solve_model(NEAR_LEVELS, 3),
+}
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True, database=None
@@ -118,10 +136,12 @@ FAILURE_ROWS = {
 # the pipeline function a row replaces, and what the replacement raises: a
 # failure no small input reaches (an allocation failure is never provoked)
 RAISED_BY = {
-    "pairing": ("_continued_sweep", g.PairingAmbiguous("no unambiguous match")),
+    "pairing": ("_continued_sweep", g.PairingAmbiguous("no unambiguous match", q=0.05)),
     "memory-grid": ("_residual_grid", MemoryError("Unable to allocate 7.45 GiB")),
     "memory-sweep": ("_continued_sweep", MemoryError("Unable to allocate 7.45 GiB")),
 }
+# the sample q a row's diagnostic names: H_0's, and the replacement's
+DIAGNOSTIC_Q = {"degenerate": 0.0, "pairing": 0.05}
 
 
 def _diagnostic(capsys) -> dict:
@@ -518,17 +538,21 @@ class TestPipeline:
             assert main(argv) == 2
             assert not out.exists()
 
-    def test_gap_tol_argument_reaches_every_check(self, monkeypatch):
-        # the argument overrides a bad environment value in every stage,
-        # not only in the eigenframe and the sweep
-        monkeypatch.setenv("GEOMPERT_GAP_TOL", "nan")
-        for name in ("toy-sec5", "hermitian-2level"):
-            report = run_pipeline(
-                g.builtin_model(name), 3, ALL_CHECKS, sweep=(0.1, 5), gap_tol=1e-8
-            )
-            assert report.verdict == "pass"
-        with pytest.raises(ValueError):
-            run_pipeline(g.builtin_model("toy-sec5"), 3, {"hierarchy"})
+    @pytest.mark.parametrize("call", list(OWN_FRAME_CALLS))
+    def test_gap_tol_env_reaches_every_function_with_its_own_frame(self, monkeypatch, call):
+        # GEOMPERT_GAP_TOL is the one way the threshold reaches a function that
+        # builds its own frame: the gap 0.05 is below 0.1 max(1, 0.05)
+        series = g.build_series(g.solve_model(NEAR_LEVELS, 3), 0, 3)
+        monkeypatch.setenv("GEOMPERT_GAP_TOL", "0.1")
+        with pytest.raises((g.DegenerateSpectrum, g.PipelineError)) as err:
+            OWN_FRAME_CALLS[call](series)
+        if call == "run_pipeline":
+            assert err.value.stage == "eigenframe"
+            assert isinstance(err.value.cause, g.DegenerateSpectrum)
+        else:
+            assert isinstance(err.value, g.DegenerateSpectrum)
+        monkeypatch.delenv("GEOMPERT_GAP_TOL")
+        OWN_FRAME_CALLS[call](series)
 
     def test_stage_timings_in_metadata(self, tmp_path):
         report = run_pipeline(
@@ -679,7 +703,25 @@ class TestCli:
         assert err["error"] == error
         assert isinstance(err["message"], str)
         assert err.get("stage") == stage
-        assert set(err) == {"error", "message"} | ({"stage"} if stage else set())
+        assert err.get("q") == DIAGNOSTIC_Q.get(row)
+        assert set(err) == ({"error", "message"} | ({"stage"} if stage else set())
+                            | ({"q"} if row in DIAGNOSTIC_Q else set()))
+
+    def test_sweep_across_a_branch_point_names_its_q(self, tmp_path, capsys):
+        # one dimer, whose two eigenvalues meet at the real q = 104/61
+        family = manufactured_family(0, 2, 1, False)
+        branch = max(family.branch_points[0])
+        model = tmp_path / "dimer.json"
+        model.write_text(g.serialize_model(g.ModelDocument("dimer", list(family.hamiltonian.terms))))
+        argv = ["sweep", "--model", str(model), "--order", "3", "--out", str(tmp_path / "out")]
+        assert main([*argv, "--q-max", "1.6", "--points", "301"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--q-max", "2.5", "--points", "301"]) == 4
+        err = _diagnostic(capsys)
+        assert (err["error"], err["stage"]) == ("PairingAmbiguous", "sweep")
+        qs = np.linspace(0.0, 2.5, 301)  # the sweep's grid
+        assert err["q"] == qs[qs >= branch][0]  # the first sample at or past the branch point
+        assert f"at q = {err['q']:.6g} " in err["message"]
 
     @pytest.mark.parametrize(
         "argv, env, message, stage",

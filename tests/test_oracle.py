@@ -232,7 +232,7 @@ class TestBlockedSampler:
             if want_vectors:
                 assert vectors[:, origin, :].tobytes() == frame.right.T.tobytes()
 
-    def test_pairs_under_the_frame_threshold(self):
+    def test_pairs_under_the_frame_threshold(self, monkeypatch):
         # the gap 1 - 2q between q and 1 - q is 0.08 at q = 0.46, 0.02 at 0.49
         qs = np.linspace(0.0, 0.49, 50)
         wide = g.eigenframe(CROSSING.term(0), gap_tol=0.1)
@@ -242,8 +242,9 @@ class TestBlockedSampler:
             tight = g.eigenframe(CROSSING.term(0), gap_tol=1e-8)
             curve, _ = _continued_sweep(tight, CROSSING, qs, want_vectors)
             assert curve.values.shape == (2, 50)
+        monkeypatch.setenv("GEOMPERT_GAP_TOL", "0.1")
         with pytest.raises(g.DegenerateSpectrum):
-            g.exact_spectrum_sweep(CROSSING, qs, gap_tol=0.1)
+            g.exact_spectrum_sweep(CROSSING, qs)
 
     def test_overflowing_samples_rejected_before_any_diagonalization(self, toy, monkeypatch):
         def no_lapack(*_args, **_kwargs):

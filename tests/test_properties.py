@@ -1,7 +1,9 @@
 """Property tests of the block series kernel, of the Bell route's grade-stack
 kernel, of the Hermitian reduction to Rayleigh-Schroedinger theory, of the
-frame's column normalization and of the verdict on a wrong series."""
+frame's column normalization, of the verdict on a wrong series and of the
+eigen-equation check on wrong generators."""
 
+from functools import cache
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -11,9 +13,16 @@ from hypothesis import strategies as st
 
 import geompert as g
 from geompert.corrections import _all_block, _bell_block, _equation_residuals, _rs_block, _series_block
-from geompert.pipeline import ALL_CHECKS, run_pipeline
+from geompert.generators import GeneratorSeries
+from geompert.pipeline import ALL_CHECKS, _check_equation, _worst_relative, run_pipeline
 from geompert.spectral import _PHASE_TOL, _normalize_columns, min_pairwise_gap
-from oracles import linear_family, reference_bell_blocks, reference_normalize_columns
+from oracles import (
+    linear_family,
+    manufactured_family,
+    reference_bell_blocks,
+    reference_normalize_columns,
+    seeded_quadratic_family,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=25, deadline=None, derandomize=True, database=None
@@ -212,3 +221,49 @@ def test_one_wrong_coefficient_fails_verify(case):
     # the control: the same family's correct series passes the certificate
     correct = _all_block(g.solve_model(ham, order), order)
     assert _equation_residuals(ham.terms, *correct).max() <= 1e-12
+
+
+# two built-ins, a dense seeded quadratic family and a dense manufactured one
+GENERATOR_FAMILIES = {
+    "toy-sec5": lambda: g.builtin_model("toy-sec5").to_hamiltonian(),
+    "random-linear-N4-seed7": lambda: g.builtin_model("random-linear-N4-seed7").to_hamiltonian(),
+    "seeded-N16": lambda: seeded_quadratic_family(0, 16),
+    "dimers-N16": lambda: manufactured_family(0, 16, 1, True).hamiltonian,
+}
+
+
+@cache
+def _solved(name, order):
+    """A family's generators at `order` and its correct all-state block."""
+    ham = GENERATOR_FAMILIES[name]()
+    gens = g.solve_model(ham, order)
+    return ham, gens, _all_block(gens, order)
+
+
+@st.composite
+def wrong_generator(draw):
+    """A family, its order K, one entry (a, ell, i, j) of the frame stack [[K_a^(ell)]]
+    outside the K_0 diagonals, which are gauge, and a delta log-uniform in [1e-8, 1e-2]."""
+    name = draw(st.sampled_from(sorted(GENERATOR_FAMILIES)))
+    order = draw(st.integers(1, 12))
+    dim = _solved(name, order)[0].dim
+    a, ell, i = draw(st.integers(0, 1)), draw(st.integers(0, order)), draw(st.integers(0, dim - 1))
+    j = draw(st.integers(0, dim - 1).filter(lambda j: a == 1 or j != i))
+    return name, order, (a, ell, i, j), 10.0 ** draw(st.floats(-8.0, -2.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(wrong_generator())
+def test_generator_error_that_moves_the_series_fails_equation_residual(case):
+    name, order, entry, delta = case
+    ham, gens, (states, h) = _solved(name, order)
+    assert _check_equation(hamiltonian=ham, states=states, h=h)[0]  # the correct run passes
+    kf = gens._kf.copy()
+    kf[entry] += delta * max(1.0, abs(kf[entry]))
+    wrong_states, wrong_h = _all_block(
+        GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame), order
+    )
+    # each column's move over max(1, max|.|), as route_equivalence measures it
+    moved = max(_worst_relative(states, wrong_states), _worst_relative(h, wrong_h))
+    if moved > 1e-8:
+        assert not _check_equation(hamiltonian=ham, states=wrong_states, h=wrong_h)[0]
