@@ -66,7 +66,6 @@ from .oracle import (
     SpectrumCurve,
     exact_spectrum_sweep,
     fd_eigenvalue_derivatives,
-    log_log_slope,
     series_residual_order,
     state_ray_residual,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "exact_spectrum_sweep",
     "fd_eigenvalue_derivatives",
     "hierarchy_residuals",
-    "log_log_slope",
     "parse_model",
     "power_sums_to_elementary",
     "rs_linear_corrections",

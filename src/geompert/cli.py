@@ -2,7 +2,7 @@
 
 Commands
 --------
-geompert expand --model FILE --order K [--gauge zero-diag] --out DIR
+geompert expand --model FILE --order K --out DIR
     Solve the model and write report.json + series.csv.
 geompert verify --model FILE --order K [--q-lo R --q-hi R --points N]
     Run every verification check; report JSON goes to stdout.
@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     expand = sub.add_parser("expand", help="solve a model and emit its series")
     expand.add_argument("--model", required=True, help="model JSON file")
     expand.add_argument("--order", required=True, type=int, help="series order K")
-    expand.add_argument("--gauge", default="zero-diag", choices=["zero-diag"])
     expand.add_argument("--out", required=True, help="output directory")
 
     verify = sub.add_parser("verify", help="run all verification checks")

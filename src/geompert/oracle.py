@@ -115,12 +115,11 @@ def _pair_block(prev: np.ndarray, vals: np.ndarray, qs: np.ndarray, gap_tol: flo
     picks = np.argmin(dist, axis=2)
     part = np.partition(dist, 1, axis=2)
     best, runner = part[..., 0], part[..., 1]
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore"):  # a constant eigenvalue: best 0, the ratio inf
         ratios = np.where(best > 0, runner / np.maximum(best, 1e-300), np.inf)
     margins = ratios.min(axis=1)
     ambiguous = np.any(runner < _MARGIN_FACTOR * best, axis=1)
-    ordered = np.sort(picks, axis=1)
-    twice = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    twice = np.any(np.sort(picks, axis=1) != np.arange(vals.shape[1]), axis=1)
     faulty = degenerate | ambiguous | twice
     if faulty.any():
         i = int(np.argmax(faulty))
@@ -140,6 +139,11 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
                      want_vectors: bool):
     """Eigen-curves over qs (every sweep checks its grid here), continued from the q = 0
     frame under its `gap_tol`, and exact eigenvectors (state, sample, component) on request."""
+    qs = np.asarray(qs)
+    if np.iscomplexobj(qs):
+        if np.any(qs.imag != 0):
+            raise ValueError("qs must be real: a sample has a nonzero imaginary part")
+        qs = qs.real
     qs = np.array(qs, dtype=float)  # a copy: the curve freezes it
     if qs.ndim != 1 or qs.size == 0 or not np.all(np.isfinite(qs)):
         raise ValueError("qs must be a non-empty 1-D sequence of finite values")
@@ -206,50 +210,24 @@ def exact_spectrum_sweep(hamiltonian: PolynomialHamiltonian, qs) -> SpectrumCurv
     return _continued_sweep(frame, hamiltonian, qs, False)[0]
 
 
-def _centred_slopes(x: np.ndarray, y: np.ndarray, usable: np.ndarray) -> np.ndarray:
-    """Least-squares slopes of the rows of y (S, Q) against x (Q,) over the
-    usable points of each row, from centred sums.  Each row's sums run along
-    its own contiguous axis, so a row's slope has the same bits whether it is
-    fitted alone or in a block."""
-    count = usable.sum(axis=1)
-    x = np.where(usable, x, 0.0)
-    y = np.where(usable, y, 0.0)
-    dx = np.where(usable, x - (x.sum(axis=1) / count)[:, None], 0.0)
-    dy = np.where(usable, y - (y.sum(axis=1) / count)[:, None], 0.0)
-    return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
-
-
-def log_log_slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Least-squares slope of log(ys) against log(xs).
-
-    Raises ValueError unless xs and ys are 1-D of one length, every value is
-    finite and positive, and xs holds at least two distinct values.
-    """
-    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError(
-            f"xs and ys must be 1-D of one length, got shapes {xs.shape} and {ys.shape}"
-        )
-    for name, values in (("xs", xs), ("ys", ys)):
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise ValueError(f"every value of {name} must be finite and positive")
-    if np.unique(xs).size < 2:
-        raise ValueError("xs must hold at least two distinct values")
-    x, y = np.log(xs), np.log(ys)[None]
-    return float(_centred_slopes(x, y, np.ones(y.shape, dtype=bool))[0])
-
-
 def _fit_block(qs: np.ndarray, residuals: np.ndarray, floor) -> list:
     """Log-log slope of each row of residuals (S, Q) over its points at or
     above `floor`, one float or each row's (S, 1); None for a row with fewer
-    than five such points."""
+    than five such points.  The least-squares slopes come from centred sums,
+    each along its row's own contiguous axis, so a row's slope has the same
+    bits whether it is fitted alone or in a block."""
     usable = residuals >= floor
     rows = np.flatnonzero(usable.sum(axis=1) >= _MIN_FIT_POINTS)
     mask = usable[rows]
-    # ones stand in for the unusable residuals, which may be zero
-    logs = np.log(np.where(mask, residuals[rows], 1.0))
+    count = mask.sum(axis=1)
+    x = np.where(mask, np.log(qs), 0.0)
+    # ones stand in for the unusable residuals, which may be zero: log 1 = 0
+    y = np.log(np.where(mask, residuals[rows], 1.0))
+    dx = np.where(mask, x - (x.sum(axis=1) / count)[:, None], 0.0)
+    dy = np.where(mask, y - (y.sum(axis=1) / count)[:, None], 0.0)
     slopes: list = [None] * residuals.shape[0]
-    for row, slope in zip(rows.tolist(), _centred_slopes(np.log(qs), logs, mask).tolist()):
+    fitted = (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+    for row, slope in zip(rows.tolist(), fitted.tolist()):
         slopes[row] = slope
     return slopes
 

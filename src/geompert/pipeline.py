@@ -49,7 +49,7 @@ from .errors import GeompertError, PipelineError
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
 from .oracle import _continued_sweep, _fd_coefficients, _residual_grid, _residual_slopes
-from .spectral import eigenframe, require_count
+from .spectral import _conditioning, eigenframe, require_count
 
 _GAUGE_SEED = 20210707
 # the highest order the residual, FD and gauge checks and the Hermitian check's
@@ -406,6 +406,7 @@ def run_pipeline(
             "tool": f"geompert {__version__}",
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "model_metadata": dict(sorted(doc.metadata.items())),
+            "frame": _conditioning(frame),
             "timings": timings,
         },
         sweep=sweep_arrays,

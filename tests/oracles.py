@@ -616,7 +616,7 @@ def reference_pair_step(prev, new, q):
     picks = np.argmin(dist, axis=1)
     part = np.sort(dist, axis=1)
     best, runner = part[:, 0], part[:, 1]
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore"):  # a constant eigenvalue: best 0, the ratio inf
         ratios = np.where(best > 0, runner / np.maximum(best, 1e-300), np.inf)
     margin = float(np.min(ratios))
     if np.any(runner < 2.0 * best):

@@ -1071,6 +1071,10 @@ class TestCli:
         text = captured.out if command == "verify" else (out / "report.json").read_text()
         report = _strict_json(text)
         assert report["frame"]["min_gap"] is None
+        conditioning = report["metadata"]["frame"]
+        assert list(conditioning) == ["relative_gap", "gap_tol", "kappa", "eigenvalue_condition"]
+        assert conditioning["relative_gap"] is None  # no pair of eigenvalues, no gap
+        assert conditioning["kappa"] == 1 and conditioning["eigenvalue_condition"] == [1]
         assert report["verdict"] == "pass"
 
     def test_residual_grid_keeps_both_window_ends(self, capsys):
@@ -1091,8 +1095,7 @@ class TestCli:
 
         monkeypatch.setattr(g.cli, "run_pipeline", record)
         out = str(tmp_path / "out")
-        assert main(["expand", "--model", "toy-sec5", "--order", "2", "--gauge", "zero-diag",
-                     "--out", out]) == 0
+        assert main(["expand", "--model", "toy-sec5", "--order", "2", "--out", out]) == 0
         assert main(["sweep", "--model", "toy-sec5", "--q-max", "0.1", "--points", "7",
                      "--out", out]) == 0
         assert main(["verify", "--model", "toy-sec5", "--order", "2", "--q-lo", "1e-3",
@@ -1111,11 +1114,27 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["checks"]["residual_order"]["window"] == [1e-3, 1e-2]
 
-    def test_gauge_flag_restricted(self, tmp_path, capsys):
-        model = tmp_path / "toy.json"
-        model.write_text(TOY_JSON)
-        with pytest.raises(SystemExit):
-            main(["expand", "--model", str(model), "--order", "2", "--gauge", "other", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("gauge", ["zero-diag", "other"])
+    def test_gauge_flag_is_a_usage_error(self, tmp_path, capsys, gauge):
+        # the report's "gauge" is always "zero-diag", and no option sets it
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--model", "toy-sec5", "--order", "2", "--gauge", gauge,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gauge" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constant_eigenvalue_sweep_is_quiet(self, tmp_path, capsys):
+        # a constant eigenvalue 1e9 away from the next: its best match is exactly
+        # 0, so its runner-up ratio is inf, without the overflow warning that the
+        # suite would turn into an error
+        model = tmp_path / "constant.json"
+        terms = [np.diag([0.0, 1e9]), np.diag([0.0, 1.0])]
+        model.write_text(g.serialize_model(g.ModelDocument("constant", terms)))
+        argv = ["sweep", "--model", str(model), "--q-max", "0.2", "--points", "5", "--order", "1"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_module_entry_point(self):
         # the child process imports the same geompert as the test run

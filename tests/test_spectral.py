@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -8,13 +9,14 @@ from geompert.pipeline import ALL_CHECKS, run_pipeline
 from geompert.spectral import (
     _PHASE_TOL,
     GAP_TOL_ENV,
+    _conditioning,
     _normalize_columns,
     as_complex_matrix,
     min_pairwise_gap,
     resolve_gap_tol,
 )
 from geompert.oracle import _pair_block
-from oracles import reference_normalize_columns, seeded_quadratic_family
+from oracles import manufactured_family, reference_normalize_columns, seeded_quadratic_family
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -193,6 +195,10 @@ class TestDegeneracyTest:
         singles = [min_pairwise_gap(row) for row in stack]
         assert all(type(x) is float for x in singles)
         assert gaps.tolist() == singles
+        # each pair is measured once, and in either order gives the same bits
+        ordered = [min((float(np.abs(row[i] - row[j])) for i in range(dim) for j in range(dim)
+                        if i != j), default=np.inf) for row in stack]
+        assert singles == ordered
         if dim == 1:
             assert singles == [np.inf] * len(stack)
         else:
@@ -218,6 +224,47 @@ class TestDegeneracyTest:
             except g.DegenerateSpectrum:
                 sampler_says = True
             assert frame_says == sampler_says == degenerate
+
+
+class TestConditioning:
+    """The report's metadata["frame"]: the relative gap, gap_tol, kappa(V)
+    and each state's eigenvalue condition ||l_n|| ||r_n||."""
+
+    @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N16"])
+    def test_finite_on_every_builtin_and_seeded_n16(self, name):
+        if name == "seeded-N16":
+            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 16).terms))
+        else:
+            doc = g.builtin_model(name)
+        frame = g.eigenframe(doc.to_hamiltonian().term(0))
+        keys = _conditioning(frame)
+        assert keys == run_pipeline(doc, 1, set()).metadata["frame"]
+        scale = max(1.0, float(np.abs(frame.eigenvalues).max()))
+        assert keys["relative_gap"] == frame.min_gap / scale > keys["gap_tol"] == frame.gap_tol
+        assert math.isfinite(keys["kappa"]) and keys["kappa"] >= 1
+        condition = keys["eigenvalue_condition"]
+        assert len(condition) == frame.dim
+        # ||l_n|| ||r_n|| >= |<l_n|r_n>| = 1, up to roundoff
+        assert all(math.isfinite(c) and c >= 1 - 1e-12 for c in condition)
+        if name == "hermitian-2level":  # an orthonormal frame
+            assert keys["kappa"] == pytest.approx(1, abs=1e-12)
+            assert condition == pytest.approx([1, 1], abs=1e-12)
+
+    def test_relative_gap_is_what_the_degeneracy_test_reads(self):
+        # min gap 0.5 over max(1, max|h|) = 4
+        keys = _conditioning(g.eigenframe(np.diag([-4.0, 0.0, 0.5])))
+        assert keys["relative_gap"] == 0.125
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 4.0])
+    def test_kappa_of_manufactured_dimers(self, t, dense):
+        # T = [[1, t], [0, 1]] puts each dimer's unit eigenvectors at the cosine
+        # s = t / sqrt(1 + t^2), so cond(V) = sqrt((1 + s) / (1 - s)); the dense
+        # families rotate by the orthogonal S / sqrt(N), which keeps it
+        frame = g.eigenframe(manufactured_family(0, 16, t, dense).hamiltonian.term(0))
+        s = t / math.sqrt(1 + t * t)
+        exact = math.sqrt((1 + s) / (1 - s))
+        assert abs(_conditioning(frame)["kappa"] - exact) <= 1e-12 * exact
 
 
 class TestRealFrame:
