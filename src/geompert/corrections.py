@@ -54,13 +54,14 @@ per-state view is `build_series`, which copies its column out of it
 fields), so a loop over all states costs one kernel call, and
 `build_all_series` returns the same columns bit for bit.  The Bell route
 stays per call and unmemoized: its independence from the recursion is what
-the route check tests.
+its tests compare; no command runs it, since its cost grows like 2^order.
 
 `_rs_block` is the biorthogonal Rayleigh-Schroedinger recursion, for every
 state at any degree and order, from the frame matrices of H_1..H_p alone
-(V^dagger H_j V gives a Hermitian family's textbook values); it serves
-`rs_linear_corrections` and `crosscheck_linear`, whose third route reads
-h^(1..3) of a linear family off [[K_1^(j)]] alone.
+(V^dagger H_j V gives a Hermitian family's textbook values); it serves the
+pipeline's route check at every order, `rs_linear_corrections` and
+`crosscheck_linear`, whose third route reads h^(1..3) of a linear family
+off [[K_1^(j)]] alone.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ from .generators import PolynomialHamiltonian
 from .spectral import _frozen, is_integer
 
 # the highest term order a document may hold, since parse_model builds every
-# order below it; every CLI command runs the route check, which caps the
-# series order at bellpoly.MAX_WORD_GRADE = 25, so none reads a term above 26
+# order below it; every CLI command runs the route check, which keeps the
+# series order at most bellpoly.MAX_WORD_GRADE = 25 as the one bound on a
+# hostile order, so none reads a term above 26
 MAX_TERM_ORDER = 64
 
 

@@ -32,10 +32,11 @@ the grid and `series_residual_order` share), the rule that q^K is a finite
 float (`_require_power`, for the window and the ray residuals), the noise
 floors and the rule that a window is below the noise floor.  The pipeline's
 floors are measured: `_residual_slopes` compares its sweep with the
-permutation twin P H(q) P^T at three samples, and takes 10 times each
-state's noise, never less than RESIDUAL_FLOOR or RAY_FLOOR, the constant
-floors of the public views.  A sweep pairs under the degeneracy threshold
-its frame records.
+permutation twins P H(q) P^T at three samples (P a fixed pseudo-random
+derangement, then the index reversal, then the derangement), and takes 10
+times each state's noise, never less than RESIDUAL_FLOOR or RAY_FLOOR, the
+constant floors of the public views.  A sweep pairs under the degeneracy
+threshold its frame records.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -75,6 +77,8 @@ _MARGIN_FACTOR = 2.0
 _NOISE_FACTOR = 10.0
 # finite-difference spacing; the stencil also samples at half of it
 _FD_STEP = 1e-3
+# the seed of the twins' fixed derangement
+_TWIN_SEED = 1729
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +273,24 @@ def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarra
     return qs
 
 
+@cache
+def _twin_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twins' index maps (3, n), (P H P^T)[i, j] = H[perm[i], perm[j]] at each noise
+    sample, and their inverses, read-only: a fixed pseudo-random derangement at the first
+    and last samples, which no structured input shares (under Sylvester-Hadamard mixing
+    the reversal is a sign symmetry), and the index reversal at the middle one, which
+    reverses every contiguous block (a block kept in order has the sweep's roundoff)."""
+    rng = np.random.default_rng(_TWIN_SEED)
+    shuffle = rng.permutation(n)
+    while n > 1 and np.any(shuffle == np.arange(n)):
+        shuffle = rng.permutation(n)
+    perm = np.array([shuffle, np.arange(n)[::-1], shuffle])
+    # not argsort: its first call maps numpy's sort kernels, 0.25 MB of peak RSS
+    inverse = np.empty_like(perm)
+    np.put_along_axis(inverse, perm, np.arange(n), 1)
+    return _frozen(perm), _frozen(inverse)
+
+
 def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
                      states: np.ndarray, h: np.ndarray, qs: np.ndarray):
     """Eigenvalue and ray slopes of every state for a (K+1, N, N) state block and (K+1, N)
@@ -277,21 +299,24 @@ def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
     is below the noise floor: every |q_hi^k h_n^(k)|, k >= 1, under its state's value floor,
     some h_n^(k) not 0, and no eigenvalue slope.
 
-    The noise is measured against the permutation twin P H(q) P^T, P the index reversal,
-    which has the same eigenpairs under other roundoff, at the grid's first, middle and
+    The noise is measured against the permutation twins P H(q) P^T of `_twin_permutations`,
+    which have the same eigenpairs under other roundoff, at the grid's first, middle and
     last samples: a state's value noise is its largest |E - E_twin|, its ray noise the
     largest sine between its two eigenvectors.  A floor is `_NOISE_FACTOR` times the noise,
     and at least RESIDUAL_FLOOR (values) or RAY_FLOOR (rays), since an exactly computed
     family has no twin noise."""
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
     picked = [0, qs.size // 2, qs.size - 1]
-    # the twin's eigenvalues pair with the sweep's as one sample pairs with the next
-    twin_values, twin_vectors = np.linalg.eig(hamiltonian.at_block(qs[picked])[:, ::-1, ::-1])
+    # the twins' eigenvalues pair with the sweep's as one sample pairs with the next
+    perm, inverse = _twin_permutations(frame.dim)
+    sample = np.arange(len(picked))[:, None, None]
+    shuffled = hamiltonian.at_block(qs[picked])[sample, perm[:, :, None], perm[:, None, :]]
+    twin_values, twin_vectors = np.linalg.eig(shuffled)
     picks, _ = _pair_block(curve.values[:, picked].T, twin_values, qs[picked], frame.gap_tol)
     value_noise = np.abs(curve.values[:, picked].T - np.take_along_axis(twin_values, picks, 1))
     # undo P on the twin's vectors; each (state, sample) is one row, the twin's vector its
     # order-0 series
-    twin = np.take_along_axis(twin_vectors[:, ::-1, :], picks[:, None, :], 2).transpose(2, 0, 1)
+    twin = twin_vectors[sample, inverse[:, :, None], picks[:, None, :]].transpose(2, 0, 1)
     rows = (-1, 1, frame.dim)
     sines = _ray_residual_block(vectors[:, picked].reshape(rows), twin.reshape(rows), np.ones(1))
     value_floors = np.maximum(_NOISE_FACTOR * value_noise.max(axis=0), RESIDUAL_FLOOR)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -408,11 +409,36 @@ class TestPipeline:
         doc = g.builtin_model("toy-sec5")
         report = run_pipeline(doc, 3, ALL_CHECKS, tmp_path / "out")
         assert report.verdict == "pass"
+        # the gauge the solve records, spelled as the solve spells it
+        assert report.parameters["gauge"] == g.generators.GAUGE_ZERO_DIAGONAL
         # the "+" branch second-order coefficient is +1/2 at unit constants
         row = [r for r in report.series_rows if r["n"] == 1 and r["k"] == 2]
         assert row[0]["re"] == pytest.approx(0.5)
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "series.csv").exists()
+
+    @pytest.mark.parametrize("name, order, verdict", [
+        ("hermitian-2level", 25, "pass"),
+        ("toy-sec5", 25, "pass"),
+        # the route check reads 2.0e-11: the production drift of high-order h
+        ("seeded-N64", 18, "fail"),
+    ])
+    def test_fast_checks_stay_small_at_high_order(self, name, order, verdict):
+        # the route check's RS recursion is linear in K; the Bell route's 2^(k-1)
+        # words per grade took about 2 GB at K = 25 on the 2 x 2 families, and
+        # would take about 13 GB at N = 64, K = 18
+        if name == "seeded-N64":
+            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 64).terms))
+        else:
+            doc = g.builtin_model(name)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(doc, order, FAST_CHECKS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert report.verdict == verdict
 
     def test_degenerate_fails_at_eigenframe_without_output(self, tmp_path):
         doc = g.ModelDocument("bad", [np.eye(2), np.eye(2)])
@@ -1116,7 +1142,7 @@ class TestCli:
 
     @pytest.mark.parametrize("gauge", ["zero-diag", "other"])
     def test_gauge_flag_is_a_usage_error(self, tmp_path, capsys, gauge):
-        # the report's "gauge" is always "zero-diag", and no option sets it
+        # the report's "gauge" is the solve's canonical one, and no option sets it
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--model", "toy-sec5", "--order", "2", "--gauge", gauge,

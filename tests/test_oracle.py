@@ -15,10 +15,12 @@ from geompert.oracle import (
     _fd_coefficients,
     _fit_block,
     _ray_residual_block,
+    _twin_permutations,
 )
 from geompert.pipeline import ALL_CHECKS, run_pipeline
 from oracles import (
     linear_family,
+    manufactured_family,
     reference_continued_sweep,
     reference_fd_derivative,
     reference_ray_residual,
@@ -614,6 +616,38 @@ class TestMeasuredFloors:
         assert min(check["ray_floors"]) >= RAY_FLOOR
         # the eigensolver's roundoff lies above the constant floor here
         assert max(check["eigenvalue_floors"]) > RESIDUAL_FLOOR
+        # the twins' vectors are mapped back before the sines are taken
+        assert max(check["ray_floors"]) < 1e-10
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("t", [0, 1, 4, 16])
+    def test_manufactured_families_pass_at_the_fixed_gate(self, dense, t):
+        # the exactly known dimers, their series within 1e-14 of exact.  Under
+        # Sylvester-Hadamard mixing (dense) the index reversal alone is a sign
+        # symmetry: at t = 0 its twin matched the sweep to 1.8e-16, every floor
+        # fell to RESIDUAL_FLOOR and the value slopes read 1.43 to 3.19
+        ham = manufactured_family(0, 16, t, dense).hamiltonian
+        report = run_pipeline(g.ModelDocument("dimers", list(ham.terms)), 3, {"residual_order"})
+        check = report.checks["residual_order"]
+        assert check["status"] == "pass" and check["threshold"] == 3 + 0.8
+        assert max(check["eigenvalue_floors"]) > RESIDUAL_FLOOR
+        assert max(check["ray_floors"]) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+    def test_twin_permutations(self, n):
+        perm, inverse = _twin_permutations(n)
+        assert _twin_permutations(n) is _twin_permutations(n)  # drawn once per N
+        assert perm.shape == inverse.shape == (3, n)
+        assert not perm.flags.writeable and not inverse.flags.writeable
+        for p, q in zip(perm, inverse):
+            assert np.array_equal(np.sort(p), np.arange(n))
+            assert np.array_equal(p[q], np.arange(n))
+        # a derangement at the first and last samples, the reversal between
+        assert np.array_equal(perm[0], perm[2])
+        assert n == 1 or not np.any(perm[0] == np.arange(n))
+        assert np.array_equal(perm[1], np.arange(n)[::-1])
+        if n >= 16:
+            assert not np.array_equal(perm[0], perm[1])
 
     def test_a_gross_error_still_fails(self, monkeypatch):
         def wrong_h2(gens, order):
@@ -644,10 +678,11 @@ class TestSharedSweep:
         assert len(calls["eigvals"]) <= 7  # the union of the k = 1..3 stencils
         # the run's solve, then the gauge check's to order kc - 1 = 2
         assert [args[2] for args in calls["solve_generators"]] == [3, 2]
-        # the run's block and the gauge check's block; the route check and the
-        # linear crosscheck's order-3 recursion route reuse the run's
+        # the run's block and the gauge check's block; the linear crosscheck's
+        # order-3 recursion route reuses the run's
         assert _recursions(calls) == 2
-        assert len(calls["_bell_block"]) == 1
+        # the route check reads the RS recursion, not the Bell closed form
+        assert calls["_bell_block"] == []
 
     def test_crosscheck_reads_the_run_block_at_a_higher_order(self, monkeypatch):
         calls = _record_calls(monkeypatch)
@@ -659,7 +694,7 @@ class TestSharedSweep:
         argv = ["expand", "--model", "toy-sec5", "--order", "5", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert _recursions(calls) == 1
-        assert len(calls["_bell_block"]) == 1
+        assert calls["_bell_block"] == []
         assert [args[2] for args in calls["solve_generators"]] == [5]
 
     @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])

@@ -1,7 +1,8 @@
 """Property tests of the block series kernel, of the Bell route's grade-stack
 kernel, of the Hermitian reduction to Rayleigh-Schroedinger theory, of the
-frame's column normalization, of the verdict on a wrong series and of the
-eigen-equation check on wrong generators."""
+frame's column normalization, of the verdict on a wrong series, of the
+eigen-equation check on wrong generators and of the route check on one wrong
+coefficient at any order."""
 
 from functools import cache
 from types import SimpleNamespace
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 import geompert as g
 from geompert.corrections import _all_block, _bell_block, _equation_residuals, _rs_block, _series_block
 from geompert.generators import GeneratorSeries
-from geompert.pipeline import ALL_CHECKS, _check_equation, _worst_relative, run_pipeline
+from geompert.pipeline import (ALL_CHECKS, FAST_CHECKS, _check_equation, _worst_relative,
+                               run_pipeline)
 from geompert.spectral import _PHASE_TOL, _normalize_columns, min_pairwise_gap
 from oracles import (
     linear_family,
@@ -196,8 +198,8 @@ def wrong_series(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(wrong_series())
 def test_one_wrong_coefficient_fails_verify(case):
-    # injected in the kernel that the production and the Bell routes share,
-    # so the route check recomputes the same wrong h
+    # injected in the production kernel; the route check's RS recursion does
+    # not run it, and the verdict fails whichever check reads the wrong h
     seed, dim, degree, order, k, n, delta = case
     ham = _conditioned_family(seed, dim, degree)
     original = _series_block
@@ -209,8 +211,7 @@ def test_one_wrong_coefficient_fails_verify(case):
             h[k, n] *= 1.0 + delta
         return states, h
 
-    with patch.object(g.corrections, "_series_block", kernel), \
-            patch.object(g.pipeline, "_series_block", kernel):
+    with patch.object(g.corrections, "_series_block", kernel):
         report = run_pipeline(g.ModelDocument("drawn", list(ham.terms)), order, ALL_CHECKS)
         states, h = _all_block(g.solve_model(ham, order), order)
     assert report.verdict == "fail"
@@ -267,3 +268,41 @@ def test_generator_error_that_moves_the_series_fails_equation_residual(case):
     moved = max(_worst_relative(states, wrong_states), _worst_relative(h, wrong_h))
     if moved > 1e-8:
         assert not _check_equation(hamiltonian=ham, states=wrong_states, h=wrong_h)[0]
+
+
+@st.composite
+def wrong_route_coefficient(draw):
+    """A family and its order K: a built-in at K = 12, seeded N = 16 or a drawn
+    non-Hermitian family of degree <= 3 at K <= 8; and one h_n^(k), k in 0..K."""
+    name = draw(st.sampled_from([*sorted(g.BUILTIN_MODELS), "seeded-N16", "drawn"]))
+    if name in g.BUILTIN_MODELS:
+        ham, order = g.builtin_model(name).to_hamiltonian(), 12
+    elif name == "seeded-N16":
+        ham, order = seeded_quadratic_family(0, 16), draw(st.integers(1, 8))
+    else:
+        ham = _conditioned_family(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 8)),
+                                  draw(st.integers(1, 3)))
+        order = draw(st.integers(1, 8))
+    return ham, order, draw(st.integers(0, order)), draw(st.integers(0, ham.dim - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(wrong_route_coefficient())
+def test_one_wrong_coefficient_fails_the_route_check(case):
+    # the route check's RS recursion shares no code with the generator route,
+    # so it reads an error of 1e-8 max(1, max_k |h_n^(k)|) at every order
+    ham, order, k, n = case
+    doc = g.ModelDocument("drawn", list(ham.terms))
+    assert run_pipeline(doc, order, FAST_CHECKS).checks["route_equivalence"]["status"] == "pass"
+
+    def wrong(gens, order):
+        states, h = _all_block(gens, order)
+        h = h.copy()
+        h[k, n] += 1e-8 * max(1.0, float(np.abs(h[:, n]).max()))
+        return states, h
+
+    with patch.object(g.pipeline, "_all_block", wrong):
+        report = run_pipeline(doc, order, FAST_CHECKS)
+    check = report.checks["route_equivalence"]
+    assert check["status"] == "fail" and report.verdict == "fail"
+    assert check["eigenvalue_route_deviation"] > check["eigenvalue_threshold"]
