@@ -309,17 +309,27 @@ def _rs_block(terms, h: np.ndarray, order: int) -> np.ndarray:
     recursion from the frame matrices `terms` = A_1..A_p of H_1..H_p (W H_j V,
     or V^dagger H_j V for the orthonormal reduction) and the eigenvalues `h`:
     C^(0) = I, then X = sum_j A_j C^(k-j), h^(k) = diag X and
-    C^(k) = G o (X - sum_{0<i<k} C^(k-i) h^(i)), with G[m, n] = 1/(h_n - h_m)."""
+    C^(k) = G o (X - sum_{0<i<k} C^(k-i) h^(i)), with G[m, n] = 1/(h_n - h_m).
+    Each order is one stacked product and two reduces, each sum from a zero item."""
+    n = h.size
     inv = h[None, :] - h[:, None]  # h_n - h_m at [m, n]
     np.fill_diagonal(inv, np.inf)
     inv = 1.0 / inv  # 0 on the diagonal: C^(k)_nn = 0 for k >= 1
-    coeffs = [np.eye(h.size, dtype=np.complex128)]
-    out = np.zeros((order + 1, h.size), dtype=np.complex128)
+    a = np.asarray(terms, dtype=np.complex128).reshape(len(terms), n, n)  # degree 0: no term
+    coeffs = np.zeros((order + 1, n, n), dtype=np.complex128)
+    np.fill_diagonal(coeffs[0], 1.0)
+    out = np.zeros((order + 1, n), dtype=np.complex128)
     out[0] = h
+    # item 0 of each sum stays zero: X = 0 + A_1 C^(k-1) + ..., S = 0 + C^(k-1) h^(1) + ...
+    products = np.zeros((min(len(a), order) + 1, n, n), dtype=np.complex128)
+    shifted = np.zeros((order, n, n), dtype=np.complex128)
     for k in range(1, order + 1):
-        x = sum((a @ coeffs[k - j] for j, a in enumerate(terms[:k], 1)), np.zeros_like(coeffs[0]))
-        out[k] = np.diag(x)
-        coeffs.append(inv * (x - sum(coeffs[k - i] * out[i] for i in range(1, k))))
+        p = min(len(a), k)
+        np.matmul(a[:p], coeffs[k - 1 :: -1][:p], out=products[1 : p + 1])
+        x = _reduce(np.add, products[: p + 1])
+        out[k] = x.diagonal()
+        np.multiply(coeffs[k - 1 : 0 : -1], out[1:k, None, :], out=shifted[1:k])
+        np.multiply(inv, np.subtract(x, _reduce(np.add, shifted[:k]), out=x), out=coeffs[k])
     return out
 
 

@@ -19,7 +19,10 @@ table and derives every status in one place.  Reports are deterministic for
 fixed input and flags; the timestamp and the per-stage timings live in the
 metadata block, never in the comparison payload.
 Reports are strict JSON, written by one writer with one `isinstance` chain;
-a non-finite float raises ValueError rather than being written.
+a non-finite float raises ValueError rather than being written.  A container
+formats its leaves of exact type `float`, `int` and `str` in place, and every
+other value goes through the chain.  Each output file is formatted and
+encoded before it is opened, so a formatting error leaves it untouched.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ from .oracle import _continued_sweep, _fd_coefficients, _residual_grid, _residua
 from .spectral import _conditioning, double_bracket, eigenframe, require_count
 
 _GAUGE_SEED = 20210707
+# the most q samples a command takes, for the verify window and the sweep: each
+# sample is one eigensolve, and a sweep writes four numbers per state per sample
+MAX_POINTS = 10_000
 # the highest order the residual, FD and gauge checks and the Hermitian check's
 # textbook comparison read; its imaginary-part bound reads every order up to K
 _CHECK_ORDER = 3
@@ -105,15 +111,15 @@ def _json_text(obj, pad: str = "") -> str:
             return "{}"
         inner = pad + "  "
         items = ",\n".join(
-            f"{inner}{_quote(str(k))}: {_json_text(v, inner)}" for k, v in obj.items()
+            f"{inner}{_quote(str(k))}: {text}"
+            for k, text in zip(obj, _item_texts(obj.values(), inner))
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        items = ",\n".join(inner + _json_text(v, inner) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
+        return "[\n" + inner + (",\n" + inner).join(_item_texts(obj, inner)) + "\n" + pad + "]"
     if isinstance(obj, bool):  # before int, of which bool is a subclass
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -121,6 +127,20 @@ def _json_text(obj, pad: str = "") -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _item_texts(values, pad: str) -> list[str]:
+    """The JSON text of each item of a container, in order: a finite `float`,
+    an `int` or a `str`, by exact type, is formatted here, and every other
+    value (`bool`, a numpy scalar, a non-finite float, a container) by
+    `_json_text`."""
+    return [
+        _FLOAT % v if type(v) is float and math.isfinite(v)
+        else str(v) if type(v) is int
+        else _quote(v) if type(v) is str
+        else _json_text(v, pad)
+        for v in values
+    ]
 
 
 def report_json(report: Report) -> str:
@@ -327,6 +347,8 @@ def run_pipeline(
     sweep data was requested) are written there after everything succeeds;
     an `out_dir` that cannot be a directory (it, or its nearest existing
     ancestor, exists and is not one) raises NotADirectoryError before any work.
+    More than MAX_POINTS samples, in the window of `residual_order` (`points`)
+    or in the sweep, raise ValueError before any work too.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
     require_count("order", order)
@@ -339,13 +361,16 @@ def run_pipeline(
         # higher cap needs a bound of its own on the solve's time and memory
         require_word_grade(order)
     kc = min(order, _CHECK_ORDER)
-    residual_qs = _residual_grid((q_lo, q_hi), points, kc) if "residual_order" in checks else None
+    residual_qs = None
+    if "residual_order" in checks:
+        _require_points("points", points)
+        residual_qs = _residual_grid((q_lo, q_hi), points, kc)
     if out_dir is not None:
         _require_directory(out_dir)
     if sweep is not None:
         if not 0 < sweep[0] < np.inf:
             raise ValueError(f"sweep q_max must be finite and positive, got {sweep[0]!r}")
-        require_count("sweep points", sweep[1])
+        _require_points("sweep points", sweep[1])
 
     timings: dict[str, float] = {}
     with _stage("validate", timings):
@@ -378,8 +403,8 @@ def run_pipeline(
 
     verdict = "fail" if any(r["status"] == "fail" for r in results.values()) else "pass"
     series_rows = [
-        {"n": n, "k": k, "re": float(value.real), "im": float(value.imag)}
-        for n, series in enumerate(h.T)
+        {"n": n, "k": k, "re": value.real, "im": value.imag}
+        for n, series in enumerate(h.T.tolist())
         for k, value in enumerate(series)
     ]
 
@@ -419,6 +444,13 @@ def run_pipeline(
     return report
 
 
+def _require_points(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer from 1 to MAX_POINTS."""
+    require_count(name, value)
+    if value > MAX_POINTS:
+        raise ValueError(f"{name} must be at most {MAX_POINTS}, got {value!r}")
+
+
 def _require_directory(out_dir) -> None:
     """Raise NotADirectoryError unless `out_dir`, or where it does not exist
     yet its nearest existing ancestor, is a directory."""
@@ -432,11 +464,11 @@ def _require_directory(out_dir) -> None:
 
 
 def _write_outputs(report: Report, out_dir) -> None:
-    import pathlib
-
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report_json(report), encoding="utf-8")
-    (out / "series.csv").write_text(series_csv(report), encoding="utf-8")
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = [("report.json", report_json), ("series.csv", series_csv)]
     if report.sweep is not None:
-        (out / "sweep.csv").write_text(sweep_csv(report), encoding="utf-8")
+        outputs.append(("sweep.csv", sweep_csv))
+    for name, text in outputs:
+        data = text(report).encode()  # before the file is opened, and so truncated
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)

@@ -34,9 +34,10 @@ All returned objects are immutable (`_frozen` is the one way an array is
 made read-only); operations are pure functions and safe to share across
 threads.
 
-The stacked kernels (`generators`, `corrections`, `oracle`) make one numpy
-call per order where a loop made one per term, and keep the loop's bits by
-two rules, whose primitives live here:
+The stacked kernels (`generators`, `corrections`, with the RS route
+`corrections._rs_block`, and `oracle`) make one numpy call per order where a
+loop made one per term, and keep the loop's bits by two rules, whose
+primitives live here:
 
   - a stacked `np.matmul` makes one BLAS call per item, the call the item's
     product makes alone, never one wide GEMM; `_rowdot` (and `_rownorm`) is

@@ -137,6 +137,23 @@ def reference_rs_extended(hamiltonian, order):
         return np.array([[complex(z) for z in row] for row in values])
 
 
+def reference_rs_block(terms, h, order):
+    """h^(0..order) of every state by the Rayleigh-Schroedinger recursion in
+    double, one product and one addition per term: the per-term loop the
+    stacked `corrections._rs_block` must match bit for bit."""
+    inv = h[None, :] - h[:, None]  # h_n - h_m at [m, n]
+    np.fill_diagonal(inv, np.inf)
+    inv = 1.0 / inv  # 0 on the diagonal: C^(k)_nn = 0 for k >= 1
+    coeffs = [np.eye(h.size, dtype=np.complex128)]
+    out = np.zeros((order + 1, h.size), dtype=np.complex128)
+    out[0] = h
+    for k in range(1, order + 1):
+        x = sum((a @ coeffs[k - j] for j, a in enumerate(terms[:k], 1)), np.zeros_like(coeffs[0]))
+        out[k] = np.diag(x)
+        coeffs.append(inv * (x - sum(coeffs[k - i] * out[i] for i in range(1, k))))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # closed forms for low-order generator matrix elements of a linear family in
 # the zero-diagonal gauge, coded straight from their definitions

@@ -16,9 +16,11 @@ from geompert.corrections import (
 from geompert.pipeline import run_pipeline
 from oracles import (
     linear_family,
+    manufactured_family,
     reference_bell_blocks,
     reference_eigenvalue_corrections,
     reference_equation_residual,
+    reference_rs_block,
     reference_rs_closed_forms,
     reference_rs_extended,
     reference_series_block,
@@ -709,6 +711,34 @@ class TestRayleighSchroedingerBlock:
         a = v.conj().T @ ham.term(1) @ v
         rs = _rs_block([a], frame.eigenvalues, 3)
         assert _relative(rs[1:].T, reference_rs_closed_forms(a, frame.eigenvalues)) <= 1e-13
+
+    @pytest.mark.parametrize("family", [
+        *g.BUILTIN_MODELS, "seeded-N2", "seeded-N6", "seeded-N16",
+        *(f"dimers-{kind}-t{t}" for kind in ("block", "dense") for t in (0, 1, 16)),
+    ])
+    def test_stacked_recursion_is_the_per_term_loop(self, family):
+        # bit for bit, at degree 0 (no term) to 3 and orders 0 to 25, on both
+        # kinds of frame matrix: W H_j V and V^dagger H_j V
+        if family in g.BUILTIN_MODELS:
+            ham = g.builtin_model(family).to_hamiltonian()
+        elif family.startswith("seeded-N"):
+            ham = seeded_quadratic_family(0, int(family[len("seeded-N"):]))
+        else:
+            _, kind, t = family.split("-")
+            ham = manufactured_family(0, 8, int(t[1:]), kind == "dense").hamiltonian
+        frame = g.eigenframe(ham.term(0))
+        rng = np.random.default_rng(7)
+        extra = [rng.standard_normal((ham.dim,) * 2) + 1j * rng.standard_normal((ham.dim,) * 2)
+                 for _ in range(3)]
+        v = frame.right
+        for degree in range(4):
+            mats = (list(ham.terms[1:]) + extra)[:degree]
+            for terms in ([g.double_bracket(frame, m) for m in mats],
+                          [v.conj().T @ m @ v for m in mats]):
+                for order in (0, 1, 3, 12, 25):
+                    rs = _rs_block(terms, frame.eigenvalues, order)
+                    ref = reference_rs_block(terms, frame.eigenvalues, order)
+                    assert rs.shape == ref.shape and rs.tobytes() == ref.tobytes(), (degree, order)
 
     def test_constant_family(self):
         # no terms: the unperturbed eigenvalues and zero corrections

@@ -17,9 +17,12 @@ from geompert.models import MAX_TERM_ORDER, _parse_matrix
 from geompert.pipeline import (
     ALL_CHECKS,
     FAST_CHECKS,
+    MAX_POINTS,
     _json_text,
+    _write_outputs,
     report_json,
     run_pipeline,
+    series_csv,
     sweep_csv,
 )
 from oracles import (
@@ -638,6 +641,10 @@ class TestPipeline:
         )
     )
     @example({"": [], "\u00e9\u4e2d\U0001f600": {}, "k": ("\x00\"\\", np.float64(-0.0), True, None)})
+    # leaves of every type by exact type and through the chain, empty and nested containers
+    @example([True, False, None, 0, -7, 2**70, 0.0, -0.0, 5e-324, 1e308, "", "a\u00e9"])
+    @example((np.float64(1.5), [np.float64(-0.0), 2.5], {"x": np.float64(3.0), "y": 3.0}))
+    @example({"a": [], "b": {}, "c": (), "d": [[[]], [{}], ({"k": (1, "s", False)},)]})
     def test_json_text_matches_reference_writer(self, obj):
         text = _json_text(obj)
         assert text == reference_json_text(obj)
@@ -645,13 +652,15 @@ class TestPipeline:
         _strict_json(text)
 
     @pytest.mark.parametrize(
-        "obj", [float("inf"), -np.inf, float("nan"), np.float64("nan"), {"a": [1.0, np.inf]}]
+        "obj", [float("inf"), -np.inf, float("nan"), np.float64("nan"), {"a": [1.0, np.inf]},
+                [1.0, float("nan")], {"a": 1.0, "b": float("nan")}, (np.float64(-np.inf),)]
     )
     def test_json_text_rejects_non_finite_floats(self, obj):
         with pytest.raises(ValueError, match="non-finite"):
             _json_text(obj)
 
-    @pytest.mark.parametrize("obj", [np.int64(1), np.bool_(True), 1j, {1, 2}, object(), [b"x"]])
+    @pytest.mark.parametrize("obj", [np.int64(1), np.bool_(True), 1j, {1, 2}, object(), [b"x"],
+                                     [1, np.int64(1)], {"n": np.int64(1)}, (np.bool_(False),)])
     def test_json_text_rejects_what_the_reference_rejects(self, obj):
         with pytest.raises(TypeError):
             reference_json_text(obj)
@@ -689,6 +698,44 @@ class TestPipeline:
         values.real, values.imag = odd[:, None], odd[::-1, None]
         report = dataclasses.replace(report, sweep=(odd, values, np.abs(odd)[:, None]))
         assert sweep_csv(report) == self._row_by_row_csv(report)
+
+    @pytest.mark.parametrize("window", [True, False])
+    def test_point_bound_is_inclusive(self, monkeypatch, window):
+        # MAX_POINTS samples pass validation and reach the frame; one more does not
+        class Reached(Exception):
+            pass
+
+        def frame(*_args, **_kwargs):
+            raise Reached
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", frame)
+        doc = g.builtin_model("toy-sec5")
+
+        def run(points):
+            if window:
+                return run_pipeline(doc, 3, ALL_CHECKS, points=points)
+            return run_pipeline(doc, 3, FAST_CHECKS, sweep=(0.1, points))
+
+        with pytest.raises(Reached):
+            run(MAX_POINTS)
+        with pytest.raises(ValueError, match=f"points must be at most {MAX_POINTS}, got"):
+            run(MAX_POINTS + 1)
+
+    @pytest.mark.parametrize("sweep", [None, (0.1, 20)])
+    def test_written_files_are_the_formatted_text(self, tmp_path, sweep):
+        # byte for byte, created under the umask as a text-mode open creates them
+        report = run_pipeline(g.builtin_model("toy-sec5"), 3, FAST_CHECKS, sweep=sweep)
+        out = tmp_path / "a" / "b"
+        _write_outputs(report, out)
+        expected = {"report.json": report_json(report), "series.csv": series_csv(report)}
+        if sweep is not None:
+            expected["sweep.csv"] = sweep_csv(report)
+        assert sorted(os.listdir(out)) == sorted(expected)
+        umask = os.umask(0)
+        os.umask(umask)
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode("utf-8")
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_sweep_csv_needs_a_sweep(self):
         report = run_pipeline(g.builtin_model("toy-sec5"), 1, FAST_CHECKS)
@@ -990,6 +1037,13 @@ class TestCli:
             (["verify", "--order", "2", "--points", "-3"], "points"),
             (["verify", "--order", "2", "--points", "0"], "points"),
             (["sweep", "--q-max", "0.1", "--points", "0"], "points"),
+            # at most MAX_POINTS samples, before the window's grid or the sweep is allocated
+            (["verify", "--order", "2", "--points", "10001"], "points must be at most 10000"),
+            (["verify", "--order", "2", "--points", "1000000000"], "points must be at most 10000"),
+            (["sweep", "--q-max", "0.1", "--points", "10001"],
+             "sweep points must be at most 10000"),
+            (["sweep", "--q-max", "1", "--points", "1000000000"],
+             "sweep points must be at most 10000"),
             (["sweep", "--q-max", "inf", "--points", "4"], "q_max"),
             (["sweep", "--q-max", "0", "--points", "4"], "q_max"),
             (["sweep", "--q-max", "-0.2", "--points", "4"], "q_max"),
