@@ -158,8 +158,10 @@ def _continued_sweep(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, q
     vectors = np.zeros((n, qs.size, n), dtype=np.complex128) if want_vectors else None
     margin = np.inf
 
-    # the smallest block b with b N > 500, above which numpy releases the GIL
-    # in a stacked LAPACK call: only full blocks gain from a thread
+    # the smallest block b with b N > 500: numpy (2.4, measured) holds the GIL
+    # through a stacked `eigvals` of b N <= 500 and releases it above, for N from
+    # 4 to 64; a stacked `eig` released it at every b N measured, down to 128.
+    # Only blocks that release it gain from a thread.
     size = 500 // n + 1
     split = int(np.searchsorted(qs, 0.0))  # first sample at q >= 0
     start = split

@@ -22,7 +22,15 @@ Reports are strict JSON, written by one writer with one `isinstance` chain;
 a non-finite float raises ValueError rather than being written.  A container
 formats its leaves of exact type `float`, `int` and `str` in place, and every
 other value goes through the chain.  Each output file is formatted and
-encoded before it is opened, so a formatting error leaves it untouched.
+encoded before it is opened, so a formatting error leaves it untouched, and
+rewritten in place, truncated after the write.
+sweep.csv, the one large output, is written as the blocks of rows it is
+formatted in, never joined, and formats its floats through one vector
+kernel, `floattext.g17`, whose bytes are `'%.17g'`'s: it rounds 17 digits in
+`long double` and hands every element whose rounding that type cannot decide
+(within its error bound of a half, an exact tie, zero, not finite) to
+`'%.17g'` itself; where `long double` is plain double that is every element.
+series.csv and report.json hold a few hundred floats and stay on `_FLOAT`.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .bellpoly import require_word_grade
 from .corrections import (
     _all_block,
@@ -154,18 +162,48 @@ def series_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(report: Report) -> str:
+# the floats of sweep.csv formatted in one kernel call, three a row; at least
+# one sample's rows.  Measured on the benchmark's sweep, the kernel is fastest
+# near 4 000 a call: smaller blocks pay its fixed cost (about 0.1 ms a call)
+# more often, and larger ones allocate arrays that the C allocator maps afresh,
+# page by page, on every call
+_CSV_BLOCK_VALUES = 4096
+
+
+def _sweep_csv_blocks(report: Report) -> list:
+    """The ASCII bytes of sweep.csv, one bytes-like object per block of rows."""
     if report.sweep is None:
         raise ValueError("report holds no sweep data")
     qs, values, residuals = report.sweep
-    lines = ["q,n,re,im,residual"]
-    cols = f",%d,{_FLOAT},{_FLOAT},{_FLOAT}"
-    for q, re, im, res in zip(
-        qs.tolist(), values.real.tolist(), values.imag.tolist(), residuals.tolist()
-    ):
-        row = _FLOAT % q + cols
-        lines.extend(row % c for c in zip(range(len(re)), re, im, res))
-    return "\n".join(lines) + "\n"
+    count, dim = values.shape
+    # a row is led by its newline: the words of q (formatted once per sample,
+    # led by "\n"), of ",n" (one word: the dimension is below 10^7) and of the
+    # three fields, in a table whose NUL bytes are dropped once per block of rows
+    words = floattext.WORDS
+    row = 4 * words + 1
+    q_texts = (f"\n%-{8 * words - 1}.17g" * count % tuple(qs.tolist())).encode()
+    q_texts = np.frombuffer(q_texts.replace(b" ", b"\0"), dtype=floattext.WORD).reshape(count, words)
+    states = b"".join((b",%d" % n).ljust(8, b"\0") for n in range(dim))
+    states = np.frombuffer(states, dtype=floattext.WORD)
+    step = max(1, _CSV_BLOCK_VALUES // (3 * dim))
+    blocks = [b"q,n,re,im,residual"]
+    for lo in range(0, count, step):
+        block = slice(lo, lo + step)
+        buf = bytearray(len(qs[block]) * dim * row * floattext.WORD.itemsize)
+        table = np.frombuffer(buf, dtype=floattext.WORD).reshape(-1, dim, row)
+        table[..., :words] = q_texts[block, None]
+        table[..., words] = states
+        floattext.g17(
+            np.stack((values.real[block], values.imag[block], residuals[block]), axis=-1),
+            table[..., words + 1 :].reshape(*table.shape[:2], 3, words),
+        )
+        blocks.append(buf.translate(None, b"\0"))
+    blocks.append(b"\n")
+    return blocks
+
+
+def sweep_csv(report: Report) -> str:
+    return str(b"".join(_sweep_csv_blocks(report)), "ascii")
 
 
 @contextmanager
@@ -197,12 +235,24 @@ def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
 # the entry's own values and thresholds; it returns (ok, entry), ok None for a
 # skipped check, and run_pipeline writes the status in front of the entry's keys
 def _check_hierarchy(*, hamiltonian, gens, **_):
-    mats = (*hamiltonian.terms, gens._kc)
-    scale = max(1.0, *(float(np.abs(m).max()) for m in mats))
+    # each order's defect over the size of that order's own terms, floored at 1:
+    # |H_a| |K^(l-a)|, |K_1^(l)| and (l+1) |H_(l+1)| in max-norm; a scale shared
+    # by all orders is set by the largest terms and hides errors in small ones
+    defects = hierarchy_residuals(hamiltonian, gens)
+    k = np.abs(gens._kc).max(axis=(2, 3))  # (2, orders): K_0 and K_1
+    scale = np.maximum(1.0, k[1])
+    k = k.max(axis=0)
+    for a, term in enumerate(hamiltonian.terms[: len(defects) + 1]):
+        size = float(np.abs(term).max())
+        scale[a:] = np.maximum(scale[a:], size * k[: len(defects) - a])
+        if a:  # (l+1) |H_(l+1)| at l = a - 1
+            scale[a - 1] = max(scale[a - 1], a * size)
+    order = int(np.argmax(defects / scale))
     entry = {
-        "max_residual": float(hierarchy_residuals(hamiltonian, gens).max()),
-        "scale": scale,
-        "threshold": 1e-11 * scale,
+        "max_residual": float(defects[order]),
+        "scale": float(scale[order]),
+        "threshold": 1e-11 * float(scale[order]),
+        "order": order,
     }
     return entry["max_residual"] <= entry["threshold"], entry
 
@@ -465,10 +515,17 @@ def _require_directory(out_dir) -> None:
 
 def _write_outputs(report: Report, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    outputs = [("report.json", report_json), ("series.csv", series_csv)]
+    _write(out_dir, "report.json", [report_json(report).encode()])
+    _write(out_dir, "series.csv", [series_csv(report).encode()])
     if report.sweep is not None:
-        outputs.append(("sweep.csv", sweep_csv))
-    for name, text in outputs:
-        data = text(report).encode()  # before the file is opened, and so truncated
-        with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(data)
+        _write(out_dir, "sweep.csv", _sweep_csv_blocks(report))
+
+
+def _write(out_dir, name: str, data: list) -> None:
+    """Write the bytes-like objects `data` to `name` in `out_dir`, in place:
+    truncating an existing file on open (O_TRUNC) costs ext4 a flush of its old
+    blocks, so the file is truncated after the write."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(os.path.join(out_dir, name), flags, 0o666), "wb") as fh:
+        fh.writelines(data)
+        fh.truncate()

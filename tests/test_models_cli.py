@@ -4,14 +4,17 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import geompert as g
+from geompert import floattext
 from geompert.cli import main
 from geompert.models import MAX_TERM_ORDER, _parse_matrix
 from geompert.pipeline import (
@@ -684,13 +687,16 @@ class TestPipeline:
             )
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("name", ["toy-sec5", "seeded-N6"])
-    def test_sweep_csv_matches_row_formatter(self, name):
-        if name == "seeded-N6":
-            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, 6).terms))
+    # the last is the benchmark's sweep: seeded N = 32, 200 q up to 0.2
+    @pytest.mark.parametrize("name, sweep", [
+        ("toy-sec5", (0.1, 20)), ("seeded-N6", (0.1, 20)), ("seeded-N32", (0.2, 200)),
+    ])
+    def test_sweep_csv_matches_row_formatter(self, name, sweep):
+        if name.startswith("seeded-N"):
+            doc = g.ModelDocument(name, list(seeded_quadratic_family(0, int(name[8:])).terms))
         else:
             doc = g.builtin_model(name)
-        report = run_pipeline(doc, 3, FAST_CHECKS, sweep=(0.1, 20))
+        report = run_pipeline(doc, 3, FAST_CHECKS, sweep=sweep)
         assert sweep_csv(report) == self._row_by_row_csv(report)
         # every kind of float the template may meet
         odd = np.array([0.0, -0.0, 5e-324, -1e-300, 1 / 3, 123456789.12345679, 1e308, np.inf, np.nan])
@@ -698,6 +704,75 @@ class TestPipeline:
         values.real, values.imag = odd[:, None], odd[::-1, None]
         report = dataclasses.replace(report, sweep=(odd, values, np.abs(odd)[:, None]))
         assert sweep_csv(report) == self._row_by_row_csv(report)
+
+    @pytest.mark.parametrize("values", [1, 40, 300])
+    def test_sweep_csv_blocks_join_to_the_row_formatter(self, monkeypatch, values):
+        # blocks of one sample (fewer values than a sample's rows hold), of two,
+        # and of 16 with a remainder
+        monkeypatch.setattr(g.pipeline, "_CSV_BLOCK_VALUES", values)
+        doc = g.ModelDocument("seeded-N6", list(seeded_quadratic_family(0, 6).terms))
+        report = run_pipeline(doc, 3, FAST_CHECKS, sweep=(0.1, 21))
+        assert sweep_csv(report) == self._row_by_row_csv(report)
+
+    @staticmethod
+    def _kernel_texts(x) -> list[bytes]:
+        """floattext.g17 of float64 `x`, one bytes object per element."""
+        texts = floattext.g17(np.asarray(x, dtype=np.float64))
+        return [t.tobytes().replace(b"\0", b"") for t in texts]
+
+    @given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(width=64)))
+    @PROPERTY_SETTINGS
+    def test_kernel_is_percent_17g(self, x):
+        # any float64: zeros of both signs, subnormals, infinities and nan included
+        assert self._kernel_texts(x) == [b",%.17g" % v for v in x.tolist()]
+
+    def test_kernel_on_adversarial_values(self):
+        p = 10.0 ** np.arange(-323, 309)
+        k = np.arange(-300, 300)
+        carries = np.array([float(f"9.99999999999999999e{e}") for e in k])
+        x = np.concatenate([
+            p, np.nextafter(p, 0), np.nextafter(p, np.inf),  # powers of ten +- 1 ulp
+            1 + np.arange(2**17) / 2**17,  # 17-digit ties, which %g rounds half to even
+            carries, np.nextafter(carries, 0),  # a rounding carry into the next decade
+            [1e-5, 1e-4, 9.9999999999999991e-5, 1e16, 1e17, 9.9999999999999984e16],  # %g layouts
+            [5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max, 0.0, -0.0],
+            # y within a third of the kernel's error bound of a half: each one
+            # reads a wrong last digit unless the whole bound falls back
+            [1.7835619823424476e186, 6.001247611616006e208, 6.879886845842247e280,
+             2.6870513101439042e-298, 6.251016127247458e233, 5.7979143879767745e258,
+             3.4974223338408723e-166, 6.903464633269555e-208, 7.197515901313748e265],
+        ])
+        x = np.concatenate([x, -x])
+        assert self._kernel_texts(x) == [b",%.17g" % v for v in x.tolist()]
+        # the kernel, not the fallback, writes a 17-digit carry into the next
+        # decade (the doubles nearest 1e-14 and 1e98 lie just below them) and a
+        # value whose log10 rounds up to the next decade
+        fast = np.array([1e-305, 1e-14, 1e98, 1e220, 9.999999999999998e-15, 9.999999999999999e-14])
+        assert floattext._digits(np.concatenate([fast, -fast]))[2].all()
+        # the same values in two dimensions, written into a strided view
+        out = np.zeros((4, x.size, floattext.WORDS), dtype=floattext.WORD)
+        floattext.g17(x.reshape(2, -1), out[::2, ::2])
+        assert (out[::2, ::2].reshape(-1, floattext.WORDS) == floattext.g17(x)).all()
+        assert floattext.g17(x[:0]).shape == (0, floattext.WORDS)
+
+    def test_kernel_power_table_is_correctly_rounded(self):
+        table = floattext._powers(np.longdouble)
+        for p, entry in zip(range(floattext._P_LO, floattext._P_HI + 1), table):
+            exact = Fraction(10) ** p
+            error = abs(Fraction(*entry.as_integer_ratio()) - exact)
+            for neighbor in (np.nextafter(entry, 0), np.nextafter(entry, np.inf)):
+                assert error <= abs(Fraction(*neighbor.as_integer_ratio()) - exact), p
+
+    def test_kernel_without_extended_precision_falls_back_everywhere(self, monkeypatch):
+        # a platform whose long double is plain double: every element goes to '%.17g'
+        monkeypatch.setattr(floattext, "_EXT", np.float64)
+        rng = np.random.default_rng(7)
+        x = np.concatenate([
+            rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+            10.0 ** np.arange(-323, 309), [5e-324, np.finfo(float).max],
+        ])
+        assert not floattext._digits(x)[2].any()
+        assert self._kernel_texts(x) == [b",%.17g" % v for v in x.tolist()]
 
     @pytest.mark.parametrize("window", [True, False])
     def test_point_bound_is_inclusive(self, monkeypatch, window):
@@ -736,6 +811,31 @@ class TestPipeline:
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode("utf-8")
             assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        # outputs are rewritten in place and truncated after the write: a longer
+        # sweep.csv, series.csv and report.json from an earlier run leave no tail
+        doc = g.ModelDocument("seeded-N6", list(seeded_quadratic_family(0, 6).terms))
+        out = tmp_path / "out"
+        _write_outputs(run_pipeline(doc, 6, ALL_CHECKS, sweep=(0.2, 50)), out)
+        longer = {p.name: p.stat().st_size for p in out.iterdir()}
+        umask = os.umask(0)
+        os.umask(umask)
+        for sweep in (None, (0.1, 5)):  # expand, then sweep
+            report = run_pipeline(doc, 3, FAST_CHECKS, sweep=sweep)
+            _write_outputs(report, out)
+            expected = {"report.json": report_json(report), "series.csv": series_csv(report)}
+            if sweep is not None:
+                expected["sweep.csv"] = sweep_csv(report)
+            for name, text in expected.items():
+                assert len(text) < longer[name]
+                assert (out / name).read_bytes() == text.encode()
+                assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_rewrite_keeps_the_open_errors(self, tmp_path):
+        (tmp_path / "series.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            _write_outputs(run_pipeline(g.builtin_model("toy-sec5"), 3, FAST_CHECKS), tmp_path)
 
     def test_sweep_csv_needs_a_sweep(self):
         report = run_pipeline(g.builtin_model("toy-sec5"), 1, FAST_CHECKS)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import geompert as g
 from geompert.corrections import _all_block, _bell_block, _equation_residuals, _rs_block, _series_block
 from geompert.generators import GeneratorSeries
-from geompert.pipeline import (ALL_CHECKS, FAST_CHECKS, _check_equation, _worst_relative,
-                               run_pipeline)
+from geompert.pipeline import (ALL_CHECKS, FAST_CHECKS, _check_equation, _check_hierarchy,
+                               _worst_relative, run_pipeline)
 from geompert.spectral import _PHASE_TOL, _normalize_columns, min_pairwise_gap
 from oracles import (
     linear_family,
@@ -268,6 +268,21 @@ def test_generator_error_that_moves_the_series_fails_equation_residual(case):
     moved = max(_worst_relative(states, wrong_states), _worst_relative(h, wrong_h))
     if moved > 1e-8:
         assert not _check_equation(hamiltonian=ham, states=wrong_states, h=wrong_h)[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(wrong_generator())
+def test_generator_error_that_moves_the_series_fails_hierarchy(case):
+    # each order's commutator defect over the size of that order's own terms:
+    # under one scale for all orders, errors that moved h by up to 69% passed
+    name, order, entry, delta = case
+    ham, gens, (states, h) = _solved(name, order)
+    assert _check_hierarchy(hamiltonian=ham, gens=gens)[0]  # the correct run passes
+    kf = gens._kf.copy()
+    kf[entry] += delta * max(1.0, abs(kf[entry]))
+    wrong = GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame)
+    if _worst_relative(h, _all_block(wrong, order)[1]) > 1e-10:
+        assert not _check_hierarchy(hamiltonian=ham, gens=wrong)[0]
 
 
 @st.composite
