@@ -22,14 +22,14 @@ Reports are strict JSON, written by one writer with one `isinstance` chain;
 a non-finite float raises ValueError rather than being written.  A container
 formats its leaves of exact type `float`, `int` and `str` in place, and every
 other value goes through the chain.  Each output file is formatted and
-encoded before it is opened, so a formatting error leaves it untouched, and
-rewritten in place, truncated after the write.
+encoded before it is opened, so a formatting error leaves it untouched.
 sweep.csv, the one large output, is written as the blocks of rows it is
 formatted in, never joined, and formats its floats through one vector
 kernel, `floattext.g17`, whose bytes are `'%.17g'`'s: it rounds 17 digits in
 `long double` and hands every element whose rounding that type cannot decide
-(within its error bound of a half, an exact tie, zero, not finite) to
-`'%.17g'` itself; where `long double` is plain double that is every element.
+(within its error bound of a half, an exact tie, zero, subnormal, not
+finite) to `'%.17g'` itself; where `long double` is plain double that is
+every element.
 series.csv and report.json hold a few hundred floats and stay on `_FLOAT`.
 """
 
@@ -237,16 +237,19 @@ def _worst_relative(a: np.ndarray, b: np.ndarray) -> float:
 def _check_hierarchy(*, hamiltonian, gens, **_):
     # each order's defect over the size of that order's own terms, floored at 1:
     # |H_a| |K^(l-a)|, |K_1^(l)| and (l+1) |H_(l+1)| in max-norm; a scale shared
-    # by all orders is set by the largest terms and hides errors in small ones
+    # by all orders is set by the largest terms and hides errors in small ones.
+    # Capped at that shared scale, the largest entry of every H_j and K, so
+    # that no order's gate is looser than it: products of terms above 1 exceed it
     defects = hierarchy_residuals(hamiltonian, gens)
     k = np.abs(gens._kc).max(axis=(2, 3))  # (2, orders): K_0 and K_1
+    sizes = [float(np.abs(term).max()) for term in hamiltonian.terms]
     scale = np.maximum(1.0, k[1])
     k = k.max(axis=0)
-    for a, term in enumerate(hamiltonian.terms[: len(defects) + 1]):
-        size = float(np.abs(term).max())
+    for a, size in enumerate(sizes[: len(defects) + 1]):
         scale[a:] = np.maximum(scale[a:], size * k[: len(defects) - a])
         if a:  # (l+1) |H_(l+1)| at l = a - 1
             scale[a - 1] = max(scale[a - 1], a * size)
+    scale = np.minimum(scale, max(1.0, *sizes, float(k.max())))
     order = int(np.argmax(defects / scale))
     entry = {
         "max_residual": float(defects[order]),
@@ -515,17 +518,11 @@ def _require_directory(out_dir) -> None:
 
 def _write_outputs(report: Report, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    _write(out_dir, "report.json", [report_json(report).encode()])
-    _write(out_dir, "series.csv", [series_csv(report).encode()])
+    for name, text in [("report.json", report_json), ("series.csv", series_csv)]:
+        data = text(report).encode()  # before the file is opened, and so truncated
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
     if report.sweep is not None:
-        _write(out_dir, "sweep.csv", _sweep_csv_blocks(report))
-
-
-def _write(out_dir, name: str, data: list) -> None:
-    """Write the bytes-like objects `data` to `name` in `out_dir`, in place:
-    truncating an existing file on open (O_TRUNC) costs ext4 a flush of its old
-    blocks, so the file is truncated after the write."""
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    with open(os.open(os.path.join(out_dir, name), flags, 0o666), "wb") as fh:
-        fh.writelines(data)
-        fh.truncate()
+        blocks = _sweep_csv_blocks(report)  # written as formatted, never joined
+        with open(os.path.join(out_dir, "sweep.csv"), "wb") as fh:
+            fh.writelines(blocks)

@@ -717,7 +717,8 @@ class TestPipeline:
     @staticmethod
     def _kernel_texts(x) -> list[bytes]:
         """floattext.g17 of float64 `x`, one bytes object per element."""
-        texts = floattext.g17(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        texts = floattext.g17(x, np.empty((x.size, floattext.WORDS), dtype=floattext.WORD))
         return [t.tobytes().replace(b"\0", b"") for t in texts]
 
     @given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(width=64)))
@@ -745,15 +746,20 @@ class TestPipeline:
         x = np.concatenate([x, -x])
         assert self._kernel_texts(x) == [b",%.17g" % v for v in x.tolist()]
         # the kernel, not the fallback, writes a 17-digit carry into the next
-        # decade (the doubles nearest 1e-14 and 1e98 lie just below them) and a
-        # value whose log10 rounds up to the next decade
+        # decade (the doubles nearest 1e-14 and 1e98 lie just below them) and
+        # values just below a power of ten, whose decade the comparison decides
         fast = np.array([1e-305, 1e-14, 1e98, 1e220, 9.999999999999998e-15, 9.999999999999999e-14])
         assert floattext._digits(np.concatenate([fast, -fast]))[2].all()
+        # and all of normal values but the rounding window's share, about 1%
+        rng = np.random.default_rng(3)
+        spread = rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+        assert floattext._digits(spread)[2].mean() > 0.97
         # the same values in two dimensions, written into a strided view
         out = np.zeros((4, x.size, floattext.WORDS), dtype=floattext.WORD)
         floattext.g17(x.reshape(2, -1), out[::2, ::2])
-        assert (out[::2, ::2].reshape(-1, floattext.WORDS) == floattext.g17(x)).all()
-        assert floattext.g17(x[:0]).shape == (0, floattext.WORDS)
+        flat = np.empty((x.size, floattext.WORDS), dtype=floattext.WORD)
+        assert (out[::2, ::2].reshape(-1, floattext.WORDS) == floattext.g17(x, flat)).all()
+        assert floattext.g17(x[:0], flat[:0]).shape == (0, floattext.WORDS)
 
     def test_kernel_power_table_is_correctly_rounded(self):
         table = floattext._powers(np.longdouble)
@@ -762,6 +768,19 @@ class TestPipeline:
             error = abs(Fraction(*entry.as_integer_ratio()) - exact)
             for neighbor in (np.nextafter(entry, 0), np.nextafter(entry, np.inf)):
                 assert error <= abs(Fraction(*neighbor.as_integer_ratio()) - exact), p
+
+    def test_kernel_decade_table_is_exact(self):
+        # for every normal binary exponent E, floor(log10|x|) is k0 or k0 + 1 on
+        # [2^(E-1023), 2^(E-1022)), and the threshold is the least double at or
+        # above 10^(k0+1)
+        k0, tens = floattext._decades()
+        for e in range(1, 2047):
+            k, low = int(k0[e]), Fraction(2) ** (e - 1023)
+            assert Fraction(10) ** k <= low and 2 * low <= Fraction(10) ** (k + 2), e
+            if tens[e] < np.inf:
+                assert Fraction(tens[e]) >= Fraction(10) ** (k + 1) > Fraction(np.nextafter(tens[e], 0)), e
+            else:
+                assert Fraction(np.finfo(float).max) < Fraction(10) ** (k + 1), e
 
     def test_kernel_without_extended_precision_falls_back_everywhere(self, monkeypatch):
         # a platform whose long double is plain double: every element goes to '%.17g'
@@ -811,31 +830,6 @@ class TestPipeline:
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode("utf-8")
             assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
-
-    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
-        # outputs are rewritten in place and truncated after the write: a longer
-        # sweep.csv, series.csv and report.json from an earlier run leave no tail
-        doc = g.ModelDocument("seeded-N6", list(seeded_quadratic_family(0, 6).terms))
-        out = tmp_path / "out"
-        _write_outputs(run_pipeline(doc, 6, ALL_CHECKS, sweep=(0.2, 50)), out)
-        longer = {p.name: p.stat().st_size for p in out.iterdir()}
-        umask = os.umask(0)
-        os.umask(umask)
-        for sweep in (None, (0.1, 5)):  # expand, then sweep
-            report = run_pipeline(doc, 3, FAST_CHECKS, sweep=sweep)
-            _write_outputs(report, out)
-            expected = {"report.json": report_json(report), "series.csv": series_csv(report)}
-            if sweep is not None:
-                expected["sweep.csv"] = sweep_csv(report)
-            for name, text in expected.items():
-                assert len(text) < longer[name]
-                assert (out / name).read_bytes() == text.encode()
-                assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask
-
-    def test_rewrite_keeps_the_open_errors(self, tmp_path):
-        (tmp_path / "series.csv").mkdir()
-        with pytest.raises(IsADirectoryError):
-            _write_outputs(run_pipeline(g.builtin_model("toy-sec5"), 3, FAST_CHECKS), tmp_path)
 
     def test_sweep_csv_needs_a_sweep(self):
         report = run_pipeline(g.builtin_model("toy-sec5"), 1, FAST_CHECKS)

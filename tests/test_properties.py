@@ -231,21 +231,29 @@ GENERATOR_FAMILIES = {
     "seeded-N16": lambda: seeded_quadratic_family(0, 16),
     "dimers-N16": lambda: manufactured_family(0, 16, 1, True).hamiltonian,
 }
+# for `hierarchy`, whose per-order scales are products of term sizes: the seeded
+# family times 100, every term above 1
+HIERARCHY_FAMILIES = {
+    **GENERATOR_FAMILIES,
+    "seeded-N16-x100": lambda: g.PolynomialHamiltonian(
+        [100 * t for t in seeded_quadratic_family(0, 16).terms]
+    ),
+}
 
 
 @cache
 def _solved(name, order):
     """A family's generators at `order` and its correct all-state block."""
-    ham = GENERATOR_FAMILIES[name]()
+    ham = HIERARCHY_FAMILIES[name]()
     gens = g.solve_model(ham, order)
     return ham, gens, _all_block(gens, order)
 
 
 @st.composite
-def wrong_generator(draw):
+def wrong_generator(draw, families=GENERATOR_FAMILIES):
     """A family, its order K, one entry (a, ell, i, j) of the frame stack [[K_a^(ell)]]
     outside the K_0 diagonals, which are gauge, and a delta log-uniform in [1e-8, 1e-2]."""
-    name = draw(st.sampled_from(sorted(GENERATOR_FAMILIES)))
+    name = draw(st.sampled_from(sorted(families)))
     order = draw(st.integers(1, 12))
     dim = _solved(name, order)[0].dim
     a, ell, i = draw(st.integers(0, 1)), draw(st.integers(0, order)), draw(st.integers(0, dim - 1))
@@ -271,16 +279,23 @@ def test_generator_error_that_moves_the_series_fails_equation_residual(case):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(wrong_generator())
+@given(wrong_generator(HIERARCHY_FAMILIES))
+@example(("seeded-N16-x100", 8, (1, 2, 3, 5), 1e-6))
+@example(("seeded-N16-x100", 12, (0, 0, 2, 9), 1e-3))
+@example(("seeded-N16-x100", 6, (0, 3, 1, 0), 1e-5))
 def test_generator_error_that_moves_the_series_fails_hierarchy(case):
     # each order's commutator defect over the size of that order's own terms:
     # under one scale for all orders, errors that moved h by up to 69% passed
     name, order, entry, delta = case
     ham, gens, (states, h) = _solved(name, order)
-    assert _check_hierarchy(hamiltonian=ham, gens=gens)[0]  # the correct run passes
     kf = gens._kf.copy()
     kf[entry] += delta * max(1.0, abs(kf[entry]))
     wrong = GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame)
+    for run in (gens, wrong):
+        # no order's gate is looser than that one scale, the largest term
+        shared = max(1.0, *(float(np.abs(m).max()) for m in (*ham.terms, run._kc)))
+        assert _check_hierarchy(hamiltonian=ham, gens=run)[1]["threshold"] <= 1e-11 * shared
+    assert _check_hierarchy(hamiltonian=ham, gens=gens)[0]  # the correct run passes
     if _worst_relative(h, _all_block(wrong, order)[1]) > 1e-10:
         assert not _check_hierarchy(hamiltonian=ham, gens=wrong)[0]
 
