@@ -13,8 +13,8 @@ Three layers of the same recursion live here:
   with the new letter prepended on the left:
   BB_{m+1} = sum_{j=0..m} C(m,j) P_{j+1} BB_{m-j},  BB_0 = identity word.
   Its integer coefficients, in lexicographic word order, come from one cached
-  table per grade (`dual_bell_coefficients`), which the word polynomials and
-  the grade-stack kernel of `corrections._bell_block` both read.
+  table per grade (`dual_bell_coefficients`), read by the word polynomials and
+  the grade-stack evaluator `_dual_bell_blocks` and by no other module.
 
 The word form is what resolves eigenstate corrections in closed form; the
 scalar forms double as its self-test oracle, since assigning commuting
@@ -35,6 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSymbol
+from .spectral import _reduce
 
 
 def power_sums_to_elementary(p: Sequence) -> list:
@@ -201,6 +202,59 @@ def evaluate_words(
             acc = assign[letter] @ acc
         out = out + word.coefficient * acc
     return out
+
+
+def _dual_bell_blocks(symbols: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """BB_k(P_1, ..., P_k) block, k = 0..K, as a (K + 1, N, m) stack, from the
+    (K, N, N) symbols P_1..P_K and an N x m block, every word applied on its own.
+
+    The words of BB_k in lexicographic order are P_a w for a = 1..k and w over
+    BB_{k-a}'s words in the same order, so all grade-k word vectors form one
+    stack: P_a applied to the grade-(k-a) stack, concatenated over `a`, k
+    batched matmuls per grade.  Each word vector is the letter-by-letter
+    product chain and the weighted sum runs in word order, so the blocks are
+    `evaluate_words(dual_bell_words(k), ...)` bit for bit.  Folding the words
+    into per-grade sums would give, term for term, the transport recursion of
+    `corrections` (C(m,j) j! / (m+1)! = m! / ((m-j)! (m+1)!)): a copy of it,
+    not a check, so the time grows like 2^K N^2 m.  Memory: the stacks of
+    grades < K hold 2^(K-1) blocks of N x m, and a chunk of 1 + 2^(K-2) more
+    scales and sums each stored grade's words at once (one multiply, one
+    reduce) and the last grade's in two runs, about 3 * 2^(K-2) N m complex
+    numbers in all (200 MB at N = m = 64, K = 12).  A K above MAX_WORD_GRADE
+    raises ValueError before any table is built.
+    """
+    order = require_word_grade(len(symbols))
+    stacks = [block[None]]  # grade 0: the identity word
+    # chunk[0] carries the running sum; chunk[1:] takes a stored grade's scaled
+    # words, or holds the last grade's words until the next first letter's
+    # would not fit (twice per grade: a = 1, then a = 2..k)
+    chunk = np.empty((1 + 2 ** max(order - 2, 0), *block.shape), dtype=np.complex128)
+    out = [block]
+    for k in range(1, order + 1):
+        coefficients = dual_bell_coefficients(k)[:, None, None]
+        words = np.empty((2 ** (k - 1), *block.shape), dtype=np.complex128) if k < order else chunk[1:]
+        chunk[0] = 0.0
+        start = done = 0  # words done..start-1 wait in `words`, from its front
+        for a in range(1, k + 1):
+            stop = start + len(stacks[k - a])
+            if stop - done > len(words):  # the last grade only
+                _add_scaled(chunk, words[: start - done], coefficients[done:start])
+                done = start
+            np.matmul(symbols[a - 1], stacks[k - a], out=words[start - done : stop - done])
+            start = stop
+        _add_scaled(chunk, words[: start - done], coefficients[done:start])
+        if k < order:
+            stacks.append(words)
+        out.append(chunk[0].copy())
+    return np.stack(out)
+
+
+def _add_scaled(chunk: np.ndarray, words: np.ndarray, coefficients: np.ndarray) -> None:
+    """chunk[0] += coefficients[w] words[w] for each word w in order, through
+    chunk[1:] (which `words` may be)."""
+    count = len(words)
+    np.multiply(words, coefficients, out=chunk[1 : 1 + count])
+    chunk[0] = _reduce(np.add, chunk[: 1 + count])
 
 
 def evaluate_words_scalar(wp: WordPolynomial, p: Sequence):

@@ -11,8 +11,8 @@ recursion |n^(k)> = -(i/k) sum_j K_0^(j-1) |n^(k-j)>:
 
 where the j = k term, on C^(0), is a column slice, not a product.  Then
 S = V C is formed once, as one stacked product.  The closed form of S^(k)
-is a dual Bell word polynomial in the K_0 coefficients, applied once per
-grade to the block:
+is a dual Bell word polynomial in the K_0 coefficients, evaluated by
+`bellpoly._dual_bell_blocks`, the one holder of BB_k's tables and word order:
 
     S^(k) = BB_k(0! (-i K_0^(0)), ..., (k-1)! (-i K_0^(k-1))) S^(0) / k!.
 
@@ -32,17 +32,16 @@ each T entry one dot product of length N, so that h^(k) = (T[k-1, 0] +
 sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k touches only vectors of length
 len(cols), and no step depends on the order: a lower order's block is a
 prefix of a higher one's, bit for bit.  T is formed only on the triangle
-j + m <= order - 1 that h reads, one anti-diagonal per order.  The same
-contraction runs on the recursion's coefficients (production) and on the
-Bell blocks (cross check), which stay in the computational basis, read the
-views `GeneratorSeries.k0`, and are mapped into the frame by one stacked
-W S; the two routes must agree to roundoff.  Diagonal gauge choices for K_0
-change the state corrections but drop out of h_n^(k) identically.
+j + m <= order - 1 that h reads, one anti-diagonal per order.  One
+contraction, `_contract`, runs on the recursion's coefficients (production)
+and on the Bell blocks (cross check), which stay in the computational basis,
+read the views `GeneratorSeries.k0`, and are mapped into the frame by one
+stacked W S; the two routes must agree to roundoff.  Diagonal gauge choices
+for K_0 change the state corrections but drop out of h_n^(k) identically.
 
 Each order is a few stacked numpy calls, not one per term: the recursion's
 products K_0^(j-1) C^(k-j) are one stacked matmul and their sum one reduce,
-each h^(k) is the sum of one stacked term array, and each stored Bell grade
-is scaled by one multiply and summed by one reduce.  Every sum runs in the
+and each h^(k) is the sum of one stacked term array.  Every sum runs in the
 order of the per-term loop it replaces, under the two stacking rules
 stated in `spectral`, so the blocks are the loop's bit for bit.
 
@@ -71,7 +70,7 @@ from math import factorial
 
 import numpy as np
 
-from .bellpoly import dual_bell_coefficients, require_word_grade
+from .bellpoly import _dual_bell_blocks
 from .errors import DegreeMismatch
 from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
 from .spectral import (SpectralFrame, _frozen, _reduce, _rowdot, as_complex_matrix,
@@ -106,44 +105,46 @@ def _horner(coeffs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
+def _series_block(gens: GeneratorSeries, cols, order: int):
     """The block kernel: state blocks S^(0..order) and h^(0..order) of `cols`.
 
     `cols` indexes the states: a slice (every state is `slice(None)`, read
-    without copying the K_1 rows) or an index array.  The recursion runs on
-    the frame coefficients C^(k) = W S^(k), from C^(0) = I[:, cols], and
-    S = V C is formed once at the end.  `states` supplies computational-basis
-    blocks instead (the Bell route); the contraction reads only
-    W S^(0..order-1).  Each order is one stacked product and one reduce in
-    the order of the sum.  Returns the (order + 1, N, m) state blocks and the
-    (order + 1, m) eigenvalue corrections.
+    without copying the K_1 rows) or an index array.  The transport recursion
+    runs on the frame coefficients C^(k) = W S^(k), from C^(0) = I[:, cols],
+    one stacked product and one reduce per order in the order of the sum;
+    S = V C is formed once at the end and `_contract` reads h off C.  Returns
+    (order + 1, N, m) state blocks and (order + 1, m) eigenvalue corrections.
     """
     order = require_order(order, gens.order + 1)  # corrections of order K read K_0^(K-1)
     frame = gens.frame
     k0f, idx = gens._k0f, np.arange(frame.dim)[cols]
     m = len(idx)
-    if states is None:
-        coeffs = np.zeros((order + 1, frame.dim, m), dtype=np.complex128)
-        coeffs[0, idx, np.arange(m)] = 1.0
-        terms = np.empty((order, frame.dim, m), dtype=np.complex128)
-        for k in range(1, order + 1):
-            # K_0^(j-1) C^(k-j) for j = 1..k-1, then the j = k term K_0^(k-1) C^(0),
-            # a column slice: summed in that order
-            if k > 1:
-                np.matmul(k0f[: k - 1], coeffs[k - 1 : 0 : -1], out=terms[: k - 1])
-            terms[k - 1] = k0f[k - 1][:, cols]
-            np.multiply(-1j / k, _reduce(np.add, terms[:k], out=coeffs[k]), out=coeffs[k])
-        states = frame.right @ coeffs
-    else:
-        coeffs = frame.left @ states[:order]
+    coeffs = np.zeros((order + 1, frame.dim, m), dtype=np.complex128)
+    coeffs[0, idx, np.arange(m)] = 1.0
+    terms = np.empty((order, frame.dim, m), dtype=np.complex128)
+    for k in range(1, order + 1):
+        # K_0^(j-1) C^(k-j) for j = 1..k-1, then the j = k term K_0^(k-1) C^(0),
+        # a column slice: summed in that order
+        if k > 1:
+            np.matmul(k0f[: k - 1], coeffs[k - 1 : 0 : -1], out=terms[: k - 1])
+        terms[k - 1] = k0f[k - 1][:, cols]
+        np.multiply(-1j / k, _reduce(np.add, terms[:k], out=coeffs[k]), out=coeffs[k])
+    return frame.right @ coeffs, _contract(gens, cols, coeffs[:order])
+
+
+def _contract(gens: GeneratorSeries, cols, coeffs: np.ndarray) -> np.ndarray:
+    """h^(0..K) of `cols`, (K + 1, m), from the frame coefficients C^(0..K-1) =
+    W S^(0..K-1), (K, N, m), of the recursion or of the Bell route."""
+    order, idx = len(coeffs), np.arange(gens.frame.dim)[cols]
+    m = len(idx)
     h = np.zeros((order + 1, m), dtype=np.complex128)
-    h[0] = frame.eigenvalues[idx]
+    h[0] = gens.frame.eigenvalues[idx]
     # pair(j, i)[c] = [[K_1^(j)]][cols[c], :] . C^(i)[:, c], read for j + i <= order - 1
     # only: the order-k terms are pair(k-1, 0), then pair(j-1, k-j) - j h^(j)
     # overlap[k-j] for j = 1..k-1, where overlap[i, c] = C^(i)[cols[c], c] is
     # stored reversed so that every term array is contiguous
-    rows, columns = gens._k1f[:order, cols], coeffs[:order].transpose(0, 2, 1)
-    reverse = np.ascontiguousarray(coeffs[order - 1 :: -1, idx, np.arange(m)])
+    rows, columns = gens._k1f[:order, cols], coeffs.transpose(0, 2, 1)
+    reverse = np.ascontiguousarray(coeffs[::-1, idx, np.arange(m)])
     weights = np.arange(1, order, dtype=np.complex128)[:, None]
     terms = np.empty((order, m), dtype=np.complex128)
     for k in range(1, order + 1):
@@ -153,70 +154,19 @@ def _series_block(gens: GeneratorSeries, cols, order: int, states=None):
             np.multiply(weights[: k - 1] * h[1:k], reverse[order - k : order - 1], out=terms[1:k])
             np.subtract(pair[: k - 1], terms[1:k], out=terms[1:k])
         np.divide(_reduce(np.add, terms[:k], out=h[k]), k, out=h[k])
-    return states, h
+    return h
 
 
-def _bell_block(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
+def _bell_states(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
     """State blocks S^(k) = BB_k(P_1, ..., P_k) S^(0) / k!, k = 0..order, with
-    P_a = (a-1)! (-i K_0^(a-1)), every word of every grade applied on its own.
-
-    The words of BB_k in lexicographic order are P_a w for a = 1..k and w
-    running over BB_{k-a}'s words in the same order.  So the vectors of all
-    grade-k words form one stack, the concatenation over `a` of P_a applied
-    to the grade-(k-a) stack: k batched matmuls per grade instead of one
-    product per word letter.  Each word vector is the same product chain as
-    applying the word letter by letter, and the coefficient-weighted sum runs
-    over the words in the same order, so the blocks equal the word-by-word
-    evaluation (`bellpoly.evaluate_words`) bit for bit.
-
-    Why every word stays: applying the BB recursion to a vector with the
-    partial sums memoized *is* the transport recursion, term for term, since
-    C(m,j) j! / (m+1)! = m! / ((m-j)! (m+1)!).  Folding the words into
-    per-grade sums would make this route a second copy of the recursion, not
-    a check of it; its only independent content is the word combinatorics.
-    The time therefore grows like 2^order N^2 m.  Memory: the stacks of
-    grades < order hold 2^(order-1) blocks of N x m.  A chunk of
-    1 + 2^(order-2) more takes each stored grade's scaled words at once (one
-    multiply, one reduce) and the last grade's in two runs, about
-    3 * 2^(order-2) N m complex numbers in all (200 MB at N = m = 64,
-    order 12).
-    """
-    order = require_word_grade(require_order(order, gens.order + 1))
-    # symbols[a - 1] = P_a, every letter scaled in one call
+    P_a = (a-1)! (-i K_0^(a-1)), in the computational basis."""
+    order = require_order(order, gens.order + 1)
     weights = np.array([factorial(a - 1) * -1j for a in range(1, order + 1)])
     symbols = weights.reshape(-1, 1, 1) * np.array(gens.k0[:order], dtype=np.complex128)
-    v0 = gens.frame.right[:, cols]
-    stacks = [v0[None]]  # grade 0: the identity word
-    # chunk[0] carries the running sum; chunk[1:] takes a stored grade's scaled
-    # words, or holds the last grade's words until the next first letter's
-    # would not fit (twice per grade: a = 1, then a = 2..k)
-    chunk = np.empty((1 + 2 ** max(order - 2, 0), *v0.shape), dtype=np.complex128)
-    out = [v0]
+    blocks = _dual_bell_blocks(symbols, gens.frame.right[:, cols])
     for k in range(1, order + 1):
-        coefficients = dual_bell_coefficients(k)[:, None, None]
-        words = np.empty((2 ** (k - 1), *v0.shape), dtype=np.complex128) if k < order else chunk[1:]
-        chunk[0] = 0.0
-        start = done = 0  # words done..start-1 wait in `words`, from its front
-        for a in range(1, k + 1):
-            stop = start + len(stacks[k - a])
-            if stop - done > len(words):  # the last grade only
-                _add_scaled(chunk, words[: start - done], coefficients[done:start])
-                done = start
-            np.matmul(symbols[a - 1], stacks[k - a], out=words[start - done : stop - done])
-            start = stop
-        _add_scaled(chunk, words[: start - done], coefficients[done:start])
-        if k < order:
-            stacks.append(words)
-        out.append(chunk[0] / factorial(k))
-    return np.stack(out)
-
-
-def _add_scaled(chunk: np.ndarray, words: np.ndarray, coefficients: np.ndarray) -> None:
-    """chunk[0] += coefficients[w] words[w] for each word w in order, through
-    chunk[1:] (which `words` may be)."""
-    count = len(words)
-    np.multiply(words, coefficients, out=chunk[1 : 1 + count])
-    chunk[0] = _reduce(np.add, chunk[: 1 + count])
+        blocks[k] /= factorial(k)
+    return blocks
 
 
 def _all_block(gens: GeneratorSeries, order: int):
@@ -248,7 +198,7 @@ def state_corrections_bell(
 ) -> list[np.ndarray]:
     """State corrections via the dual Bell closed form (equals the recursion)."""
     n = require_state(n, gens.frame.dim)
-    return [s[:, 0] for s in _bell_block(gens, [n], order)]
+    return [s[:, 0] for s in _bell_states(gens, [n], order)]
 
 
 def eigenvalue_corrections(gens: GeneratorSeries, n: int, order: int) -> np.ndarray:
@@ -271,8 +221,8 @@ def eigenvalue_corrections_bell(
     """
     n = require_state(n, gens.frame.dim)
     order = require_order(order, gens.order + 1)
-    states = _bell_block(gens, [n], max(order - 1, 0))
-    return _series_block(gens, [n], order, states)[1][:, 0]
+    states = _bell_states(gens, [n], max(order - 1, 0))
+    return _contract(gens, [n], gens.frame.left @ states[:order])[:, 0]
 
 
 def _series_views(gens: GeneratorSeries, cols: slice, order: int) -> list[PerturbationSeries]:

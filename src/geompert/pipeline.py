@@ -261,9 +261,8 @@ def _check_hierarchy(*, hamiltonian, gens, **_):
 
 
 def _check_routes(*, hamiltonian, frame, h, order: int, **_):
-    # the run's h^(0..K) against the RS recursion in the frame W H_j V: it shares
-    # no code with the generator solve, and its cost is linear in K, where the
-    # Bell closed form's grows like 2^K
+    # the run's h^(0..K) against the RS recursion in the frame W H_j V, which
+    # shares no code with the generator solve and costs time linear in K
     terms = [double_bracket(frame, t) for t in hamiltonian.terms[1:]]
     rs = _rs_block(terms, frame.eigenvalues, order)
     entry = {
@@ -400,19 +399,17 @@ def run_pipeline(
     sweep data was requested) are written there after everything succeeds;
     an `out_dir` that cannot be a directory (it, or its nearest existing
     ancestor, exists and is not one) raises NotADirectoryError before any work.
-    More than MAX_POINTS samples, in the window of `residual_order` (`points`)
-    or in the sweep, raise ValueError before any work too.
+    An order above bellpoly.MAX_WORD_GRADE, and more than MAX_POINTS samples in
+    the window of `residual_order` (`points`) or in the sweep, raise ValueError
+    before any work too.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
     require_count("order", order)
     unknown = set(checks) - ALL_CHECKS
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    if "route_equivalence" in checks:
-        # every CLI command runs this check, so MAX_WORD_GRADE = 25 bounds the
-        # order of every command: a hostile order exits before any work, and a
-        # higher cap needs a bound of its own on the solve's time and memory
-        require_word_grade(order)
+    # whatever the checks: a higher cap needs a bound of its own on the solve
+    require_word_grade(order)
     kc = min(order, _CHECK_ORDER)
     residual_qs = None
     if "residual_order" in checks:

@@ -35,8 +35,8 @@ made read-only); operations are pure functions and safe to share across
 threads.
 
 The stacked kernels (`generators`, `corrections`, with the RS route
-`corrections._rs_block`, and `oracle`) make one numpy call per order where a
-loop made one per term, and keep the loop's bits by two rules, whose
+`corrections._rs_block`, `bellpoly` and `oracle`) make one numpy call per order
+(or grade) where a loop made one per term, and keep its bits by two rules, whose
 primitives live here:
 
   - a stacked `np.matmul` makes one BLAS call per item, the call the item's

@@ -559,21 +559,26 @@ def reference_bell_terms(k):
     return dict(sorted(levels[k].items()))
 
 
-def reference_bell_blocks(gens, cols, order):
-    """BB_k(P_1..P_k) V[:, cols] / k! for k = 0..order, P_r = (r-1)! (-i K_0^(r-1)),
-    each word applied letter by letter and added to a zero block in order."""
-    assign = {r: factorial(r - 1) * -1j * gens.k0[r - 1] for r in range(1, order + 1)}
-    v0 = gens.frame.right[:, cols]
+def reference_dual_bell_blocks(symbols, v0):
+    """BB_k(P_1..P_k) v0 for k = 0..len(symbols), P_r = symbols[r - 1], each
+    word applied letter by letter and added to a zero block in order."""
     out = [v0]
-    for k in range(1, order + 1):
+    for k in range(1, len(symbols) + 1):
         total = np.zeros_like(v0)
         for letters, coeff in reference_bell_terms(k).items():
             acc = v0
             for letter in reversed(letters):
-                acc = assign[letter] @ acc
+                acc = symbols[letter - 1] @ acc
             total = total + coeff * acc
-        out.append(total / factorial(k))
+        out.append(total)
     return out
+
+
+def reference_bell_blocks(gens, cols, order):
+    """BB_k(P_1..P_k) V[:, cols] / k! for k = 0..order, P_r = (r-1)! (-i K_0^(r-1))."""
+    symbols = [factorial(r - 1) * -1j * gens.k0[r - 1] for r in range(1, order + 1)]
+    blocks = reference_dual_bell_blocks(symbols, gens.frame.right[:, cols])
+    return [b if k == 0 else b / factorial(k) for k, b in enumerate(blocks)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import geompert as g
 from geompert.bellpoly import MAX_WORD_GRADE
 from geompert.corrections import (
     _all_block,
-    _bell_block,
+    _bell_states,
+    _contract,
     _equation_residuals,
     _rs_block,
     _series_block,
@@ -484,7 +485,7 @@ class TestBellGradeStacks:
         for cols in (np.arange(ham.dim), [ham.dim - 1]):
             ref = reference_bell_blocks(gens, cols, 10)
             for order in range(11):
-                blocks = _bell_block(gens, cols, order)
+                blocks = _bell_states(gens, cols, order)
                 assert len(blocks) == order + 1
                 for a, b in zip(blocks, ref):
                     # bytes compare signs of zero too
@@ -496,7 +497,7 @@ class TestBellGradeStacks:
         def no_table(k):
             raise AssertionError(f"built the grade-{k} table")
 
-        monkeypatch.setattr(g.corrections, "dual_bell_coefficients", no_table)
+        monkeypatch.setattr(g.bellpoly, "dual_bell_coefficients", no_table)
         with pytest.raises(ValueError, match=f"order {MAX_WORD_GRADE + 1} exceeds {MAX_WORD_GRADE}"):
             g.state_corrections_bell(gens, 0, MAX_WORD_GRADE + 1)
 
@@ -585,12 +586,11 @@ class TestStackedSeriesKernel:
         assert got.tobytes() == expected[:, 0].tobytes()
         if ham.dim <= 16:  # every column: 3 * 2^(K-2) N^2 complex numbers
             cols = np.arange(ham.dim)
-            bell = _bell_block(gens, cols, order + 1)
+            bell = _bell_states(gens, cols, order + 1)
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(bell, reference_bell_blocks(gens, cols, order + 1)))
-            for a, b in zip(_series_block(gens, slice(None), order + 1, bell),
-                            reference_series_block(gens, cols, order + 1, bell)):
-                assert a.tobytes() == b.tobytes()
+            h = _contract(gens, slice(None), gens.frame.left @ bell[: order + 1])
+            assert h.tobytes() == reference_series_block(gens, cols, order + 1, bell)[1].tobytes()
 
 
 class TestEigenEquationCertificate:

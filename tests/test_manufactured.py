@@ -11,6 +11,7 @@ import pytest
 
 import geompert as g
 from geompert.corrections import _all_block, _equation_residuals, _rs_block
+from geompert.pipeline import FAST_CHECKS, run_pipeline
 from oracles import manufactured_family
 
 # Worst |h^(k) - exact| / max(1, |exact|) over states at the orders 1, 3, 6,
@@ -119,3 +120,30 @@ class TestAgainstExactCoefficients:
             wrong[k] += 1e-8 * np.maximum(1.0, np.abs(h[k]))
             readings = _equation_residuals(family.hamiltonian.terms, states, wrong)
             assert readings[k:].max(axis=0).min() > EQUATION_GATE
+
+
+class TestFastConditioningSignal:
+    """On the dense N = 16 family at K = 3, `hierarchy` is the one FAST check
+    that reads an ill-conditioned frame: at t = 256 the series is more than
+    1e-10 off exact and `hierarchy` alone FAILs, since the RS route shares the
+    frame and `equation_residual` reads backward error; t = 64 passes, within
+    1e-11 of exact.  Taking `hierarchy` out of FAST_CHECKS would turn the first
+    into a PASS for a wrong series."""
+
+    @pytest.mark.parametrize("t, verdict", [(64, "pass"), (256, "fail")])
+    def test_verdict_and_error(self, t, verdict):
+        family = manufactured_family(0, 16, t, True)
+        report = run_pipeline(g.ModelDocument(f"dense-t{t}", list(family.hamiltonian.terms)),
+                              3, FAST_CHECKS)
+        statuses = {name: entry["status"] for name, entry in report.checks.items()}
+        assert statuses == {"hierarchy": verdict, "route_equivalence": "pass",
+                            "equation_residual": "pass"}
+        assert report.verdict == verdict
+        # rows run over k within each n; each state's error over max(1, max_k |exact|)
+        h = np.array([r["re"] + 1j * r["im"] for r in report.series_rows]).reshape(16, 4).T
+        exact = family.exact(3)
+        moved = float((np.abs(h - exact) / np.maximum(1.0, np.abs(exact).max(axis=0))).max())
+        if verdict == "pass":
+            assert moved <= 1e-11  # measured 4.4e-12
+        else:
+            assert moved > 1e-10  # measured 2.1e-9, at k = 2

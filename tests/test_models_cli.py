@@ -515,6 +515,16 @@ class TestPipeline:
         with pytest.raises(ValueError, match="order must be a positive integer"):
             run_pipeline(g.builtin_model("toy-sec5"), order, FAST_CHECKS)
 
+    @pytest.mark.parametrize("checks", [set(), *({name} for name in sorted(ALL_CHECKS)), ALL_CHECKS])
+    def test_order_above_the_cap_is_rejected_whatever_the_checks(self, monkeypatch, checks):
+        # no check reads the Bell tables, but the cap of 25 still bounds every run
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        with pytest.raises(ValueError, match="order 26 exceeds 25"):
+            run_pipeline(g.builtin_model("toy-sec5"), 26, checks)
+
     def test_numpy_integer_order_runs(self):
         report = run_pipeline(g.builtin_model("toy-sec5"), np.int64(3), FAST_CHECKS)
         assert report.verdict == "pass"
@@ -1141,7 +1151,7 @@ class TestCli:
             (["sweep", "--q-max", "inf", "--points", "4"], "q_max"),
             (["sweep", "--q-max", "0", "--points", "4"], "q_max"),
             (["sweep", "--q-max", "-0.2", "--points", "4"], "q_max"),
-            # an order above the Bell route's cap, before its tables or the series
+            # an order above the cap of every run, before the frame or the series
             (["expand", "--order", "30"], "order 30 exceeds 25"),
             (["expand", "--order", "26"], "order 26 exceeds 25"),
             (["verify", "--order", "26"], "order 26 exceeds 25"),

@@ -546,7 +546,7 @@ def _record_calls(monkeypatch):
 
     for name in ("eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
-    for name in ("eigenframe", "solve_generators", "_series_block", "_bell_block"):
+    for name in ("eigenframe", "solve_generators", "_series_block", "_dual_bell_blocks"):
         original = getattr(g.corrections, name)
         wrapped = recorded(name, original)
         for module_name, module in list(sys.modules.items()):
@@ -558,11 +558,6 @@ def _record_calls(monkeypatch):
 
     monkeypatch.setattr(g.PerturbationSeries, "__init__", no_series)
     return calls
-
-
-def _recursions(calls) -> int:
-    # a kernel call given state blocks (a fourth argument) only contracts them
-    return sum(len(args) < 4 for args in calls["_series_block"])
 
 
 def _model(name):
@@ -680,21 +675,21 @@ class TestSharedSweep:
         assert [args[2] for args in calls["solve_generators"]] == [3, 2]
         # the run's block and the gauge check's block; the linear crosscheck's
         # order-3 recursion route reuses the run's
-        assert _recursions(calls) == 2
+        assert len(calls["_series_block"]) == 2
         # the route check reads the RS recursion, not the Bell closed form
-        assert calls["_bell_block"] == []
+        assert calls["_dual_bell_blocks"] == []
 
     def test_crosscheck_reads_the_run_block_at_a_higher_order(self, monkeypatch):
         calls = _record_calls(monkeypatch)
         run_pipeline(g.builtin_model("random-linear-N4-seed7"), 5, {"linear_crosscheck"})
-        assert _recursions(calls) == 1
+        assert len(calls["_series_block"]) == 1
 
     def test_expand_runs_the_recursion_once(self, monkeypatch, tmp_path):
         calls = _record_calls(monkeypatch)
         argv = ["expand", "--model", "toy-sec5", "--order", "5", "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert _recursions(calls) == 1
-        assert calls["_bell_block"] == []
+        assert len(calls["_series_block"]) == 1
+        assert calls["_dual_bell_blocks"] == []
         assert [args[2] for args in calls["solve_generators"]] == [5]
 
     @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])

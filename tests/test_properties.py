@@ -5,7 +5,6 @@ eigen-equation check on wrong generators and of the route check on one wrong
 coefficient at any order."""
 
 from functools import cache
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -13,15 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geompert as g
-from geompert.corrections import _all_block, _bell_block, _equation_residuals, _rs_block, _series_block
+from geompert.bellpoly import _dual_bell_blocks
+from geompert.corrections import (_all_block, _bell_states, _contract, _equation_residuals,
+                                  _rs_block, _series_block)
 from geompert.generators import GeneratorSeries
 from geompert.pipeline import (ALL_CHECKS, FAST_CHECKS, _check_equation, _check_hierarchy,
-                               _worst_relative, run_pipeline)
+                               _check_routes, _worst_relative, run_pipeline)
 from geompert.spectral import _PHASE_TOL, _normalize_columns, min_pairwise_gap
 from oracles import (
     linear_family,
     manufactured_family,
-    reference_bell_blocks,
+    reference_dual_bell_blocks,
     reference_normalize_columns,
     seeded_quadratic_family,
 )
@@ -60,10 +61,10 @@ def test_bell_block_equals_recursion_block(case):
     gens = g.solve_model(ham, order)
     cols = np.arange(dim)
     rec, h_rec = _series_block(gens, cols, order)
-    bell = _bell_block(gens, cols, order)
+    bell = _bell_states(gens, cols, order)
     for a, b in zip(bell, rec):
         assert _column_relative(a, b) <= 1e-12
-    _, h_bell = _series_block(gens, cols, order, bell)
+    h_bell = _contract(gens, cols, gens.frame.left @ bell[:order])
     assert _column_relative(h_bell, h_rec) <= 1e-11
 
 
@@ -127,21 +128,16 @@ def test_eigenvalues_invariant_under_diagonal_gauge(case):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 7))
 @example(2, 1, 1, 7)  # a 1 x 1 block, where numpy would sum the words pairwise
 def test_bell_grade_stacks_equal_word_by_word(seed, dim, width, order):
-    # arbitrary K_0 and blocks, with exact (signed) zeros among the entries
+    # arbitrary symbols and blocks, with exact (signed) zeros among the entries
     rng = np.random.default_rng(seed)
 
     def entries(*shape):
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return np.where(rng.random(shape) < 0.2, -0.0, z)
 
-    gens = SimpleNamespace(
-        order=order,
-        k0=[entries(dim, dim) for _ in range(order)],
-        frame=SimpleNamespace(right=entries(dim, width)),
-    )
-    cols = np.arange(width)
-    blocks = _bell_block(gens, cols, order)
-    ref = reference_bell_blocks(gens, cols, order)
+    symbols, block = entries(order, dim, dim), entries(dim, width)
+    blocks = _dual_bell_blocks(symbols, block)
+    ref = reference_dual_bell_blocks(symbols, block)
     assert len(blocks) == len(ref) == order + 1
     for a, b in zip(blocks, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -250,11 +246,11 @@ def _solved(name, order):
 
 
 @st.composite
-def wrong_generator(draw, families=GENERATOR_FAMILIES):
+def wrong_generator(draw, families=GENERATOR_FAMILIES, orders=st.integers(1, 12)):
     """A family, its order K, one entry (a, ell, i, j) of the frame stack [[K_a^(ell)]]
     outside the K_0 diagonals, which are gauge, and a delta log-uniform in [1e-8, 1e-2]."""
     name = draw(st.sampled_from(sorted(families)))
-    order = draw(st.integers(1, 12))
+    order = draw(orders)
     dim = _solved(name, order)[0].dim
     a, ell, i = draw(st.integers(0, 1)), draw(st.integers(0, order)), draw(st.integers(0, dim - 1))
     j = draw(st.integers(0, dim - 1).filter(lambda j: a == 1 or j != i))
@@ -276,6 +272,26 @@ def test_generator_error_that_moves_the_series_fails_equation_residual(case):
     moved = max(_worst_relative(states, wrong_states), _worst_relative(h, wrong_h))
     if moved > 1e-8:
         assert not _check_equation(hamiltonian=ham, states=wrong_states, h=wrong_h)[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(wrong_generator(orders=st.sampled_from([12, 16])))
+def test_generator_error_that_moves_the_series_fails_route_or_equation(case):
+    # `hierarchy` aside: a generator error that moves the series by more than
+    # 1e-10 FAILs the RS route or the certificate, so neither FAST check leans
+    # on `hierarchy` for it (ROADMAP item 13's probe)
+    name, order, entry, delta = case
+    ham, gens, (states, h) = _solved(name, order)
+    kf = gens._kf.copy()
+    kf[entry] += delta * max(1.0, abs(kf[entry]))
+    wrong_states, wrong_h = _all_block(
+        GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame), order
+    )
+    route = _check_routes(hamiltonian=ham, frame=gens.frame, h=h, order=order)[0]
+    assert route and _check_equation(hamiltonian=ham, states=states, h=h)[0]  # the correct run
+    if max(_worst_relative(states, wrong_states), _worst_relative(h, wrong_h)) > 1e-10:
+        route = _check_routes(hamiltonian=ham, frame=gens.frame, h=wrong_h, order=order)[0]
+        assert not (route and _check_equation(hamiltonian=ham, states=wrong_states, h=wrong_h)[0])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
