@@ -135,6 +135,8 @@ class GeneratorSeries:
     and the tuples on first read, one stacked V K W, cached; a race may
     recompute them but never returns a partial tuple.  Direct construction
     (and `dataclasses.replace`) takes `k0`/`k1` and forms both stacks once.
+    `_hf` is the solve's read-only (degree, N, N) stack [[H_1]]..[[H_p]], the
+    one bracket of the family that the checks read; direct construction has none.
     `_block` holds the series block of the highest order requested
     (`corrections._all_block`); every construction starts it empty.
     """
@@ -145,6 +147,7 @@ class GeneratorSeries:
     gauge: str
     frame: SpectralFrame
     _block: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _kf: np.ndarray = field(init=False, repr=False, compare=False)
     _kc: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -162,10 +165,11 @@ class GeneratorSeries:
         object.__setattr__(self, "_kf", _frozen(self.frame.left @ stack @ self.frame.right))
 
     @classmethod
-    def _from_frame(cls, order, kf, gauge, frame) -> GeneratorSeries:
-        """A series over the frame stack `kf`, its `k0`/`k1` not yet formed."""
+    def _from_frame(cls, order, kf, gauge, frame, hf) -> GeneratorSeries:
+        """A series over the frame stacks `kf` and `hf`, its `k0`/`k1` not yet formed."""
         gens = object.__new__(cls)
-        gens.__dict__.update(order=order, gauge=gauge, frame=frame, _block=None, _kf=_frozen(kf))
+        gens.__dict__.update(order=order, gauge=gauge, frame=frame, _block=None,
+                             _kf=_frozen(kf), _hf=hf)
         return gens
 
     @property
@@ -238,10 +242,9 @@ def solve_generators(
     delta = h[:, None] - h[None, :]
     np.fill_diagonal(delta, 1.0)  # off-diagonal use only: the diagonals are overwritten
 
-    # frame representation of each Hamiltonian coefficient
-    ah = [double_bracket(frame, m) for m in hamiltonian.terms]
-    ah_max = [float(np.abs(m).max(initial=0.0)) for m in ah]
-    terms = np.array(ah[1:]).reshape(degree, n, n)  # A_1..A_p
+    # the frame stack A_1..A_p of H_1..H_p, kept on the series; [[H_0]] = diag(h)
+    terms = np.array([double_bracket(frame, m) for m in hamiltonian.terms[1:]], np.complex128)
+    terms = _frozen(terms.reshape(degree, n, n))
     # the drives (ell + 1) [[H_{ell+1}]] of the K_1 diagonal, zero past the degree
     drive = np.zeros((max(order + 1, degree), n), dtype=np.complex128)
     drive[:degree] = np.arange(1, degree + 1)[:, None] * terms.diagonal(axis1=1, axis2=2)
@@ -281,8 +284,8 @@ def solve_generators(
     worst = np.abs(implied).max(axis=1)
     k1_max = np.abs(kf[1]).max(axis=(1, 2))
     scale = np.ones(order + 1)
-    for a in range(1, degree + 1):
-        np.fmax(scale[a:], ah_max[a] * k1_max[: order + 1 - a], out=scale[a:])
+    for a, term in enumerate(terms, 1):
+        np.fmax(scale[a:], np.abs(term).max() * k1_max[: order + 1 - a], out=scale[a:])
     failed = np.flatnonzero(worst > _CONSISTENCY_RTOL * scale)
     if failed.size:
         ell = failed[0]
@@ -291,7 +294,7 @@ def solve_generators(
             f"{worst[ell]:.3e} (scale {scale[ell]:.3e})"
         )
     return GeneratorSeries._from_frame(
-        order, kf, GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL, frame
+        order, kf, GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL, frame, terms
     )
 
 

@@ -52,13 +52,14 @@ from .corrections import (
     _crosscheck,
     _equation_residuals,
     _horner,
+    _row_residuals,
     _rs_block,
 )
 from .errors import GeompertError, PipelineError
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
 from .oracle import _continued_sweep, _fd_coefficients, _residual_grid, _residual_slopes
-from .spectral import _conditioning, double_bracket, eigenframe, require_count
+from .spectral import _conditioning, eigenframe, require_count
 
 _GAUGE_SEED = 20210707
 # the most q samples a command takes, for the verify window and the sweep: each
@@ -260,11 +261,10 @@ def _check_hierarchy(*, hamiltonian, gens, **_):
     return entry["max_residual"] <= entry["threshold"], entry
 
 
-def _check_routes(*, hamiltonian, frame, h, order: int, **_):
-    # the run's h^(0..K) against the RS recursion in the frame W H_j V, which
-    # shares no code with the generator solve and costs time linear in K
-    terms = [double_bracket(frame, t) for t in hamiltonian.terms[1:]]
-    rs = _rs_block(terms, frame.eigenvalues, order)
+def _check_routes(*, gens, frame, h, order: int, **_):
+    # the run's h^(0..K) against the RS recursion in the frame W H_j V: it reads
+    # the solve's brackets `gens._hf` but not its recursion, in time linear in K
+    rs = _rs_block(gens._hf, frame.eigenvalues, order)
     entry = {
         "eigenvalue_route_deviation": _worst_relative(h, rs),
         "eigenvalue_threshold": 1e-11,
@@ -272,16 +272,26 @@ def _check_routes(*, hamiltonian, frame, h, order: int, **_):
     return entry["eigenvalue_route_deviation"] <= entry["eigenvalue_threshold"], entry
 
 
-def _check_equation(*, hamiltonian, states, h, **_):
-    relative = _equation_residuals(hamiltonian.terms, states, h)
-    order, state = np.unravel_index(int(np.argmax(relative)), relative.shape)
+def _check_equation(*, hamiltonian, frame, states, h, **_):
+    # two readings: the frame-free residual, and its eigenvalue row on the
+    # frame's left eigenvectors, which weighs each h^(k) against its own equation
+    full = _equation_residuals(hamiltonian.terms, states, h)
+    row = _row_residuals(hamiltonian.terms, frame.left, states, h)
+    (order, state), (row_order, row_state) = (
+        np.unravel_index(int(np.argmax(r)), r.shape) for r in (full, row)
+    )
     entry = {
-        "max_relative_residual": float(relative[order, state]),
+        "max_relative_residual": float(full[order, state]),
         "threshold": 1e-12,
         "state": int(state),
         "order": int(order),
+        "row_relative_residual": float(row[row_order, row_state]),
+        "row_threshold": 1e-12,
+        "row_state": int(row_state),
+        "row_order": int(row_order),
     }
-    return entry["max_relative_residual"] <= entry["threshold"], entry
+    return (entry["max_relative_residual"] <= entry["threshold"]
+            and entry["row_relative_residual"] <= entry["row_threshold"]), entry
 
 
 def _check_residual_order(*, hamiltonian, frame, states, h, kc, residual_qs, **_):
@@ -340,7 +350,7 @@ def _check_hermitian(*, hamiltonian, frame, h, kc, **_):
 def _check_linear(*, hamiltonian, gens, **_):
     if hamiltonian.degree != 1:
         return None, {"reason": "family is not linear"}
-    result = _crosscheck(gens, hamiltonian.term(1))
+    result = _crosscheck(gens)
     entry = {
         "max_relative_deviation": result.max_relative_deviation,
         "threshold": result.tolerance,

@@ -537,6 +537,26 @@ def reference_equation_residual(terms, states, h):
     return worst
 
 
+def reference_row_residual(terms, left, states, h):
+    """Relative eigenvalue rows (K+1, N) of the same residual, state by state.
+
+    The row of R_m on the left eigenvector l_n (row n of `left`) is, since
+    l_n (H_0 - h_n^(0)) = 0,
+
+        r_m,n = sum_{j>=1} l_n H_j S^(m-j)[:, n] - sum_{i>=1} (l_n S^(m-i)[:, n]) h_n^(i),
+
+    taken relative to the sum of the moduli of its terms, floored at 1.
+    """
+    rows = np.zeros(h.shape)
+    for n in range(states.shape[2]):
+        for m in range(len(states)):
+            parts = [left[n] @ terms[j] @ states[m - j][:, n]
+                     for j in range(1, min(m, len(terms) - 1) + 1)]
+            parts += [-(left[n] @ states[m - i][:, n]) * h[i, n] for i in range(1, m + 1)]
+            rows[m, n] = abs(sum(parts)) / max(1.0, sum(abs(p) for p in parts))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # dual Bell words from their defining recursion, applied one word and one
 # letter at a time: the reference for the coefficient table and the

@@ -11,6 +11,7 @@ from geompert.corrections import (
     _bell_states,
     _contract,
     _equation_residuals,
+    _row_residuals,
     _rs_block,
     _series_block,
 )
@@ -21,6 +22,7 @@ from oracles import (
     reference_bell_blocks,
     reference_eigenvalue_corrections,
     reference_equation_residual,
+    reference_row_residual,
     reference_rs_block,
     reference_rs_closed_forms,
     reference_rs_extended,
@@ -639,10 +641,13 @@ class TestEquationResidualCheck:
     @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16", "seeded-N64"])
     def test_passes_correct_series(self, family, order):
         entry = self._run(family, order)
-        assert list(entry) == ["status", "max_relative_residual", "threshold", "state", "order"]
+        assert list(entry) == ["status", "max_relative_residual", "threshold", "state", "order",
+                               "row_relative_residual", "row_threshold", "row_state", "row_order"]
         assert entry["status"] == "pass" and entry["threshold"] == self.GATE
+        assert entry["row_threshold"] == self.GATE
         ham = _family(family)
-        states, h = _all_block(g.solve_model(ham, max(order, 2)), order)
+        gens = g.solve_model(ham, max(order, 2))
+        states, h = _all_block(gens, order)
         relative = _equation_residuals(ham.terms, states, h)
         assert relative.shape == (order + 1, ham.dim)
         assert relative[entry["order"], entry["state"]] == relative.max()
@@ -650,6 +655,14 @@ class TestEquationResidualCheck:
         # the reference sums each scale in another order: roundoff apart
         reference = reference_equation_residual(ham.terms, states, h)
         assert entry["max_relative_residual"] == pytest.approx(reference, rel=1e-12, abs=0)
+        # the row: a tenth of its gate on every correct series here (measured <= 3.1e-14)
+        row = _row_residuals(ham.terms, gens.frame.left, states, h)
+        assert row.shape == (order + 1, ham.dim)
+        assert row[entry["row_order"], entry["row_state"]] == row.max()
+        assert entry["row_relative_residual"] == row.max() <= self.GATE / 10
+        if ham.dim <= 16:  # the per-state reference loop sums in another order
+            reference = reference_row_residual(ham.terms, gens.frame.left, states, h)
+            assert reference.max() <= self.GATE / 10
 
     @pytest.mark.parametrize("order", [3, 12])
     @pytest.mark.parametrize("family", [*g.BUILTIN_MODELS, "seeded-N16"])

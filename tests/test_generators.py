@@ -166,7 +166,10 @@ class TestSolveGenerators:
 
         monkeypatch.setattr(g.generators, "double_bracket", counted)
         gens = g.solve_generators(toy, toy_frame, 10)
-        assert len(calls) == len(toy.terms) == 3
+        # H_1..H_p once each, never H_0 (its bracket is diag(h)), kept read-only
+        assert len(calls) == toy.degree == 2
+        assert all(a is t for a, t in zip(calls, toy.terms[1:]))
+        assert gens._hf.shape == (2, 2, 2) and not gens._hf.flags.writeable
         assert g.hierarchy_residuals(toy, gens).max() < 1e-12
 
     def test_custom_diagonals_recorded(self, toy, toy_frame):

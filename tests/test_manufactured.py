@@ -123,12 +123,12 @@ class TestAgainstExactCoefficients:
 
 
 class TestFastConditioningSignal:
-    """On the dense N = 16 family at K = 3, `hierarchy` is the one FAST check
-    that reads an ill-conditioned frame: at t = 256 the series is more than
-    1e-10 off exact and `hierarchy` alone FAILs, since the RS route shares the
-    frame and `equation_residual` reads backward error; t = 64 passes, within
-    1e-11 of exact.  Taking `hierarchy` out of FAST_CHECKS would turn the first
-    into a PASS for a wrong series."""
+    """On the dense N = 16 family at K = 3, two FAST checks read an
+    ill-conditioned frame: at t = 256 the series is more than 1e-10 off exact,
+    and `hierarchy` and the eigenvalue row of `equation_residual` FAIL it (the
+    row reads 1.7e-10; its full residual reads backward error and passes),
+    while the RS route shares the frame and passes.  t = 64 passes, within
+    1e-11 of exact, its row at 7.5e-13 under the 1e-12 gate."""
 
     @pytest.mark.parametrize("t, verdict", [(64, "pass"), (256, "fail")])
     def test_verdict_and_error(self, t, verdict):
@@ -137,8 +137,11 @@ class TestFastConditioningSignal:
                               3, FAST_CHECKS)
         statuses = {name: entry["status"] for name, entry in report.checks.items()}
         assert statuses == {"hierarchy": verdict, "route_equivalence": "pass",
-                            "equation_residual": "pass"}
+                            "equation_residual": verdict}
         assert report.verdict == verdict
+        equation = report.checks["equation_residual"]
+        assert equation["max_relative_residual"] <= equation["threshold"]
+        assert (equation["row_relative_residual"] <= equation["row_threshold"]) == (t == 64)
         # rows run over k within each n; each state's error over max(1, max_k |exact|)
         h = np.array([r["re"] + 1j * r["im"] for r in report.series_rows]).reshape(16, 4).T
         exact = family.exact(3)

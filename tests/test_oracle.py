@@ -17,7 +17,7 @@ from geompert.oracle import (
     _ray_residual_block,
     _twin_permutations,
 )
-from geompert.pipeline import ALL_CHECKS, run_pipeline
+from geompert.pipeline import ALL_CHECKS, FAST_CHECKS, run_pipeline
 from oracles import (
     linear_family,
     manufactured_family,
@@ -678,6 +678,27 @@ class TestSharedSweep:
         assert len(calls["_series_block"]) == 2
         # the route check reads the RS recursion, not the Bell closed form
         assert calls["_dual_bell_blocks"] == []
+
+    @pytest.mark.parametrize("name", ["random-linear-N4-seed7", "seeded-N16"])
+    def test_the_solve_owns_the_brackets(self, monkeypatch, name):
+        # each solve brackets H_1..H_p once and H_0 never; the route and linear
+        # checks read the run's stack and build none, so verify (the run's solve
+        # and the gauge check's) brackets each term twice, and expand once
+        doc, original, calls = _model(name), g.spectral.double_bracket, []
+
+        def counted(frame, a):
+            calls.append(a)
+            return original(frame, a)
+
+        for module in (g.generators, g.pipeline, g.corrections):
+            monkeypatch.setattr(module, "double_bracket", counted, raising=False)
+        terms = doc.to_hamiltonian().terms
+        for checks, solves in [(ALL_CHECKS, 2), (FAST_CHECKS, 1)]:
+            calls.clear()
+            run_pipeline(doc, 3, checks)
+            bracketed = [next(j for j, t in enumerate(terms) if np.array_equal(a, t))
+                         for a in calls]
+            assert bracketed == list(range(1, len(terms))) * solves
 
     def test_crosscheck_reads_the_run_block_at_a_higher_order(self, monkeypatch):
         calls = _record_calls(monkeypatch)

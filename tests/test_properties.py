@@ -1,20 +1,21 @@
 """Property tests of the block series kernel, of the Bell route's grade-stack
 kernel, of the Hermitian reduction to Rayleigh-Schroedinger theory, of the
 frame's column normalization, of the verdict on a wrong series, of the
-eigen-equation check on wrong generators and of the route check on one wrong
-coefficient at any order."""
+eigen-equation check's eigenvalue row and of the route check on one wrong
+coefficient at any order, and of the eigen-equation check on wrong generators."""
 
 from functools import cache
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geompert as g
 from geompert.bellpoly import _dual_bell_blocks
 from geompert.corrections import (_all_block, _bell_states, _contract, _equation_residuals,
-                                  _rs_block, _series_block)
+                                  _row_residuals, _rs_block, _series_block)
 from geompert.generators import GeneratorSeries
 from geompert.pipeline import (ALL_CHECKS, FAST_CHECKS, _check_equation, _check_hierarchy,
                                _check_routes, _worst_relative, run_pipeline)
@@ -24,6 +25,7 @@ from oracles import (
     manufactured_family,
     reference_dual_bell_blocks,
     reference_normalize_columns,
+    reference_row_residual,
     seeded_quadratic_family,
 )
 
@@ -220,6 +222,33 @@ def test_one_wrong_coefficient_fails_verify(case):
     assert _equation_residuals(ham.terms, *correct).max() <= 1e-12
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["toy-sec5", "random-linear-N4-seed7", "seeded-N16", "dimers-N16"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 18))
+@example("toy-sec5", 1, 18)
+@example("random-linear-N4-seed7", 3, 17)
+@example("seeded-N16", 15, 16)
+@example("dimers-N16", 9, 2)
+def test_one_wrong_coefficient_fails_the_eigenvalue_row(name, seed, probe):
+    # one h_n^(k) off by 1e-8 max(1, |h_n^(k)|) at K = 18, where the full
+    # residual's shared scale hides it from k = 15 (ROADMAP item 13): the row
+    # weighs h_n^(k) against its own equation's terms and FAILs every k, but
+    # k = 18 on random-linear-N4-seed7 (6.0e-13 there)
+    ham, gens, (states, h) = _solved(name, 18)
+    n, left = seed % ham.dim, gens.frame.left
+    for k in range(1, 18 if name == "random-linear-N4-seed7" else 19):
+        wrong = h.copy()
+        wrong[k, n] += 1e-8 * max(1.0, abs(h[k, n]))
+        rows = _row_residuals(ham.terms, left, states, wrong)
+        assert rows[k, n] > 1e-12
+        if k == probe:  # the check FAILs through its row; the per-state reference agrees
+            ok, entry = _check_equation(hamiltonian=ham, frame=gens.frame, states=states, h=wrong)
+            assert not ok and entry["row_relative_residual"] > entry["row_threshold"] == 1e-12
+            reference = reference_row_residual(ham.terms, left[[n]], states[:, :, [n]],
+                                               wrong[:, [n]])
+            assert rows[k, n] == pytest.approx(reference[k, 0], rel=1e-6)
+
+
 # two built-ins, a dense seeded quadratic family and a dense manufactured one
 GENERATOR_FAMILIES = {
     "toy-sec5": lambda: g.builtin_model("toy-sec5").to_hamiltonian(),
@@ -262,16 +291,18 @@ def wrong_generator(draw, families=GENERATOR_FAMILIES, orders=st.integers(1, 12)
 def test_generator_error_that_moves_the_series_fails_equation_residual(case):
     name, order, entry, delta = case
     ham, gens, (states, h) = _solved(name, order)
-    assert _check_equation(hamiltonian=ham, states=states, h=h)[0]  # the correct run passes
+    # the correct run passes
+    assert _check_equation(hamiltonian=ham, frame=gens.frame, states=states, h=h)[0]
     kf = gens._kf.copy()
     kf[entry] += delta * max(1.0, abs(kf[entry]))
     wrong_states, wrong_h = _all_block(
-        GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame), order
+        GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame, gens._hf), order
     )
     # each column's move over max(1, max|.|), as route_equivalence measures it
     moved = max(_worst_relative(states, wrong_states), _worst_relative(h, wrong_h))
     if moved > 1e-8:
-        assert not _check_equation(hamiltonian=ham, states=wrong_states, h=wrong_h)[0]
+        assert not _check_equation(hamiltonian=ham, frame=gens.frame, states=wrong_states,
+                                   h=wrong_h)[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -285,13 +316,15 @@ def test_generator_error_that_moves_the_series_fails_route_or_equation(case):
     kf = gens._kf.copy()
     kf[entry] += delta * max(1.0, abs(kf[entry]))
     wrong_states, wrong_h = _all_block(
-        GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame), order
+        GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame, gens._hf), order
     )
-    route = _check_routes(hamiltonian=ham, frame=gens.frame, h=h, order=order)[0]
-    assert route and _check_equation(hamiltonian=ham, states=states, h=h)[0]  # the correct run
+    route = _check_routes(gens=gens, frame=gens.frame, h=h, order=order)[0]
+    # the correct run
+    assert route and _check_equation(hamiltonian=ham, frame=gens.frame, states=states, h=h)[0]
     if max(_worst_relative(states, wrong_states), _worst_relative(h, wrong_h)) > 1e-10:
-        route = _check_routes(hamiltonian=ham, frame=gens.frame, h=wrong_h, order=order)[0]
-        assert not (route and _check_equation(hamiltonian=ham, states=wrong_states, h=wrong_h)[0])
+        route = _check_routes(gens=gens, frame=gens.frame, h=wrong_h, order=order)[0]
+        assert not (route and _check_equation(hamiltonian=ham, frame=gens.frame,
+                                              states=wrong_states, h=wrong_h)[0])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -306,7 +339,7 @@ def test_generator_error_that_moves_the_series_fails_hierarchy(case):
     ham, gens, (states, h) = _solved(name, order)
     kf = gens._kf.copy()
     kf[entry] += delta * max(1.0, abs(kf[entry]))
-    wrong = GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame)
+    wrong = GeneratorSeries._from_frame(order, kf, gens.gauge, gens.frame, gens._hf)
     for run in (gens, wrong):
         # no order's gate is looser than that one scale, the largest term
         shared = max(1.0, *(float(np.abs(m).max()) for m in (*ham.terms, run._kc)))
