@@ -117,7 +117,7 @@ MAX_WORD_GRADE = 25
 
 
 def require_word_grade(order: int) -> int:
-    """`order`, a series order or word grade, when BB_k's int64 tables reach
+    """`order`, a word grade, when BB_k's int64 tables reach
     it; above MAX_WORD_GRADE a ValueError naming it, before any table is built."""
     if order > MAX_WORD_GRADE:
         raise ValueError(

@@ -33,7 +33,7 @@ from .spectral import _frozen, is_integer
 
 # the highest term order a document may hold, since parse_model builds every
 # order below it; run_pipeline caps every series order at
-# bellpoly.MAX_WORD_GRADE = 25, so no run reads a term above 26
+# pipeline.MAX_ORDER = 25, so no run reads a term above 26
 MAX_TERM_ORDER = 64
 
 

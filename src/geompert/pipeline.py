@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, floattext
-from .bellpoly import require_word_grade
 from .corrections import (
     _all_block,
     _crosscheck,
@@ -65,6 +64,9 @@ _GAUGE_SEED = 20210707
 # the most q samples a command takes, for the verify window and the sweep: each
 # sample is one eigensolve, and a sweep writes four numbers per state per sample
 MAX_POINTS = 10_000
+# the highest series order a run takes, whatever its checks: a cap on a hostile
+# order until the run bounds its own work (its stacks grow like K N^2)
+MAX_ORDER = 25
 # the highest order the residual, FD and gauge checks and the Hermitian check's
 # textbook comparison read; its imaginary-part bound reads every order up to K
 _CHECK_ORDER = 3
@@ -409,17 +411,17 @@ def run_pipeline(
     sweep data was requested) are written there after everything succeeds;
     an `out_dir` that cannot be a directory (it, or its nearest existing
     ancestor, exists and is not one) raises NotADirectoryError before any work.
-    An order above bellpoly.MAX_WORD_GRADE, and more than MAX_POINTS samples in
-    the window of `residual_order` (`points`) or in the sweep, raise ValueError
-    before any work too.
+    An order above MAX_ORDER, and more than MAX_POINTS samples in the window
+    of `residual_order` (`points`) or in the sweep, raise ValueError before any
+    work too.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
     require_count("order", order)
     unknown = set(checks) - ALL_CHECKS
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    # whatever the checks: a higher cap needs a bound of its own on the solve
-    require_word_grade(order)
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds {MAX_ORDER}, the highest series order a run takes")
     kc = min(order, _CHECK_ORDER)
     residual_qs = None
     if "residual_order" in checks:

@@ -762,28 +762,49 @@ class TestRayleighSchroedingerBlock:
 
     def test_matches_extended_precision(self):
         # the same recursion in 40 digits from the same double frame matrices
-        import mpmath  # a dependency of sympy
+        a, h, rs = self._rs_on_random_linear(18)
+        ref = _rs_in_mpmath(a, h, 18, 40)
+        for k in range(1, 19):
+            assert _relative(rs[k], ref[k]) <= 1e-14, k
 
+    def test_forward_accurate_to_order_fifty(self):
+        # past the run's order bound (the kernel takes any order): the same
+        # recursion in 60 digits reads at most 5.8e-15 through k = 50, where
+        # the generator route's error reaches 2.3
+        a, h, rs = self._rs_on_random_linear(50)
+        ref = _rs_in_mpmath(a, h, 50, 60)
+        for k in range(51):
+            assert _relative(rs[k], ref[k]) <= 1e-13, k
+
+    @staticmethod
+    def _rs_on_random_linear(order):
         ham = g.builtin_model("random-linear-N4-seed7").to_hamiltonian()
         frame = g.eigenframe(ham.term(0))
-        a, h, dim = g.double_bracket(frame, ham.term(1)), frame.eigenvalues, ham.dim
-        rs = _rs_block([a], h, 18)
-        with mpmath.workdps(40):
-            a = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
-            h = [mpmath.mpc(complex(z)) for z in h]
-            coeffs, values = [mpmath.eye(dim)], [h]
-            for k in range(1, 19):
-                x = a * coeffs[k - 1]
-                values.append([x[n, n] for n in range(dim)])
-                ref = np.array([complex(z) for z in values[k]])
-                assert _relative(rs[k], ref) <= 1e-14, k
-                c = mpmath.zeros(dim, dim)
-                for m in range(dim):
-                    for n in range(dim):
-                        if m != n:
-                            rest = sum(coeffs[k - i][m, n] * values[i][n] for i in range(1, k))
-                            c[m, n] = (x[m, n] - rest) / (h[n] - h[m])
-                coeffs.append(c)
+        a, h = g.double_bracket(frame, ham.term(1)), frame.eigenvalues
+        return a, h, _rs_block([a], h, order)
+
+
+def _rs_in_mpmath(a, h, order, digits):
+    """h^(0..order), (order + 1, N), by the RS recursion of one frame matrix `a`
+    in `digits` decimal digits, from the same double inputs, rounded to double."""
+    import mpmath  # a dependency of sympy
+
+    dim = len(h)
+    with mpmath.workdps(digits):
+        a = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+        h = [mpmath.mpc(complex(z)) for z in h]
+        coeffs, values = [mpmath.eye(dim)], [h]
+        for k in range(1, order + 1):
+            x = a * coeffs[k - 1]
+            values.append([x[n, n] for n in range(dim)])
+            c = mpmath.zeros(dim, dim)
+            for m in range(dim):
+                for n in range(dim):
+                    if m != n:
+                        rest = sum(coeffs[k - i][m, n] * values[i][n] for i in range(1, k))
+                        c[m, n] = (x[m, n] - rest) / (h[n] - h[m])
+            coeffs.append(c)
+        return np.array([[complex(z) for z in row] for row in values])
 
 
 class TestCrosscheckLinear:

@@ -525,6 +525,15 @@ class TestPipeline:
         with pytest.raises(ValueError, match="order 26 exceeds 25"):
             run_pipeline(g.builtin_model("toy-sec5"), 26, checks)
 
+    def test_the_order_bound_is_the_runs_own(self, monkeypatch):
+        # a larger Bell table cap moves no run's bound: the run checks its own
+        monkeypatch.setattr(g.bellpoly, "MAX_WORD_GRADE", 30)
+        with pytest.raises(ValueError, match="order 26 exceeds 25") as info:
+            run_pipeline(g.builtin_model("toy-sec5"), 26, set())
+        assert g.pipeline.MAX_ORDER == 25
+        assert "series order a run takes" in str(info.value)
+        assert "Bell" not in str(info.value)
+
     def test_numpy_integer_order_runs(self):
         report = run_pipeline(g.builtin_model("toy-sec5"), np.int64(3), FAST_CHECKS)
         assert report.verdict == "pass"
