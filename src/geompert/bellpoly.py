@@ -220,7 +220,8 @@ def _dual_bell_blocks(symbols: np.ndarray, block: np.ndarray) -> np.ndarray:
     grades < K hold 2^(K-1) blocks of N x m, and a chunk of 1 + 2^(K-2) more
     scales and sums each stored grade's words at once (one multiply, one
     reduce) and the last grade's in two runs, about 3 * 2^(K-2) N m complex
-    numbers in all (200 MB at N = m = 64, K = 12).  A K above MAX_WORD_GRADE
+    numbers in all.  The Bell route of `corrections` runs one state (m = 1):
+    3 * 2^(K-2) N, about 0.8 GB at N = 2, K = 25.  A K above MAX_WORD_GRADE
     raises ValueError before any table is built.
     """
     order = require_word_grade(len(symbols))

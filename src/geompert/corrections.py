@@ -3,16 +3,17 @@
 One kernel serves every state, and it runs in the eigenframe of H_0.  With
 the frame matrices [[K]] = W K V of the generator solve
 (`GeneratorSeries._k0f`, `._k1f`), the frame coefficients C^(k) = W S^(k)
-of the state block S^(k) (column c is |cols[c]^(k)>) obey the transport
+of the state block S^(k) (column n is |n^(k)>) obey the transport
 recursion |n^(k)> = -(i/k) sum_j K_0^(j-1) |n^(k-j)>:
 
-    C^(0) = I[:, cols],
-    C^(k) = -(i/k) ( sum_{j=1..k-1} [[K_0^(j-1)]] C^(k-j) + [[K_0^(k-1)]][:, cols] ),
+    C^(0) = I,
+    C^(k) = -(i/k) ( sum_{j=1..k-1} [[K_0^(j-1)]] C^(k-j) + [[K_0^(k-1)]] ),
 
-where the j = k term, on C^(0), is a column slice, not a product.  Then
-S = V C is formed once, as one stacked product.  The closed form of S^(k)
-is a dual Bell word polynomial in the K_0 coefficients, evaluated by
-`bellpoly._dual_bell_blocks`, the one holder of BB_k's tables and word order:
+where the j = k term, on C^(0) = I, is [[K_0^(k-1)]] itself, not a
+product.  Then S = V C is formed once, as one stacked product.  The closed
+form of S^(k) is a dual Bell word polynomial in the K_0 coefficients,
+evaluated by `bellpoly._dual_bell_blocks`, the one holder of BB_k's tables
+and word order:
 
     S^(k) = BB_k(0! (-i K_0^(0)), ..., (k-1)! (-i K_0^(k-1))) S^(0) / k!.
 
@@ -23,21 +24,23 @@ powers of q in K_1 |n> = (dh_n/dq) |n> and contracting with the dual vector
     h_n^(k) = ( [[K_1^(k-1)]]_nn + sum_{j=1..k-1} ( <<n| K_1^(j-1) |n^(k-j)>
                                      - j h_n^(j) <<n|n^(k-j)> ) ) / k.
 
-In the frame both tables are read off the coefficients, for n = cols[c]:
+In the frame <<n| is row n of W, and both tables are read off the coefficients:
 
-    T[j, m, c] = [[K_1^(j)]][n, :] . C^(m)[:, c]    (<<n| K_1^(j) |n^(m)>),
-    D[m, c]    = C^(m)[n, c]                        (<<n|n^(m)>),
+    T[j, m, n] = [[K_1^(j)]][n, :] . C^(m)[:, n]    (<<n| K_1^(j) |n^(m)>),
+    D[m, n]    = C^(m)[n, n]                        (<<n|n^(m)>),
 
 each T entry one dot product of length N, so that h^(k) = (T[k-1, 0] +
 sum_j (T[j-1, k-j] - j h^(j) D[k-j])) / k touches only vectors of length
-len(cols), and no step depends on the order: a lower order's block is a
-prefix of a higher one's, bit for bit.  T is formed only on the triangle
-j + m <= order - 1 that h reads, one anti-diagonal per order.  One
-contraction, `_contract`, runs on the recursion's coefficients (production)
-and on the Bell blocks (cross check), which stay in the computational basis,
-read the views `GeneratorSeries.k0`, and are mapped into the frame by one
-stacked W S; the two routes must agree to roundoff.  Diagonal gauge choices
-for K_0 change the state corrections but drop out of h_n^(k) identically.
+N, and no step depends on the order: a lower order's block is a prefix of a
+higher one's, bit for bit.  T is formed only on the triangle j + m <=
+order - 1 that h reads, one anti-diagonal per order.  One contraction,
+`_contract`, runs on the recursion's coefficients of every state
+(production) and on the Bell block of one state (cross check), which stays
+in the computational basis, reads the views `GeneratorSeries.k0`, and is
+mapped into the frame by one stacked W S; the two routes must agree to
+roundoff.  `_contract` is the one series function that takes columns.
+Diagonal gauge choices for K_0 change the state corrections but drop out of
+h_n^(k) identically.
 
 Each order is a few stacked numpy calls, not one per term: the recursion's
 products K_0^(j-1) C^(k-j) are one stacked matmul and their sum one reduce,
@@ -105,36 +108,34 @@ def _horner(coeffs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_block(gens: GeneratorSeries, cols, order: int):
-    """The block kernel: state blocks S^(0..order) and h^(0..order) of `cols`.
+def _series_block(gens: GeneratorSeries, order: int):
+    """The block kernel: state blocks S^(0..order) and h^(0..order) of every state.
 
-    `cols` indexes the states: a slice (every state is `slice(None)`, read
-    without copying the K_1 rows) or an index array.  The transport recursion
-    runs on the frame coefficients C^(k) = W S^(k), from C^(0) = I[:, cols],
-    one stacked product and one reduce per order in the order of the sum;
-    S = V C is formed once at the end and `_contract` reads h off C.  Returns
-    (order + 1, N, m) state blocks and (order + 1, m) eigenvalue corrections.
+    The transport recursion runs on the frame coefficients C^(k) = W S^(k),
+    from C^(0) = I, one stacked product and one reduce per order in the order
+    of the sum; S = V C is formed once at the end and `_contract` reads h off
+    C.  Returns (order + 1, N, N) state blocks and (order + 1, N) eigenvalue
+    corrections.
     """
     order = require_order(order, gens.order + 1)  # corrections of order K read K_0^(K-1)
-    frame = gens.frame
-    k0f, idx = gens._k0f, np.arange(frame.dim)[cols]
-    m = len(idx)
-    coeffs = np.zeros((order + 1, frame.dim, m), dtype=np.complex128)
-    coeffs[0, idx, np.arange(m)] = 1.0
-    terms = np.empty((order, frame.dim, m), dtype=np.complex128)
+    frame, k0f = gens.frame, gens._k0f
+    coeffs = np.zeros((order + 1, frame.dim, frame.dim), dtype=np.complex128)
+    np.fill_diagonal(coeffs[0], 1.0)
+    terms = np.empty((order, frame.dim, frame.dim), dtype=np.complex128)
     for k in range(1, order + 1):
         # K_0^(j-1) C^(k-j) for j = 1..k-1, then the j = k term K_0^(k-1) C^(0),
-        # a column slice: summed in that order
+        # K_0^(k-1) itself: summed in that order
         if k > 1:
             np.matmul(k0f[: k - 1], coeffs[k - 1 : 0 : -1], out=terms[: k - 1])
-        terms[k - 1] = k0f[k - 1][:, cols]
+        terms[k - 1] = k0f[k - 1]
         np.multiply(-1j / k, _reduce(np.add, terms[:k], out=coeffs[k]), out=coeffs[k])
-    return frame.right @ coeffs, _contract(gens, cols, coeffs[:order])
+    return frame.right @ coeffs, _contract(gens, slice(None), coeffs[:order])
 
 
 def _contract(gens: GeneratorSeries, cols, coeffs: np.ndarray) -> np.ndarray:
-    """h^(0..K) of `cols`, (K + 1, m), from the frame coefficients C^(0..K-1) =
-    W S^(0..K-1), (K, N, m), of the recursion or of the Bell route."""
+    """h^(0..K) of the m states `cols`, (K + 1, m), from the frame coefficients
+    C^(0..K-1) = W S^(0..K-1), (K, N, m), of the recursion on every state
+    (`slice(None)`) or of the Bell route on one (`[n]`)."""
     order, idx = len(coeffs), np.arange(gens.frame.dim)[cols]
     m = len(idx)
     h = np.zeros((order + 1, m), dtype=np.complex128)
@@ -157,13 +158,13 @@ def _contract(gens: GeneratorSeries, cols, coeffs: np.ndarray) -> np.ndarray:
     return h
 
 
-def _bell_states(gens: GeneratorSeries, cols, order: int) -> np.ndarray:
-    """State blocks S^(k) = BB_k(P_1, ..., P_k) S^(0) / k!, k = 0..order, with
-    P_a = (a-1)! (-i K_0^(a-1)), in the computational basis."""
+def _bell_states(gens: GeneratorSeries, n: int, order: int) -> np.ndarray:
+    """State blocks S^(k) = BB_k(P_1, ..., P_k) |n^(0)> / k!, k = 0..order, of state
+    `n`, (order + 1, N, 1), with P_a = (a-1)! (-i K_0^(a-1)), in the computational basis."""
     order = require_order(order, gens.order + 1)
     weights = np.array([factorial(a - 1) * -1j for a in range(1, order + 1)])
     symbols = weights.reshape(-1, 1, 1) * np.array(gens.k0[:order], dtype=np.complex128)
-    blocks = _dual_bell_blocks(symbols, gens.frame.right[:, cols])
+    blocks = _dual_bell_blocks(symbols, gens.frame.right[:, [n]])
     for k in range(1, order + 1):
         blocks[k] /= factorial(k)
     return blocks
@@ -174,14 +175,14 @@ def _all_block(gens: GeneratorSeries, order: int):
     (order + 1, N, N) and h^(0..order) (order + 1, N).
 
     A prefix of the block memoized on `gens`; an order above it runs
-    `_series_block` on every column and replaces it, so `gens` holds
-    (K + 1) N^2 complex numbers for the highest K requested.  Each call slices
-    the block it read or computed, so a race may recompute, never shorten.
+    `_series_block` and replaces it, so `gens` holds (K + 1) N^2 complex
+    numbers for the highest K requested.  Each call slices the block it read
+    or computed, so a race may recompute, never shorten.
     """
     order = require_order(order, gens.order + 1)
     block = gens._block
     if block is None or order >= len(block[1]):
-        block = tuple(map(_frozen, _series_block(gens, slice(None), order)))
+        block = tuple(map(_frozen, _series_block(gens, order)))
         object.__setattr__(gens, "_block", block)
     return block[0][: order + 1], block[1][: order + 1]
 
@@ -198,7 +199,7 @@ def state_corrections_bell(
 ) -> list[np.ndarray]:
     """State corrections via the dual Bell closed form (equals the recursion)."""
     n = require_state(n, gens.frame.dim)
-    return [s[:, 0] for s in _bell_states(gens, [n], order)]
+    return [s[:, 0] for s in _bell_states(gens, n, order)]
 
 
 def eigenvalue_corrections(gens: GeneratorSeries, n: int, order: int) -> np.ndarray:
@@ -221,7 +222,7 @@ def eigenvalue_corrections_bell(
     """
     n = require_state(n, gens.frame.dim)
     order = require_order(order, gens.order + 1)
-    states = _bell_states(gens, [n], max(order - 1, 0))
+    states = _bell_states(gens, n, max(order - 1, 0))
     return _contract(gens, [n], gens.frame.left @ states[:order])[:, 0]
 
 

@@ -69,6 +69,7 @@ from .spectral import (SpectralFrame, _degenerate, _frozen, _rowdot, _rownorm, e
 RESIDUAL_FLOOR = 1e-14
 # ray residuals keep a little more headroom over eigenvector noise
 RAY_FLOOR = 1e-13
+# the fewest residuals a slope is fitted to, and so the fewest samples of a window
 _MIN_FIT_POINTS = 5
 # the fewest samples per decade of a window that a slope fit is given
 _PER_DECADE = 8
@@ -248,7 +249,8 @@ def _require_power(q, order: int, name: str) -> None:
 def _require_window(window: tuple[float, float], points, order: int) -> None:
     """Raise ValueError unless `window` is a finite 0 < q_lo < q_hi whose q_hi ** order, the
     largest power a series of `order` takes there, is a finite float, and `points` samples
-    cover it, at least `_PER_DECADE` to a decade."""
+    cover it, at least `_PER_DECADE` to a decade and at least `_MIN_FIT_POINTS`, the fewest
+    a slope is fitted to, in all."""
     q_lo, q_hi = window
     if not 0 < q_lo < q_hi < np.inf:
         raise ValueError(
@@ -262,6 +264,11 @@ def _require_window(window: tuple[float, float], points, order: int) -> None:
         raise ValueError(
             f"residual_order needs at least {_PER_DECADE} points per decade of the window: "
             f"points = {points} over q_lo = {q_lo!r} to q_hi = {q_hi!r} ({decades:.3g} decades)"
+        )
+    if points < _MIN_FIT_POINTS:
+        raise ValueError(
+            f"residual_order needs at least {_MIN_FIT_POINTS} samples in the window to fit "
+            f"a slope: points = {points} over q_lo = {q_lo!r} to q_hi = {q_hi!r}"
         )
 
 
@@ -349,7 +356,8 @@ def series_residual_order(
     fit; if fewer than five usable points remain the window cannot support a
     slope estimate and ResidualUnderflow is raised.  The window obeys the
     pipeline grid's rule, `_require_window`, with the curve samples inside
-    it as the points.
+    it as the points, so a window of fewer than five samples raises
+    ValueError before any fit.
     """
     n = require_state(n, curve.values.shape[0])
     order = require_order(order, series.order)

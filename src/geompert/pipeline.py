@@ -40,6 +40,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -396,7 +397,7 @@ FAST_CHECKS = frozenset({"hierarchy", "route_equivalence", "equation_residual"})
 def run_pipeline(
     doc: ModelDocument,
     order: int,
-    checks: frozenset[str] | set[str] = ALL_CHECKS,
+    checks: Iterable[str] = ALL_CHECKS,
     out_dir=None,
     *,
     q_lo: float = 1e-4,
@@ -406,18 +407,21 @@ def run_pipeline(
 ) -> Report:
     """Run the full pipeline on a model document and return the Report.
 
-    `checks` selects the verification steps; unknown names raise ValueError.
+    `order` may be a Python or numpy integer and `checks` any iterable of
+    check names, read once; both are held as plain Python values (an int and
+    a frozenset) from here on, and unknown names raise ValueError.
     When `out_dir` is given, report.json and series.csv (plus sweep.csv when
     sweep data was requested) are written there after everything succeeds;
     an `out_dir` that cannot be a directory (it, or its nearest existing
     ancestor, exists and is not one) raises NotADirectoryError before any work.
-    An order above MAX_ORDER, and more than MAX_POINTS samples in the window
-    of `residual_order` (`points`) or in the sweep, raise ValueError before any
-    work too.
+    An order above MAX_ORDER, more than MAX_POINTS samples in the window of
+    `residual_order` (`points`) or in the sweep, and a window that
+    `oracle._require_window` rejects (fewer than 5 samples, or fewer than 8 to
+    a decade), raise ValueError before any work too.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
-    require_count("order", order)
-    unknown = set(checks) - ALL_CHECKS
+    order, checks = require_count("order", order), frozenset(checks)
+    unknown = checks - ALL_CHECKS
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if order > MAX_ORDER:
@@ -473,7 +477,7 @@ def run_pipeline(
     report = Report(
         model=doc.name,
         parameters={
-            "order": int(order),
+            "order": order,
             "gauge": gens.gauge,
             "q_lo": float(q_lo),
             "q_hi": float(q_hi),

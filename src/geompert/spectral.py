@@ -116,10 +116,11 @@ def require_state(n, dim: int) -> int:
     return int(n)
 
 
-def require_count(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is an integer >= 1 (not a bool)."""
+def require_count(name: str, value) -> int:
+    """`value` as a count: an integer >= 1 (not a bool), else ValueError naming `name`."""
     if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def require_order(order, most: int | None = None) -> int:

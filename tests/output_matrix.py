@@ -1,4 +1,4 @@
-"""The 25-run output matrix: every command's outputs, for a byte-for-byte diff.
+"""The 32-run output matrix: every command's outputs, for a byte-for-byte diff.
 
 Usage, from the root of the repository:
 
@@ -11,9 +11,11 @@ one thread, as the benchmark runs it, on the three built-in models and on
 the seeded quadratic families N = 6, 16 and 32 of `oracles` (the draws of
 the benchmark's `seeded_family(default_rng(0), N)`).  Each model gets
 `verify --order 3`, `verify --order 1`, `expand --order 12` and
-`sweep --q-max 0.2 --points 50 --order 3`; N = 32 also gets the benchmark's
-sweep of 200 points.  Each run's exit code, stdout, stderr and output files
-land in `OUT/<run>/`.  The model files are written by this tree's
+`sweep --q-max 0.2 --points 50 --order 3`.  The built-ins also get
+`expand --order 18` and `expand --order 25` (25 is `pipeline.MAX_ORDER`, the
+highest order a run takes), N = 16 gets `expand --order 18`, and N = 32 the
+benchmark's sweep of 200 points.  Each run's exit code, stdout, stderr and
+output files land in `OUT/<run>/`.  The model files are written by this tree's
 `serialize_model`, so two matrices written with one copy of this script
 read the same inputs whatever SRC is.
 
@@ -41,7 +43,12 @@ COMMANDS = {
     "expand-12": ["expand", "--order", "12"],
     "sweep-50": ["sweep", "--q-max", "0.2", "--points", "50", "--order", "3"],
 }
-EXTRA = {"seeded-N32": {"sweep-200": ["sweep", "--q-max", "0.2", "--points", "200", "--order", "3"]}}
+# every built-in's runs up to the run's order bound, and one seeded family's
+HIGH_ORDER = {"expand-18": ["expand", "--order", "18"], "expand-25": ["expand", "--order", "25"]}
+EXTRA = {
+    "seeded-N16": {"expand-18": HIGH_ORDER["expand-18"]},
+    "seeded-N32": {"sweep-200": ["sweep", "--q-max", "0.2", "--points", "200", "--order", "3"]},
+}
 # what a run leaves: the files compared, in this order
 FILES = ("code", "stdout", "stderr", "report.json", "series.csv", "sweep.csv")
 # report_json writes `metadata` as the report's last key, at indent 2
@@ -66,8 +73,11 @@ def _models(out: Path) -> dict[str, str]:
 
 def _runs(models: dict[str, str]):
     """(run name, argv) of every run of the matrix."""
+    import geompert as g
+
     for model, arg in models.items():
-        for command, argv in {**COMMANDS, **EXTRA.get(model, {})}.items():
+        extra = HIGH_ORDER if model in g.BUILTIN_MODELS else EXTRA.get(model, {})
+        for command, argv in {**COMMANDS, **extra}.items():
             yield f"{model}.{command}", [*argv, "--model", arg]
 
 

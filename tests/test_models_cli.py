@@ -539,6 +539,64 @@ class TestPipeline:
         assert report.verdict == "pass"
         assert json.loads(report_json(report))["parameters"]["order"] == 3
 
+    @pytest.mark.parametrize(
+        "order", [np.int64(1), np.int64(2), np.int64(3), np.int32(3), np.intp(12)]
+    )
+    def test_numpy_integer_order_is_a_plain_int_from_the_door(self, order):
+        # every check and the report read the int, including residual_order's
+        # order_checked and fd_concordance's n and k, which derive from it
+        doc = g.builtin_model("random-linear-N4-seed7")
+        reports = [run_pipeline(doc, o, ALL_CHECKS) for o in (order, int(order))]
+        texts = [report_json(r).split('\n  "metadata": ')[0] for r in reports]
+        assert texts[0] == texts[1]
+
+        def leaves(obj):
+            if type(obj) in (dict, list):
+                for value in obj.values() if type(obj) is dict else obj:
+                    yield from leaves(value)
+            else:
+                yield obj
+
+        plain = (bool, int, float, str, type(None))
+        assert all(type(leaf) in plain for leaf in leaves(reports[0].to_dict()))
+
+    def test_checks_are_read_once_from_any_iterable(self):
+        # read once: the name check and the check loop see the same names
+        doc = g.builtin_model("random-linear-N4-seed7")
+        names = ["residual_order", "hierarchy"]
+        report = run_pipeline(doc, 3, (name for name in names))
+        assert list(report.checks) == ["hierarchy", "residual_order"]
+        assert report.parameters["checks"] == ["hierarchy", "residual_order"]
+        assert all(entry["status"] == "pass" for entry in report.checks.values())
+
+    def test_a_repeated_check_is_listed_once(self):
+        report = run_pipeline(g.builtin_model("toy-sec5"), 3, ["hierarchy", "hierarchy"])
+        assert report.parameters["checks"] == ["hierarchy"]
+        assert list(report.checks) == ["hierarchy"]
+
+    @pytest.mark.parametrize("points", [4, 5])
+    def test_a_wrong_coefficient_never_passes_a_narrow_window(self, monkeypatch, points):
+        # h^(2) 1% wrong: 4 samples fit no slope, so their window is refused,
+        # and 5 fit every state's slope, each below the threshold
+        original = g.pipeline._all_block
+
+        def wrong(gens, order):
+            states, h = original(gens, order)
+            h = h.copy()
+            h[2] *= 1.01
+            return states, h
+
+        monkeypatch.setattr(g.pipeline, "_all_block", wrong)
+        doc = g.builtin_model("random-linear-N4-seed7")
+        window = dict(q_lo=1e-3, q_hi=1.2e-3, points=points)
+        if points < 5:
+            with pytest.raises(ValueError, match="at least 5 samples in the window"):
+                run_pipeline(doc, 3, {"residual_order"}, **window)
+            return
+        entry = run_pipeline(doc, 3, {"residual_order"}, **window).checks["residual_order"]
+        assert entry["status"] == "fail"
+        assert all(s is not None and s < entry["threshold"] for s in entry["eigenvalue_slopes"])
+
     def test_window_read_from_the_grid_serializes(self):
         report = run_pipeline(
             g.builtin_model("toy-sec5"), 3, {"residual_order"}, q_lo=np.float32(1e-4)
@@ -1233,6 +1291,23 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert f"points = {window[1]}" in err["message"]
         assert "q_lo = " in err["message"] and "q_hi = " in err["message"]
+
+    @pytest.mark.parametrize("points", range(1, 5))
+    def test_window_of_fewer_than_five_samples_exits_2(self, capsys, monkeypatch, points):
+        # 8 per decade holds over 0.08 decades, but no slope fits under 5 samples
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        argv = ["verify", "--model", "random-linear-N4-seed7", "--order", "3",
+                "--q-lo", "1e-3", "--q-hi", "1.2e-3", "--points", str(points)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert "at least 5 samples" in err["message"] and f"points = {points} " in err["message"]
 
     def test_lower_order_rows_do_not_depend_on_the_order(self, tmp_path):
         rows = {}

@@ -337,6 +337,19 @@ class TestResidualOrder:
         with pytest.raises(g.ResidualUnderflow):
             g.series_residual_order(curve, toy_series[1], 1, 3, (1e-5, 1e-4))
 
+    @pytest.mark.parametrize("count", range(5))
+    def test_window_needs_five_samples(self, toy, toy_series, count):
+        # 8 per decade holds over 0.08 decades; under 5 samples no slope fits
+        qs = np.array([1.0, 1.05, 1.1, 1.15])[:count] * 1e-3
+        curve = g.exact_spectrum_sweep(toy, np.concatenate([qs, [2e-3]]))
+        window = (0.99e-3, 1.2e-3)
+        if count == 0:  # an empty window keeps its message
+            with pytest.raises(ValueError, match="points must be a positive integer, got 0"):
+                g.series_residual_order(curve, toy_series[1], 1, 2, window)
+        else:
+            with pytest.raises(ValueError, match=f"at least 5 samples .*: points = {count} "):
+                g.series_residual_order(curve, toy_series[1], 1, 2, window)
+
     def test_sampling_density_guard(self, toy, toy_series):
         qs = np.logspace(-4, -2, 10)  # 5 per decade
         curve = g.exact_spectrum_sweep(toy, qs)

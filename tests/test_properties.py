@@ -61,13 +61,13 @@ def test_bell_block_equals_recursion_block(case):
     seed, dim, quadratic, order = case
     ham, _ = _family(seed, dim, quadratic)
     gens = g.solve_model(ham, order)
-    cols = np.arange(dim)
-    rec, h_rec = _series_block(gens, cols, order)
-    bell = _bell_states(gens, cols, order)
-    for a, b in zip(bell, rec):
-        assert _column_relative(a, b) <= 1e-12
-    h_bell = _contract(gens, cols, gens.frame.left @ bell[:order])
-    assert _column_relative(h_bell, h_rec) <= 1e-11
+    rec, h_rec = _series_block(gens, order)
+    for n in range(dim):
+        bell = _bell_states(gens, n, order)
+        for a, b in zip(bell, rec[:, :, n : n + 1]):
+            assert _column_relative(a, b) <= 1e-12
+        h_bell = _contract(gens, [n], gens.frame.left @ bell[:order])
+        assert _column_relative(h_bell, h_rec[:, n : n + 1]) <= 1e-11
 
 
 @PROPERTY_SETTINGS
@@ -80,9 +80,8 @@ def test_lower_orders_are_prefixes(seed, dim, degree, order):
         for _ in range(degree - 1)
     ]
     gens = g.solve_model(g.PolynomialHamiltonian([*ham.terms, *extra]), 8)
-    cols = np.arange(dim)
-    top_states, top_h = _series_block(gens, cols, 8)
-    states, h = _series_block(gens, cols, order)
+    top_states, top_h = _series_block(gens, 8)
+    states, h = _series_block(gens, order)
     assert h.tobytes() == top_h[: order + 1].tobytes()
     assert states.tobytes() == top_states[: order + 1].tobytes()
 
@@ -101,7 +100,7 @@ def test_hermitian_series_is_textbook_rs(seed, dim, degree):
     ham = g.PolynomialHamiltonian([*ham.terms[: min(degree, 1) + 1], *extra])
     assert ham.degree == degree and ham.is_hermitian()
     gens = g.solve_model(ham, 6)
-    _, h = _series_block(gens, np.arange(dim), 6)
+    _, h = _series_block(gens, 6)
     v = gens.frame.right
     textbook = _rs_block([v.conj().T @ t @ v for t in ham.terms[1:]], gens.frame.eigenvalues, 6)
     assert np.max(np.abs(h - textbook) / np.maximum(1.0, np.abs(textbook))) <= 1e-10
