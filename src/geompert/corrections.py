@@ -115,9 +115,9 @@ def _series_block(gens: GeneratorSeries, order: int):
     from C^(0) = I, one stacked product and one reduce per order in the order
     of the sum; S = V C is formed once at the end and `_contract` reads h off
     C.  Returns (order + 1, N, N) state blocks and (order + 1, N) eigenvalue
-    corrections.
+    corrections.  Its caller, `_all_block`, vets `order` <= gens.order + 1:
+    corrections of order K read K_0^(K-1).
     """
-    order = require_order(order, gens.order + 1)  # corrections of order K read K_0^(K-1)
     frame, k0f = gens.frame, gens._k0f
     coeffs = np.zeros((order + 1, frame.dim, frame.dim), dtype=np.complex128)
     np.fill_diagonal(coeffs[0], 1.0)

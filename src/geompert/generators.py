@@ -134,7 +134,7 @@ class GeneratorSeries:
     [[K]] = W K V), as `_k0f` and `_k1f`.  A solve fills that and forms `_kc`
     and the tuples on first read, one stacked V K W, cached; a race may
     recompute them but never returns a partial tuple.  Direct construction
-    (and `dataclasses.replace`) takes `k0`/`k1` and forms both stacks once.
+    (and `dataclasses.replace`) takes any `k0`/`k1` and forms both stacks once.
     `_hf` is the solve's read-only (degree, N, N) stack [[H_1]]..[[H_p]], the
     one bracket of the family that the checks read; direct construction has none.
     `_block` holds the series block of the highest order requested
@@ -161,8 +161,8 @@ class GeneratorSeries:
                     f"({n}, {n}), got {[np.shape(m) for m in mats]}"
                 )
         stack = _frozen(np.array([self.k0, self.k1], dtype=np.complex128))
-        object.__setattr__(self, "_kc", stack)
         object.__setattr__(self, "_kf", _frozen(self.frame.left @ stack @ self.frame.right))
+        self.__dict__.update(k0=tuple(stack[0]), k1=tuple(stack[1]), _kc=stack)
 
     @classmethod
     def _from_frame(cls, order, kf, gauge, frame, hf) -> GeneratorSeries:
@@ -185,9 +185,7 @@ class GeneratorSeries:
         if name not in ("k0", "k1", "_kc"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         stack = _frozen(self.frame.right @ self._kf @ self.frame.left)
-        object.__setattr__(self, "k0", tuple(stack[0]))
-        object.__setattr__(self, "k1", tuple(stack[1]))
-        object.__setattr__(self, "_kc", stack)
+        self.__dict__.update(k0=tuple(stack[0]), k1=tuple(stack[1]), _kc=stack)
         return getattr(self, name)
 
 
@@ -209,9 +207,9 @@ def solve_generators(
     order : int
         Highest generator order to solve (>= 0).
     k0_diagonals : sequence of (N,) arrays, optional
-        Eigenframe diagonal of each K_0^(ell).  Default: all zero (the
-        canonical gauge).  Nonzero choices exercise the residual gauge
-        freedom and are propagated through all higher orders.
+        Eigenframe diagonal of each K_0^(ell), held as one (order + 1, N)
+        array, zero by default (the canonical gauge).  Nonzero choices exercise
+        the residual gauge freedom and are propagated through all higher orders.
 
     Raises
     ------
@@ -224,17 +222,14 @@ def solve_generators(
         raise DimensionMismatch(
             f"frame dimension {frame.dim} != Hamiltonian dimension {hamiltonian.dim}"
         )
+    diags = np.zeros((order + 1, frame.dim), dtype=np.complex128)
     if k0_diagonals is not None:
         if len(k0_diagonals) < order + 1:
             raise ValueError("need one K_0 diagonal per order")
-        diags = [np.asarray(d, dtype=np.complex128) for d in k0_diagonals]
-        for d in diags:
-            if d.shape != (frame.dim,):
-                raise DimensionMismatch("K_0 diagonal has wrong length")
-        custom = any(np.any(d != 0) for d in diags[: order + 1])
-    else:
-        diags = None
-        custom = False
+        given = [np.asarray(d, dtype=np.complex128) for d in k0_diagonals]
+        if any(d.shape != (frame.dim,) for d in given):
+            raise DimensionMismatch("K_0 diagonal has wrong length")
+        diags[:] = given[: order + 1]
 
     n = frame.dim
     degree = hamiltonian.degree
@@ -277,7 +272,7 @@ def solve_generators(
             rhs0 -= 1j * (ell + 1) * terms[ell]
         rhs0 -= comm0
         np.divide(rhs0, delta, out=kf[0, ell])
-        diagonals[0, ell] = 0.0 if diags is None else diags[ell]
+        diagonals[0, ell] = diags[ell]
 
     # step (i)'s implied zero, for every order at once: each order's scale is
     # the largest max|[[H_a]]| max|K_1^(ell-a)|, at least 1
@@ -294,7 +289,7 @@ def solve_generators(
             f"{worst[ell]:.3e} (scale {scale[ell]:.3e})"
         )
     return GeneratorSeries._from_frame(
-        order, kf, GAUGE_CUSTOM_DIAGONAL if custom else GAUGE_ZERO_DIAGONAL, frame, terms
+        order, kf, GAUGE_CUSTOM_DIAGONAL if diags.any() else GAUGE_ZERO_DIAGONAL, frame, terms
     )
 
 

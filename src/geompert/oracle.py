@@ -26,9 +26,10 @@ since the pipeline fits above measured floors and `series_residual_order`
 above RESIDUAL_FLOOR.
 
 This module owns every sampling decision of the checks: the grids
-(`_residual_grid`, which the pipeline calls before it builds the frame, and
-the finite-difference stencils), the window rule (`_require_window`, which
-the grid and `series_residual_order` share), the rule that q^K is a finite
+(`_residual_grid`, which the pipeline calls before it builds the frame when
+`residual_order` runs, and the finite-difference stencils), the window rule
+(`_require_window`, which the pipeline applies to every run's window and
+`series_residual_order` to its samples), the rule that q^K is a finite
 float (`_require_power`, for the window and the ray residuals), the noise
 floors and the rule that a window is below the noise floor.  The pipeline's
 floors are measured: `_residual_slopes` compares its sweep with the
@@ -272,10 +273,9 @@ def _require_window(window: tuple[float, float], points, order: int) -> None:
         )
 
 
-def _residual_grid(window: tuple[float, float], points, order: int) -> np.ndarray:
-    """`points` samples of a window that `_require_window` accepts, evenly in log q,
+def _residual_grid(window: tuple[float, float], points: int) -> np.ndarray:
+    """`points` samples of a window that `_require_window` accepted, evenly in log q,
     the ends exactly q_lo and q_hi."""
-    _require_window(window, points, order)
     q_lo, q_hi = window
     qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
     qs[0], qs[-1] = q_lo, q_hi  # logspace can miss either end by an ulp
@@ -355,7 +355,7 @@ def series_residual_order(
     room for both.  Points below the roundoff floor are excluded from the
     fit; if fewer than five usable points remain the window cannot support a
     slope estimate and ResidualUnderflow is raised.  The window obeys the
-    pipeline grid's rule, `_require_window`, with the curve samples inside
+    pipeline window's rule, `_require_window`, with the curve samples inside
     it as the points, so a window of fewer than five samples raises
     ValueError before any fit.
     """

@@ -8,8 +8,8 @@ corrections h^(0..K)) are computed once and passed to the series rows, the
 sweep and every check; each exact-diagonalization check makes one sweep for
 all states, and no per-state object is built.  This module keeps the gates
 and the shape of the report only: the oracle builds every check's sample
-grid (validating the residual window up front, before the frame) and owns
-every noise floor and finite-difference stencil.  The residual window is its
+grid and owns every noise floor, finite-difference stencil and the window
+rule, which every run applies before the frame.  The residual window is its
 grid: the check reads the window's ends from the grid's pinned first and
 last samples.  Every check is one line of the `_CHECKS` table, in report
 order; it builds its entry first and decides from the entry's own values and
@@ -58,7 +58,8 @@ from .corrections import (
 from .errors import GeompertError, PipelineError
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
-from .oracle import _continued_sweep, _fd_coefficients, _residual_grid, _residual_slopes
+from .oracle import (_continued_sweep, _fd_coefficients, _require_window, _residual_grid,
+                     _residual_slopes)
 from .spectral import _conditioning, eigenframe, require_count
 
 _GAUGE_SEED = 20210707
@@ -111,7 +112,8 @@ _quote = json.encoder.encode_basestring_ascii  # the escaping of json.dumps
 def _json_text(obj, pad: str = "") -> str:
     """JSON with floats rendered to 17 significant digits; `pad` is the
     indentation of the line that holds `obj`.  A non-finite float raises
-    ValueError, since JSON has no literal for it."""
+    ValueError (JSON has no literal for it), and an `int` subclass other than
+    `bool` TypeError, as a numpy integer does."""
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize the non-finite float {obj!r}")
@@ -132,9 +134,9 @@ def _json_text(obj, pad: str = "") -> str:
             return "[]"
         inner = pad + "  "
         return "[\n" + inner + (",\n" + inner).join(_item_texts(obj, inner)) + "\n" + pad + "]"
-    if isinstance(obj, bool):  # before int, of which bool is a subclass
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, int):
+    if type(obj) is int:  # a top-level int: `_item_texts` formats a container's
         return str(obj)
     if obj is None:
         return "null"
@@ -144,8 +146,8 @@ def _json_text(obj, pad: str = "") -> str:
 def _item_texts(values, pad: str) -> list[str]:
     """The JSON text of each item of a container, in order: a finite `float`,
     an `int` or a `str`, by exact type, is formatted here, and every other
-    value (`bool`, a numpy scalar, a non-finite float, a container) by
-    `_json_text`."""
+    value by `_json_text`, which raises TypeError on an `int` subclass (`str`
+    of an IntEnum member need not be a JSON number) and a numpy integer."""
     return [
         _FLOAT % v if type(v) is float and math.isfinite(v)
         else str(v) if type(v) is int
@@ -407,15 +409,16 @@ def run_pipeline(
 ) -> Report:
     """Run the full pipeline on a model document and return the Report.
 
-    `order` may be a Python or numpy integer and `checks` any iterable of
-    check names, read once; both are held as plain Python values (an int and
-    a frozenset) from here on, and unknown names raise ValueError.
+    Each input is vetted whatever the checks and held as a plain Python value
+    from here on: `order` (a Python or numpy integer) as an int, `checks` (any
+    iterable of names, read once; unknown names raise ValueError) as a
+    frozenset, `q_lo`, `q_hi` and the sweep's q_max as floats, the counts as ints.
     When `out_dir` is given, report.json and series.csv (plus sweep.csv when
     sweep data was requested) are written there after everything succeeds;
     an `out_dir` that cannot be a directory (it, or its nearest existing
     ancestor, exists and is not one) raises NotADirectoryError before any work.
-    An order above MAX_ORDER, more than MAX_POINTS samples in the window of
-    `residual_order` (`points`) or in the sweep, and a window that
+    An order above MAX_ORDER, more than MAX_POINTS samples in the residual
+    window (`points`) or in the sweep, and a window that
     `oracle._require_window` rejects (fewer than 5 samples, or fewer than 8 to
     a decade), raise ValueError before any work too.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
@@ -427,16 +430,16 @@ def run_pipeline(
     if order > MAX_ORDER:
         raise ValueError(f"order {order} exceeds {MAX_ORDER}, the highest series order a run takes")
     kc = min(order, _CHECK_ORDER)
-    residual_qs = None
-    if "residual_order" in checks:
-        _require_points("points", points)
-        residual_qs = _residual_grid((q_lo, q_hi), points, kc)
+    points = _require_points("points", points)
+    _require_window((q_lo, q_hi), points, kc)
+    q_lo, q_hi = float(q_lo), float(q_hi)
+    residual_qs = _residual_grid((q_lo, q_hi), points) if "residual_order" in checks else None
     if out_dir is not None:
         _require_directory(out_dir)
     if sweep is not None:
         if not 0 < sweep[0] < np.inf:
             raise ValueError(f"sweep q_max must be finite and positive, got {sweep[0]!r}")
-        _require_points("sweep points", sweep[1])
+        sweep = float(sweep[0]), _require_points("sweep points", sweep[1])
 
     timings: dict[str, float] = {}
     with _stage("validate", timings):
@@ -462,7 +465,7 @@ def run_pipeline(
     sweep_arrays = None
     if sweep is not None:
         with _stage("sweep", timings):
-            qs = np.linspace(0.0, float(sweep[0]), sweep[1])
+            qs = np.linspace(0.0, sweep[0], sweep[1])
             curve, _ = _continued_sweep(frame, hamiltonian, qs, False)
             residuals = np.abs(curve.values - _horner(h.T, curve.qs))
             sweep_arrays = (curve.qs, curve.values.T, residuals.T)
@@ -479,9 +482,9 @@ def run_pipeline(
         parameters={
             "order": order,
             "gauge": gens.gauge,
-            "q_lo": float(q_lo),
-            "q_hi": float(q_hi),
-            "points": int(points),
+            "q_lo": q_lo,
+            "q_hi": q_hi,
+            "points": points,
             "checks": sorted(checks),
         },
         frame_summary={
@@ -510,11 +513,12 @@ def run_pipeline(
     return report
 
 
-def _require_points(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is an integer from 1 to MAX_POINTS."""
-    require_count(name, value)
-    if value > MAX_POINTS:
+def _require_points(name: str, value) -> int:
+    """`value` as an int: an integer from 1 to MAX_POINTS, else ValueError naming `name`."""
+    count = require_count(name, value)
+    if count > MAX_POINTS:
         raise ValueError(f"{name} must be at most {MAX_POINTS}, got {value!r}")
+    return count
 
 
 def _require_directory(out_dir) -> None:

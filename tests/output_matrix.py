@@ -1,4 +1,4 @@
-"""The 32-run output matrix: every command's outputs, for a byte-for-byte diff.
+"""The 35-run output matrix: every command's outputs, for a byte-for-byte diff.
 
 Usage, from the root of the repository:
 
@@ -14,8 +14,11 @@ the benchmark's `seeded_family(default_rng(0), N)`).  Each model gets
 `sweep --q-max 0.2 --points 50 --order 3`.  The built-ins also get
 `expand --order 18` and `expand --order 25` (25 is `pipeline.MAX_ORDER`, the
 highest order a run takes), N = 16 gets `expand --order 18`, and N = 32 the
-benchmark's sweep of 200 points.  Each run's exit code, stdout, stderr and
-output files land in `OUT/<run>/`.  The model files are written by this tree's
+benchmark's sweep of 200 points.  `toy-sec5` and N = 16 also get `verify` on
+a window other than the default, `--q-lo 1e-3 --q-hi 3e-2 --points 13`, and
+`hermitian-2level` a sweep at an order other than 3,
+`sweep --q-max 0.3 --points 40 --order 1`.  Each run's exit code, stdout,
+stderr and output files land in `OUT/<run>/`.  The model files are written by this tree's
 `serialize_model`, so two matrices written with one copy of this script
 read the same inputs whatever SRC is.
 
@@ -45,8 +48,13 @@ COMMANDS = {
 }
 # every built-in's runs up to the run's order bound, and one seeded family's
 HIGH_ORDER = {"expand-18": ["expand", "--order", "18"], "expand-25": ["expand", "--order", "25"]}
+# a residual window other than the default
+WINDOW = ["verify", "--order", "3", "--q-lo", "1e-3", "--q-hi", "3e-2", "--points", "13"]
 EXTRA = {
-    "seeded-N16": {"expand-18": HIGH_ORDER["expand-18"]},
+    "toy-sec5": {"verify-3-window": WINDOW},
+    "hermitian-2level": {"sweep-40-order-1": ["sweep", "--q-max", "0.3", "--points", "40",
+                                              "--order", "1"]},
+    "seeded-N16": {"expand-18": HIGH_ORDER["expand-18"], "verify-3-window": WINDOW},
     "seeded-N32": {"sweep-200": ["sweep", "--q-max", "0.2", "--points", "200", "--order", "3"]},
 }
 # what a run leaves: the files compared, in this order
@@ -76,8 +84,8 @@ def _runs(models: dict[str, str]):
     import geompert as g
 
     for model, arg in models.items():
-        extra = HIGH_ORDER if model in g.BUILTIN_MODELS else EXTRA.get(model, {})
-        for command, argv in {**COMMANDS, **extra}.items():
+        high = HIGH_ORDER if model in g.BUILTIN_MODELS else {}
+        for command, argv in {**COMMANDS, **high, **EXTRA.get(model, {})}.items():
             yield f"{model}.{command}", [*argv, "--model", arg]
 
 

@@ -106,7 +106,7 @@ class TestDualBellWords:
     @pytest.mark.parametrize("k", range(0, 11))
     def test_grading(self, k):
         for word in g.dual_bell_words(k).words:
-            assert sum(word.letters) == k
+            assert sum(word.letters) == word.grade == k
 
     def test_deterministic_word_order(self):
         a, b = g.dual_bell_words(5), g.dual_bell_words(5)

@@ -403,6 +403,24 @@ class TestFrameStacks:
                 scale = np.maximum(1.0, np.abs(b).max(axis=(0, -1)))
                 assert np.max(np.abs(a - b).max(axis=(0, -1)) / scale) <= 1e-13
 
+    def test_direct_construction_holds_read_only_tuples(self, toy_gens):
+        # whatever was passed, k0/k1 are views of the one stack both routes
+        # read, so a later write to the caller's arrays moves neither route
+        order = toy_gens.order
+        k0, k1 = [m.copy() for m in toy_gens.k0], [m.copy() for m in toy_gens.k1]
+        direct = g.GeneratorSeries(order=order, k0=k0, k1=k1, gauge=toy_gens.gauge,
+                                   frame=toy_gens.frame)
+        for views, stack in ((direct.k0, direct._kc[0]), (direct.k1, direct._kc[1])):
+            assert type(views) is tuple and len(views) == order + 1
+            for view, matrix in zip(views, stack):
+                assert not view.flags.writeable and np.shares_memory(view, direct._kc)
+                assert np.array_equal(view, matrix)
+        k0[1] += 0.5
+        k1[1] += 0.5
+        for n in range(direct.frame.dim):
+            bell = g.state_corrections_bell(direct, n, order + 1)
+            recursive = g.state_corrections_recursive(direct, n, order + 1)
+            assert max(_relative(a, b) for a, b in zip(bell, recursive)) <= 1e-12
 
     @pytest.mark.parametrize(
         "field, change",

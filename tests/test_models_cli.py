@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import os
 import subprocess
@@ -409,6 +410,9 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             g.builtin_model("nope")
 
+    def test_repr_names_the_document(self):
+        assert repr(g.builtin_model("toy-sec5")) == "ModelDocument(name='toy-sec5', dim=2, degree=2)"
+
 
 class TestPipeline:
     def test_toy_full_pass(self, tmp_path):
@@ -597,6 +601,43 @@ class TestPipeline:
         assert entry["status"] == "fail"
         assert all(s is not None and s < entry["threshold"] for s in entry["eigenvalue_slopes"])
 
+    @pytest.mark.parametrize(
+        "window, error, match",
+        [
+            (dict(points=2.5), ValueError, "points must be a positive integer, got 2.5"),
+            (dict(points=-5), ValueError, "points must be a positive integer, got -5"),
+            (dict(q_lo=5.0, q_hi=1.0), ValueError, "finite 0 < q_lo < q_hi"),
+            (dict(q_lo=1e-3, q_hi=1.2e-3, points=4), ValueError, "at least 5 samples"),
+            (dict(q_lo=None), TypeError, None),
+        ],
+        ids=["fraction", "negative", "reversed", "four-samples", "none"],
+    )
+    def test_the_window_is_vetted_whatever_the_checks(self, monkeypatch, window, error, match):
+        # the report lists the window whatever the checks, so every run vets it
+        def no_frame(*_args, **_kwargs):
+            raise AssertionError("built a frame for a bad request")
+
+        monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
+        with pytest.raises(error, match=match):
+            run_pipeline(g.builtin_model("toy-sec5"), 3, FAST_CHECKS, **window)
+
+    def test_numpy_window_values_are_plain_from_the_door(self):
+        # the grid is built from Python floats, so a float32 end gives the
+        # samples of its float value, and the report reads the plain values
+        doc = g.builtin_model("random-linear-N4-seed7")
+        windows = [
+            dict(q_lo=np.float32(1e-4), q_hi=np.float64(1e-2), points=np.int64(25),
+                 sweep=(np.float32(0.1), np.int64(5))),
+            dict(q_lo=float(np.float32(1e-4)), q_hi=1e-2, points=25,
+                 sweep=(float(np.float32(0.1)), 5)),
+        ]
+        reports = [run_pipeline(doc, 3, ALL_CHECKS, **w) for w in windows]
+        texts = [report_json(r).split('\n  "metadata": ')[0] for r in reports]
+        assert texts[0] == texts[1]
+        assert all(np.array_equal(*pair) for pair in zip(*(r.sweep for r in reports)))
+        params = reports[0].parameters
+        assert [type(params[k]) for k in ("q_lo", "q_hi", "points")] == [float, float, int]
+
     def test_window_read_from_the_grid_serializes(self):
         report = run_pipeline(
             g.builtin_model("toy-sec5"), 3, {"residual_order"}, q_lo=np.float32(1e-4)
@@ -746,6 +787,15 @@ class TestPipeline:
             reference_json_text(obj)
         with pytest.raises(TypeError, match="cannot serialize"):
             _json_text(obj)
+
+    def test_json_text_rejects_an_int_subclass(self):
+        # str() of an IntEnum member is "Level.LOW" on Python 3.10, not a number
+        class Level(enum.IntEnum):
+            LOW = 1
+
+        for obj in (Level.LOW, [Level.LOW], {"level": Level.LOW}, (1, Level.LOW)):
+            with pytest.raises(TypeError, match="cannot serialize Level"):
+                _json_text(obj)
 
     @staticmethod
     def _row_by_row_csv(report) -> str:
