@@ -255,7 +255,9 @@ def _add_scaled(chunk: np.ndarray, words: np.ndarray, coefficients: np.ndarray) 
     chunk[1:] (which `words` may be)."""
     count = len(words)
     np.multiply(words, coefficients, out=chunk[1 : 1 + count])
-    chunk[0] = _reduce(np.add, chunk[: 1 + count])
+    total = np.empty_like(chunk[0])  # a sum into chunk[0] would copy all of chunk first
+    _reduce(np.add, chunk[: 1 + count].view(np.float64), total.view(np.float64))
+    chunk[0] = total
 
 
 def evaluate_words_scalar(wp: WordPolynomial, p: Sequence):

@@ -122,13 +122,15 @@ def _series_block(gens: GeneratorSeries, order: int):
     coeffs = np.zeros((order + 1, frame.dim, frame.dim), dtype=np.complex128)
     np.fill_diagonal(coeffs[0], 1.0)
     terms = np.empty((order, frame.dim, frame.dim), dtype=np.complex128)
+    pairs, coeff_pairs = terms.view(np.float64), coeffs.view(np.float64)
     for k in range(1, order + 1):
         # K_0^(j-1) C^(k-j) for j = 1..k-1, then the j = k term K_0^(k-1) C^(0),
         # K_0^(k-1) itself: summed in that order
         if k > 1:
             np.matmul(k0f[: k - 1], coeffs[k - 1 : 0 : -1], out=terms[: k - 1])
         terms[k - 1] = k0f[k - 1]
-        np.multiply(-1j / k, _reduce(np.add, terms[:k], out=coeffs[k]), out=coeffs[k])
+        _reduce(np.add, pairs[:k], coeff_pairs[k])
+        np.multiply(-1j / k, coeffs[k], out=coeffs[k])
     return frame.right @ coeffs, _contract(gens, slice(None), coeffs[:order])
 
 
@@ -146,15 +148,21 @@ def _contract(gens: GeneratorSeries, cols, coeffs: np.ndarray) -> np.ndarray:
     # stored reversed so that every term array is contiguous
     rows, columns = gens._k1f[:order, cols], coeffs.transpose(0, 2, 1)
     reverse = np.ascontiguousarray(coeffs[::-1, idx, np.arange(m)])
+    # weighted[j-1] = j h^(j), formed once h^(j) is known
     weights = np.arange(1, order, dtype=np.complex128)[:, None]
+    weighted = np.empty((max(order - 1, 0), m), dtype=np.complex128)
     terms = np.empty((order, m), dtype=np.complex128)
+    pairs, h_pairs = terms.view(np.float64), h.view(np.float64)
     for k in range(1, order + 1):
         pair = _rowdot(rows[:k], columns[k - 1 :: -1])  # pair(j, k-1-j), j = 0..k-1
         terms[0] = pair[k - 1]
         if k > 1:
-            np.multiply(weights[: k - 1] * h[1:k], reverse[order - k : order - 1], out=terms[1:k])
+            np.multiply(weighted[: k - 1], reverse[order - k : order - 1], out=terms[1:k])
             np.subtract(pair[: k - 1], terms[1:k], out=terms[1:k])
-        np.divide(_reduce(np.add, terms[:k], out=h[k]), k, out=h[k])
+        _reduce(np.add, pairs[:k], h_pairs[k])
+        np.divide(h[k], k, out=h[k])
+        if k < order:
+            np.multiply(weights[k - 1], h[k], out=weighted[k - 1])
     return h
 
 
@@ -274,13 +282,23 @@ def _rs_block(terms, h: np.ndarray, order: int) -> np.ndarray:
     # item 0 of each sum stays zero: X = 0 + A_1 C^(k-1) + ..., S = 0 + C^(k-1) h^(1) + ...
     products = np.zeros((min(len(a), order) + 1, n, n), dtype=np.complex128)
     shifted = np.zeros((order, n, n), dtype=np.complex128)
+    total = np.empty((n, n), dtype=np.complex128)  # S
+    pairs, shifted_pairs, coeff_pairs, total_pairs = (
+        b.view(np.float64) for b in (products, shifted, coeffs, total))
+    # for each number p = min(k, degree) of terms an order takes, its operands
+    # and sum; rev[i] = C^(order - i), so an order's lower blocks are one slice
+    spans = [(a[:p], products[1 : p + 1], pairs[: p + 1]) for p in range(len(a) + 1)]
+    rev = coeffs[::-1]
     for k in range(1, order + 1):
         p = min(len(a), k)
-        np.matmul(a[:p], coeffs[k - 1 :: -1][:p], out=products[1 : p + 1])
-        x = _reduce(np.add, products[: p + 1])
+        a_terms, span, sums = spans[p]
+        np.matmul(a_terms, rev[order + 1 - k : order + 1 - k + p], out=span)  # A_j C^(k-j)
+        x = coeffs[k]  # X, then X - S, then C^(k)
+        _reduce(np.add, sums, coeff_pairs[k])
         out[k] = x.diagonal()
         np.multiply(coeffs[k - 1 : 0 : -1], out[1:k, None, :], out=shifted[1:k])
-        np.multiply(inv, np.subtract(x, _reduce(np.add, shifted[:k]), out=x), out=coeffs[k])
+        _reduce(np.add, shifted_pairs[:k], total_pairs)
+        np.multiply(inv, np.subtract(x, total, out=x), out=x)
     return out
 
 

@@ -249,29 +249,44 @@ def solve_generators(
     kf = np.empty((2, order + 1, n, n), dtype=np.complex128)
     diagonals = kf.reshape(2, order + 1, n * n)[..., :: n + 1]
     implied = np.empty((order + 1, n), dtype=np.complex128)
-    # comm[s, 0] = 0 and comm[s, a] = [A_a, K_s^(ell-a)]; ka holds K A
+    # comm[s, 0] = 0 and comm[s, a] = [A_a, K_s^(ell-a)]; ka holds K A, then
+    # the drive; comm0 holds sum_a comm[0, a] and `scratch` i diag(comm0)
     comm = np.zeros((2, degree + 1, n, n), dtype=np.complex128)
     ka = np.empty((2, degree, n, n), dtype=np.complex128)
+    comm0 = np.empty((n, n), dtype=np.complex128)
+    scratch = np.empty(n, dtype=np.complex128)
+    # views taken once: the real pairs the sums read and write; for each number
+    # a = min(ell, p) of terms an order takes, its operands and sums; and
+    # rev[:, i] = kf[:, order - i], so an order's lower stacks are one slice
+    pairs, kf_pairs, comm0_pairs = (a.view(np.float64) for a in (comm, kf, comm0))
+    spans = [(terms[:a], comm[:, 1 : a + 1], ka[:, :a], pairs[1, : a + 1], pairs[0, : a + 1])
+             for a in range(degree + 1)]
+    rev = kf[:, ::-1]
     for ell in range(order + 1):
         amax = min(degree, ell)
+        a_terms, products, kas, sum1, sum0 = spans[amax]
         # every commutator of the order from one stacked product pair
-        lower = kf[:, ell - amax : ell][:, ::-1]  # K^(ell-1), ..., K^(ell-amax)
-        np.matmul(terms[:amax], lower, out=comm[:, 1 : amax + 1])
-        np.matmul(lower, terms[:amax], out=ka[:, :amax])
-        np.subtract(comm[:, 1 : amax + 1], ka[:, :amax], out=comm[:, 1 : amax + 1])
-        # 0 - c_1 - c_2 - ... and 0 + c_1 + c_2 + ..., each in order
-        rhs1 = _reduce(np.subtract, comm[1, : amax + 1])
-        comm0 = _reduce(np.add, comm[0, : amax + 1])
+        lower = rev[:, order + 1 - ell : order + 1 - ell + amax]  # K^(ell-1), ..., K^(ell-amax)
+        np.matmul(a_terms, lower, out=products)
+        np.matmul(lower, a_terms, out=kas)
+        np.subtract(products, kas, out=products)
+        # 0 - c_1 - c_2 - ... (into K_1^(ell)'s slot) and 0 + c_1 + c_2 + ..., each in order
+        _reduce(np.subtract, sum1, kf_pairs[1, ell])
+        _reduce(np.add, sum0, comm0_pairs)
 
-        implied[ell] = rhs1.diagonal()
-        k1 = np.divide(rhs1, delta, out=kf[1, ell])
-        diagonals[1, ell] = drive[ell] - 1j * comm0.diagonal()
+        k1 = kf[1, ell]
+        k1_diagonal = diagonals[1, ell]
+        implied[ell] = k1_diagonal
+        np.divide(k1, delta, out=k1)
+        np.subtract(drive[ell], np.multiply(1j, comm0.diagonal(), out=scratch), out=k1_diagonal)
 
-        rhs0 = 1j * k1
-        if ell < degree:  # i (ell + 1) [[H_{ell+1}]]; past the degree, subtracting 0 is exact
-            rhs0 -= 1j * (ell + 1) * terms[ell]
+        # i K_1^(ell) - i (ell + 1) [[H_{ell+1}]] - sum_a [A_a, K_0^(ell-a)]; past
+        # the degree, subtracting 0 is exact
+        rhs0 = np.multiply(1j, k1, out=kf[0, ell])
+        if ell < degree:
+            rhs0 -= np.multiply(1j * (ell + 1), terms[ell], out=ka[0, 0])
         rhs0 -= comm0
-        np.divide(rhs0, delta, out=kf[0, ell])
+        np.divide(rhs0, delta, out=rhs0)
         diagonals[0, ell] = diags[ell]
 
     # step (i)'s implied zero, for every order at once: each order's scale is

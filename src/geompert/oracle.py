@@ -63,7 +63,7 @@ from .corrections import PerturbationSeries, _horner
 from .errors import DegenerateSpectrum, PairingAmbiguous, ResidualUnderflow
 from .generators import PolynomialHamiltonian
 from .spectral import (SpectralFrame, _degenerate, _frozen, _rowdot, _rownorm, eigenframe,
-                       is_integer, min_pairwise_gap, require_count, require_order,
+                       is_integer, is_real, min_pairwise_gap, require_count, require_order,
                        require_state)
 
 # residuals below this are roundoff, not signal
@@ -248,11 +248,14 @@ def _require_power(q, order: int, name: str) -> None:
 
 
 def _require_window(window: tuple[float, float], points, order: int) -> None:
-    """Raise ValueError unless `window` is a finite 0 < q_lo < q_hi whose q_hi ** order, the
-    largest power a series of `order` takes there, is a finite float, and `points` samples
-    cover it, at least `_PER_DECADE` to a decade and at least `_MIN_FIT_POINTS`, the fewest
-    a slope is fitted to, in all."""
+    """Raise ValueError unless `window` is a finite 0 < q_lo < q_hi of real numbers
+    (`spectral.is_real`) whose q_hi ** order, the largest power a series of `order` takes
+    there, is a finite float, and `points` samples cover it, at least `_PER_DECADE` to a
+    decade and at least `_MIN_FIT_POINTS`, the fewest a slope is fitted to, in all."""
     q_lo, q_hi = window
+    for name, q in (("q_lo", q_lo), ("q_hi", q_hi)):
+        if not is_real(q):
+            raise ValueError(f"residual window {name} must be a real number, got {q!r}")
     if not 0 < q_lo < q_hi < np.inf:
         raise ValueError(
             f"residual window must satisfy finite 0 < q_lo < q_hi, "

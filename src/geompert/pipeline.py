@@ -60,7 +60,7 @@ from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
 from .oracle import (_continued_sweep, _fd_coefficients, _require_window, _residual_grid,
                      _residual_slopes)
-from .spectral import _conditioning, eigenframe, require_count
+from .spectral import _conditioning, eigenframe, is_real, require_count
 
 _GAUGE_SEED = 20210707
 # the most q samples a command takes, for the verify window and the sweep: each
@@ -418,9 +418,10 @@ def run_pipeline(
     an `out_dir` that cannot be a directory (it, or its nearest existing
     ancestor, exists and is not one) raises NotADirectoryError before any work.
     An order above MAX_ORDER, more than MAX_POINTS samples in the residual
-    window (`points`) or in the sweep, and a window that
-    `oracle._require_window` rejects (fewer than 5 samples, or fewer than 8 to
-    a decade), raise ValueError before any work too.
+    window (`points`) or in the sweep, a window that `oracle._require_window`
+    rejects (an end that is not a real number, fewer than 5 samples, or fewer
+    than 8 to a decade) and a sweep q_max that is not a finite positive real
+    number raise ValueError before any work too.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
     order, checks = require_count("order", order), frozenset(checks)
@@ -437,8 +438,8 @@ def run_pipeline(
     if out_dir is not None:
         _require_directory(out_dir)
     if sweep is not None:
-        if not 0 < sweep[0] < np.inf:
-            raise ValueError(f"sweep q_max must be finite and positive, got {sweep[0]!r}")
+        if not (is_real(sweep[0]) and 0 < sweep[0] < np.inf):
+            raise ValueError(f"sweep q_max must be a finite positive real number, got {sweep[0]!r}")
         sweep = float(sweep[0]), _require_points("sweep points", sweep[1])
 
     timings: dict[str, float] = {}

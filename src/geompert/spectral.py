@@ -46,7 +46,12 @@ primitives live here:
     numpy's inner loop, by taking the stack as real pairs (a complex stack of
     single numbers, a 1 x 1 family or one state, is summed pairwise), and a
     sum whose sign of zero matters starts from a zero item: 0 - c is +0 where
-    -c is -0.
+    -c is -0.  `_reduce` takes real-pair (float64) views and makes none: the
+    order loops (the generator solve, the series kernel and its contraction,
+    the RS route) take the views of their stacks and allocate their scratch
+    once per call, before the loop, and pass `_reduce` slices of those views,
+    so each ordered sum lands in its output slice with no per-order `.view`
+    call or temporary.
 """
 
 from __future__ import annotations
@@ -103,6 +108,12 @@ def resolve_gap_tol(gap_tol: float | None = None) -> float:
 def is_integer(value) -> bool:
     """Whether `value` is an int or a numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether `value` is a real number: an int, a float or a numpy integer or
+    floating scalar, and not a bool (a complex number, a string and None are not)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def require_state(n, dim: int) -> int:
@@ -181,11 +192,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _reduce(ufunc, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """terms[0] o terms[1] o ... in that order, o = `ufunc` (np.add, np.subtract),
-    over the leading axis of a complex stack, into `out` if given (module docstring)."""
-    real = None if out is None else out.view(np.float64)
-    return ufunc.reduce(terms.view(np.float64), axis=0, out=real).view(np.complex128)
+def _reduce(ufunc, pairs: np.ndarray, out: np.ndarray) -> None:
+    """pairs[0] o pairs[1] o ... in that order, o = `ufunc` (np.add, np.subtract),
+    over the leading axis, into `out`: `pairs` and `out` are the real-pair
+    (float64) views of a complex stack and of the item it sums into, which
+    callers take once per call (module docstring)."""
+    ufunc.reduce(pairs, axis=0, out=out)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

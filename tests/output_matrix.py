@@ -1,4 +1,4 @@
-"""The 35-run output matrix: every command's outputs, for a byte-for-byte diff.
+"""The 36-run output matrix: every command's outputs, for a byte-for-byte diff.
 
 Usage, from the root of the repository:
 
@@ -8,19 +8,21 @@ Usage, from the root of the repository:
 `write` runs `python -m geompert` with `PYTHONPATH=SRC` (the directory that
 holds the `geompert` package, e.g. `src` of a checkout) and BLAS pinned to
 one thread, as the benchmark runs it, on the three built-in models and on
-the seeded quadratic families N = 6, 16 and 32 of `oracles` (the draws of
-the benchmark's `seeded_family(default_rng(0), N)`).  Each model gets
-`verify --order 3`, `verify --order 1`, `expand --order 12` and
-`sweep --q-max 0.2 --points 50 --order 3`.  The built-ins also get
-`expand --order 18` and `expand --order 25` (25 is `pipeline.MAX_ORDER`, the
-highest order a run takes), N = 16 gets `expand --order 18`, and N = 32 the
-benchmark's sweep of 200 points.  `toy-sec5` and N = 16 also get `verify` on
-a window other than the default, `--q-lo 1e-3 --q-hi 3e-2 --points 13`, and
-`hermitian-2level` a sweep at an order other than 3,
-`sweep --q-max 0.3 --points 40 --order 1`.  Each run's exit code, stdout,
-stderr and output files land in `OUT/<run>/`.  The model files are written by this tree's
-`serialize_model`, so two matrices written with one copy of this script
-read the same inputs whatever SRC is.
+the seeded quadratic families N = 6, 16, 32 and 64 of `oracles` (the draws
+of the benchmark's `seeded_family(default_rng(0), N)`).  Each model but
+N = 64 gets `verify --order 3`, `verify --order 1`, `expand --order 12` and
+`sweep --q-max 0.2 --points 50 --order 3`; N = 64 gets `expand --order 12`
+alone, which runs the series kernels at the size of the benchmark's
+`series-api` and `hierarchy_residuals` in chunks of two orders.  The
+built-ins also get `expand --order 18` and `expand --order 25` (25 is
+`pipeline.MAX_ORDER`, the highest order a run takes), N = 16 gets
+`expand --order 18`, and N = 32 the benchmark's sweep of 200 points.
+`toy-sec5` and N = 16 also get `verify` on a window other than the default,
+`--q-lo 1e-3 --q-hi 3e-2 --points 13`, and `hermitian-2level` a sweep at an
+order other than 3, `sweep --q-max 0.3 --points 40 --order 1`.  Each run's
+exit code, stdout, stderr and output files land in `OUT/<run>/`.  The model
+files are written by this tree's `serialize_model`, so two matrices written
+with one copy of this script read the same inputs whatever SRC is.
 
 `compare` names every run whose exit code, stdout, stderr, series.csv,
 sweep.csv or report (report.json, or stdout for `verify`) differs once the
@@ -39,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(1, str(ROOT / "src"))  # the oracles' geompert: this tree's
 
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}  # bench/run.py's
-SEEDED = (6, 16, 32)
+SEEDED = (6, 16, 32, 64)
 COMMANDS = {
     "verify-3": ["verify", "--order", "3"],
     "verify-1": ["verify", "--order", "1"],
@@ -57,6 +59,8 @@ EXTRA = {
     "seeded-N16": {"expand-18": HIGH_ORDER["expand-18"], "verify-3-window": WINDOW},
     "seeded-N32": {"sweep-200": ["sweep", "--q-max", "0.2", "--points", "200", "--order", "3"]},
 }
+# the models that get these runs alone, in place of COMMANDS
+ONLY = {"seeded-N64": {"expand-12": COMMANDS["expand-12"]}}
 # what a run leaves: the files compared, in this order
 FILES = ("code", "stdout", "stderr", "report.json", "series.csv", "sweep.csv")
 # report_json writes `metadata` as the report's last key, at indent 2
@@ -85,7 +89,8 @@ def _runs(models: dict[str, str]):
 
     for model, arg in models.items():
         high = HIGH_ORDER if model in g.BUILTIN_MODELS else {}
-        for command, argv in {**COMMANDS, **high, **EXTRA.get(model, {})}.items():
+        runs = ONLY.get(model) or {**COMMANDS, **high, **EXTRA.get(model, {})}
+        for command, argv in runs.items():
             yield f"{model}.{command}", [*argv, "--model", arg]
 
 

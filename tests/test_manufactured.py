@@ -150,3 +150,38 @@ class TestFastConditioningSignal:
             assert moved <= 1e-11  # measured 4.4e-12
         else:
             assert moved > 1e-10  # measured 2.1e-9, at k = 2
+
+
+def _fast_failures(seed, t, dense):
+    """The FAST checks that FAIL the N = 16 family `manufactured_family(seed, 16,
+    t, dense)` at K = 3, and how far its series is off exact: the worst state's
+    error over max(1, max_k |exact|)."""
+    family = manufactured_family(seed, 16, t, dense)
+    report = run_pipeline(g.ModelDocument("manufactured", list(family.hamiltonian.terms)),
+                          3, FAST_CHECKS)
+    failed = {name for name, entry in report.checks.items() if entry["status"] == "fail"}
+    h = np.array([r["re"] + 1j * r["im"] for r in report.series_rows]).reshape(16, 4).T
+    exact = family.exact(3)
+    return failed, float((np.abs(h - exact) / np.maximum(1.0, np.abs(exact).max(axis=0))).max())
+
+
+class TestHierarchyStaysFast:
+    """Why `hierarchy` stays in FAST_CHECKS: over block and dense N = 16
+    families at K = 3 up to t = 256 (kappa 512), FAST never PASSes a series
+    more than 1e-10 off exact, and seven dense draws 2.9e-10 to 2.5e-9 off
+    exact FAIL through `hierarchy` alone (t = 128 seed 4, t = 160 seed 0,
+    t = 192 seeds 0, 1 and 9, t = 256 seeds 5 and 9), the other two FAST
+    checks passing them.  120 runs, about 0.3 s."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["block", "dense"])
+    @pytest.mark.parametrize("t", [16, 64, 128, 160, 192, 256])
+    def test_never_passes_a_series_off_exact(self, t, dense):
+        for seed in range(10):
+            failed, moved = _fast_failures(seed, t, dense)
+            assert failed or moved <= 1e-10, (seed, moved)
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_hierarchy_alone_fails_dense_t256(self, seed):
+        failed, moved = _fast_failures(seed, 256, True)
+        assert failed == {"hierarchy"}
+        assert moved > 1e-10  # measured 2.1e-9 (seed 5) and 2.5e-9 (seed 9)
