@@ -35,7 +35,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MissingSymbol
-from .spectral import _reduce
 
 
 def power_sums_to_elementary(p: Sequence) -> list:
@@ -256,7 +255,7 @@ def _add_scaled(chunk: np.ndarray, words: np.ndarray, coefficients: np.ndarray) 
     count = len(words)
     np.multiply(words, coefficients, out=chunk[1 : 1 + count])
     total = np.empty_like(chunk[0])  # a sum into chunk[0] would copy all of chunk first
-    _reduce(np.add, chunk[: 1 + count].view(np.float64), total.view(np.float64))
+    np.add.reduce(chunk[: 1 + count].view(np.float64), axis=0, out=total.view(np.float64))
     chunk[0] = total
 
 

@@ -76,7 +76,7 @@ import numpy as np
 from .bellpoly import _dual_bell_blocks
 from .errors import DegreeMismatch
 from .generators import GeneratorSeries, PolynomialHamiltonian, solve_generators
-from .spectral import (SpectralFrame, _frozen, _reduce, _rowdot, as_complex_matrix,
+from .spectral import (SpectralFrame, _frozen, _rowdot, as_complex_matrix,
                        double_bracket, eigenframe, require_order, require_state)
 
 _CROSSCHECK_TOL = 1e-10  # the linear cross check's fixed gate
@@ -129,7 +129,7 @@ def _series_block(gens: GeneratorSeries, order: int):
         if k > 1:
             np.matmul(k0f[: k - 1], coeffs[k - 1 : 0 : -1], out=terms[: k - 1])
         terms[k - 1] = k0f[k - 1]
-        _reduce(np.add, pairs[:k], coeff_pairs[k])
+        np.add.reduce(pairs[:k], axis=0, out=coeff_pairs[k])
         np.multiply(-1j / k, coeffs[k], out=coeffs[k])
     return frame.right @ coeffs, _contract(gens, slice(None), coeffs[:order])
 
@@ -159,7 +159,7 @@ def _contract(gens: GeneratorSeries, cols, coeffs: np.ndarray) -> np.ndarray:
         if k > 1:
             np.multiply(weighted[: k - 1], reverse[order - k : order - 1], out=terms[1:k])
             np.subtract(pair[: k - 1], terms[1:k], out=terms[1:k])
-        _reduce(np.add, pairs[:k], h_pairs[k])
+        np.add.reduce(pairs[:k], axis=0, out=h_pairs[k])
         np.divide(h[k], k, out=h[k])
         if k < order:
             np.multiply(weights[k - 1], h[k], out=weighted[k - 1])
@@ -294,10 +294,10 @@ def _rs_block(terms, h: np.ndarray, order: int) -> np.ndarray:
         a_terms, span, sums = spans[p]
         np.matmul(a_terms, rev[order + 1 - k : order + 1 - k + p], out=span)  # A_j C^(k-j)
         x = coeffs[k]  # X, then X - S, then C^(k)
-        _reduce(np.add, sums, coeff_pairs[k])
+        np.add.reduce(sums, axis=0, out=coeff_pairs[k])
         out[k] = x.diagonal()
         np.multiply(coeffs[k - 1 : 0 : -1], out[1:k, None, :], out=shifted[1:k])
-        _reduce(np.add, shifted_pairs[:k], total_pairs)
+        np.add.reduce(shifted_pairs[:k], axis=0, out=total_pairs)
         np.multiply(inv, np.subtract(x, total, out=x), out=x)
     return out
 

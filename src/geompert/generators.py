@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyFailure, DimensionMismatch
-from .spectral import (SpectralFrame, _frozen, _reduce, as_complex_matrix, double_bracket,
+from .spectral import (SpectralFrame, _frozen, as_complex_matrix, double_bracket,
                        eigenframe, require_order)
 
 GAUGE_ZERO_DIAGONAL = "zero-diagonal"
@@ -271,8 +271,8 @@ def solve_generators(
         np.matmul(lower, a_terms, out=kas)
         np.subtract(products, kas, out=products)
         # 0 - c_1 - c_2 - ... (into K_1^(ell)'s slot) and 0 + c_1 + c_2 + ..., each in order
-        _reduce(np.subtract, sum1, kf_pairs[1, ell])
-        _reduce(np.add, sum0, comm0_pairs)
+        np.subtract.reduce(sum1, axis=0, out=kf_pairs[1, ell])
+        np.add.reduce(sum0, axis=0, out=comm0_pairs)
 
         k1 = kf[1, ell]
         k1_diagonal = diagonals[1, ell]

@@ -420,8 +420,9 @@ def run_pipeline(
     An order above MAX_ORDER, more than MAX_POINTS samples in the residual
     window (`points`) or in the sweep, a window that `oracle._require_window`
     rejects (an end that is not a real number, fewer than 5 samples, or fewer
-    than 8 to a decade) and a sweep q_max that is not a finite positive real
-    number raise ValueError before any work too.
+    than 8 to a decade), a `sweep` that is not a (q_max, points) tuple or list
+    and a sweep q_max that is not a finite positive real number raise
+    ValueError before any work too.
     `metadata["timings"]` holds each stage's elapsed milliseconds.
     """
     order, checks = require_count("order", order), frozenset(checks)
@@ -438,6 +439,8 @@ def run_pipeline(
     if out_dir is not None:
         _require_directory(out_dir)
     if sweep is not None:
+        if not (isinstance(sweep, (tuple, list)) and len(sweep) == 2):
+            raise ValueError(f"sweep must be a (q_max, points) pair, got {sweep!r}")
         if not (is_real(sweep[0]) and 0 < sweep[0] < np.inf):
             raise ValueError(f"sweep q_max must be a finite positive real number, got {sweep[0]!r}")
         sweep = float(sweep[0]), _require_points("sweep points", sweep[1])

@@ -36,22 +36,22 @@ threads.
 
 The stacked kernels (`generators`, `corrections`, with the RS route
 `corrections._rs_block`, `bellpoly` and `oracle`) make one numpy call per order
-(or grade) where a loop made one per term, and keep its bits by two rules, whose
-primitives live here:
+(or grade) where a loop made one per term, and keep its bits by two rules,
+stated here once:
 
   - a stacked `np.matmul` makes one BLAS call per item, the call the item's
     product makes alone, never one wide GEMM; `_rowdot` (and `_rownorm`) is
     one BLAS dot per entry, that of `np.vdot`, whatever the batch shape;
-  - `_reduce` adds (or subtracts) in order along a leading axis that is never
-    numpy's inner loop, by taking the stack as real pairs (a complex stack of
-    single numbers, a 1 x 1 family or one state, is summed pairwise), and a
-    sum whose sign of zero matters starts from a zero item: 0 - c is +0 where
-    -c is -0.  `_reduce` takes real-pair (float64) views and makes none: the
-    order loops (the generator solve, the series kernel and its contraction,
-    the RS route) take the views of their stacks and allocate their scratch
-    once per call, before the loop, and pass `_reduce` slices of those views,
-    so each ordered sum lands in its output slice with no per-order `.view`
-    call or temporary.
+  - an ordered sum is one `np.add.reduce` (or `np.subtract.reduce`) with
+    `axis=0`, so it runs in order along a leading axis that is never numpy's
+    inner loop; it reads real-pair (float64) views, of the stack and of the
+    item it sums into, because a complex stack of single numbers (a 1 x 1
+    family or one state) would be summed pairwise; the order loops (the
+    generator solve, the series kernel and its contraction, the RS route)
+    take those views and their scratch once per call, before the loop, so
+    each sum lands in its output slice with no per-order `.view` call or
+    temporary; and a sum whose sign of zero matters starts from a zero
+    item: 0 - c is +0 where -c is -0.
 """
 
 from __future__ import annotations
@@ -190,14 +190,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """`a`, made read-only."""
     a.setflags(write=False)
     return a
-
-
-def _reduce(ufunc, pairs: np.ndarray, out: np.ndarray) -> None:
-    """pairs[0] o pairs[1] o ... in that order, o = `ufunc` (np.add, np.subtract),
-    over the leading axis, into `out`: `pairs` and `out` are the real-pair
-    (float64) views of a complex stack and of the item it sums into, which
-    callers take once per call (module docstring)."""
-    ufunc.reduce(pairs, axis=0, out=out)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

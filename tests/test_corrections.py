@@ -715,7 +715,7 @@ class TestRayleighSchroedingerBlock:
         assert _relative(rs[1:].T, reference_rs_closed_forms(a, frame.eigenvalues)) <= 1e-13
 
     @pytest.mark.parametrize("family", [
-        *g.BUILTIN_MODELS, "seeded-N2", "seeded-N6", "seeded-N16",
+        *g.BUILTIN_MODELS, "seeded-N1", "seeded-N2", "seeded-N6", "seeded-N16",
         *(f"dimers-{kind}-t{t}" for kind in ("block", "dense") for t in (0, 1, 16)),
     ])
     def test_stacked_recursion_is_the_per_term_loop(self, family):

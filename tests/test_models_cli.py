@@ -613,9 +613,13 @@ class TestPipeline:
             (dict(q_lo=1e-4 + 0j), r"q_lo must be a real number, got \(0.0001\+0j\)"),
             (dict(sweep=(None, 10)), "sweep q_max must be a .* real number, got None"),
             (dict(sweep=("0.2", 10)), "sweep q_max must be a .* real number, got '0.2'"),
+            (dict(sweep=0.2), r"sweep must be a \(q_max, points\) pair, got 0.2"),
+            (dict(sweep=(0.2,)), r"sweep must be a \(q_max, points\) pair, got \(0.2,\)"),
+            (dict(sweep=(0.2, 10, 99)),
+             r"sweep must be a \(q_max, points\) pair, got \(0.2, 10, 99\)"),
         ],
         ids=["fraction", "negative", "reversed", "four-samples", "none", "string", "complex",
-             "sweep-none", "sweep-string"],
+             "sweep-none", "sweep-string", "sweep-scalar", "sweep-single", "sweep-triple"],
     )
     def test_the_window_is_vetted_whatever_the_checks(self, monkeypatch, window, match):
         # the report lists the window whatever the checks, so every run vets it
@@ -625,6 +629,12 @@ class TestPipeline:
         monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
         with pytest.raises(ValueError, match=match):
             run_pipeline(g.builtin_model("toy-sec5"), 3, FAST_CHECKS, **window)
+
+    def test_a_sweep_pair_is_a_tuple_or_a_list(self):
+        doc = g.builtin_model("toy-sec5")
+        tuple_run, list_run = (run_pipeline(doc, 3, set(), sweep=s) for s in ((0.2, 10), [0.2, 10]))
+        assert len(tuple_run.sweep[0]) == 10
+        assert all(np.array_equal(*pair) for pair in zip(tuple_run.sweep, list_run.sweep))
 
     def test_numpy_window_values_are_plain_from_the_door(self):
         # the grid is built from Python floats, so a float32 end gives the
@@ -1471,3 +1481,26 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == list(g.BUILTIN_MODELS)
+
+    def test_cli_import_stays_lean(self):
+        # a fresh interpreter: the thread pool (about 10 ms to import) and
+        # numpy.random (12-16 ms to the first default_rng) load only when a
+        # run needs them, unless numpy itself already loads its random module
+        src = str(Path(g.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, numpy\n"
+            "by_numpy = 'numpy.random' in sys.modules\n"
+            "import geompert.cli\n"
+            "print('concurrent.futures' in sys.modules, by_numpy, 'numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        futures, by_numpy, random = (word == "True" for word in proc.stdout.split())
+        assert not futures
+        assert random == by_numpy
