@@ -283,21 +283,19 @@ def _rs_block(terms, h: np.ndarray, order: int) -> np.ndarray:
     products = np.zeros((min(len(a), order) + 1, n, n), dtype=np.complex128)
     shifted = np.zeros((order, n, n), dtype=np.complex128)
     total = np.empty((n, n), dtype=np.complex128)  # S
-    pairs, shifted_pairs, coeff_pairs, total_pairs = (
-        b.view(np.float64) for b in (products, shifted, coeffs, total))
     # for each number p = min(k, degree) of terms an order takes, its operands
     # and sum; rev[i] = C^(order - i), so an order's lower blocks are one slice
-    spans = [(a[:p], products[1 : p + 1], pairs[: p + 1]) for p in range(len(a) + 1)]
+    spans = [(a[:p], products[1 : p + 1], products[: p + 1]) for p in range(len(a) + 1)]
     rev = coeffs[::-1]
     for k in range(1, order + 1):
         p = min(len(a), k)
         a_terms, span, sums = spans[p]
         np.matmul(a_terms, rev[order + 1 - k : order + 1 - k + p], out=span)  # A_j C^(k-j)
         x = coeffs[k]  # X, then X - S, then C^(k)
-        np.add.reduce(sums, axis=0, out=coeff_pairs[k])
+        np.add.reduce(sums, axis=0, out=x)
         out[k] = x.diagonal()
         np.multiply(coeffs[k - 1 : 0 : -1], out[1:k, None, :], out=shifted[1:k])
-        np.add.reduce(shifted_pairs[:k], axis=0, out=total_pairs)
+        np.add.reduce(shifted[:k], axis=0, out=total)
         np.multiply(inv, np.subtract(x, total, out=x), out=x)
     return out
 

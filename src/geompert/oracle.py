@@ -18,16 +18,16 @@ no LAPACK call.  Truncated series are then certified empirically:
   and the exact one, as rays, so gauge and normalization drop out.
 
 All three are one-row views of the all-state helpers `_horner` (with
-`_fit_block`), `_fd_coefficients` and `_ray_residual_block`; the pipeline
-calls `_residual_slopes` and `_fd_coefficients`, one sweep per check, with
-the coefficients of its one series block.  The finite differences and the
-ray residuals have the same bits alone or in a block; the slopes do not,
-since the pipeline fits above measured floors and `series_residual_order`
-above RESIDUAL_FLOOR.
+`_fit_block`), `_fd_coefficients` and `_ray_residual_block`.  The pipeline
+calls `_residual_slopes` and `_contour_coefficients`, the trapezoidal rule on
+|q| = r (Lyness and Moler 1967), whose exact samples weigh equally where the
+stencil weighs them by step^-k.  The ray residuals have the same bits alone
+or in a block; the slopes do not, since the pipeline fits above measured
+floors and `series_residual_order` above RESIDUAL_FLOOR.
 
 This module owns every sampling decision of the checks: the grids
 (`_residual_grid`, which the pipeline calls before it builds the frame when
-`residual_order` runs, and the finite-difference stencils), the window rule
+`residual_order` runs, the contour and the stencils), the window rule
 (`_require_window`, which the pipeline applies to every run's window and
 `series_residual_order` to its samples), the rule that q^K is a finite
 float (`_require_power`, for the window and the ray residuals), the noise
@@ -81,6 +81,8 @@ _NOISE_FACTOR = 10.0
 _FD_STEP = 1e-3
 # the seed of the twins' fixed derangement
 _TWIN_SEED = 1729
+# the samples, roundoff target, noise bar and radius count of `_contour_coefficients`
+_CONTOUR_POINTS, _CONTOUR_TARGET, _CONTOUR_BAR, _CONTOUR_TRIES = 16, 1e-9, 1e-6, 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,21 +388,18 @@ _STENCILS = {
 }
 
 
-def _fd_coefficients(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, ks) -> np.ndarray:
-    """h^(k) of every state for each k of `ks` (in 1..4), a (len(ks), N) array, from one
-    eigenvalue sweep over the union of their stencils at spacings _FD_STEP and _FD_STEP/2."""
-    step = _FD_STEP
-    grid = sorted({o * s for k in ks for o in _STENCILS[k][0] for s in (step, step / 2)})
+def _fd_coefficients(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian, k) -> np.ndarray:
+    """h^(k) of every state (N,), k in 1..4, from one eigenvalue sweep over its stencil at
+    spacings _FD_STEP and _FD_STEP/2."""
+    offsets, weights = _STENCILS[k]
+    grid = sorted({o * s for o in offsets for s in (_FD_STEP, _FD_STEP / 2)})
     curve, _ = _continued_sweep(frame, hamiltonian, grid, False)
     column = {float(q): i for i, q in enumerate(curve.qs)}
 
-    def stencil(k: int, s: float) -> np.ndarray:
-        offsets, weights = _STENCILS[k]
-        terms = (w * curve.values[:, column[o * s]] for o, w in zip(offsets, weights))
-        return sum(terms) / s ** k
+    def stencil(s: float) -> np.ndarray:
+        return sum(w * curve.values[:, column[o * s]] for o, w in zip(offsets, weights)) / s ** k
 
-    return np.array([(4.0 * stencil(k, step / 2) - stencil(k, step)) / 3.0 / factorial(k)
-                     for k in ks])
+    return (4.0 * stencil(_FD_STEP / 2) - stencil(_FD_STEP)) / 3.0 / factorial(k)
 
 
 def fd_eigenvalue_derivatives(hamiltonian: PolynomialHamiltonian, n: int, k: int) -> complex:
@@ -414,7 +413,46 @@ def fd_eigenvalue_derivatives(hamiltonian: PolynomialHamiltonian, n: int, k: int
     if not is_integer(k) or not 1 <= k <= 4:
         raise ValueError(f"derivative order k must be an integer in 1..4, got {k!r}")
     frame = eigenframe(hamiltonian.term(0))
-    return complex(_fd_coefficients(frame, hamiltonian, (k,))[0, n])
+    return complex(_fd_coefficients(frame, hamiltonian, k)[n])
+
+
+def _contour_coefficients(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
+                          h: np.ndarray, kc: int):
+    """h^(1..kc) of every state (kc, N) by the trapezoidal rule on |q| = r over one `eigvals`
+    of P samples paired with the series h (K+1, N) there by `_pair_block`; with r, the noise
+    bar (the largest gap to the even samples' rule, over max(1, |h^(k)|)) and the pairing
+    margin (inf for N = 1 or an exact match).  The first r puts roundoff u max(1, max|h^(0)|)
+    max_n s_n / r^kc (s_n the eigenvalue conditions) at `_CONTOUR_TARGET`; r halves while the
+    pairing raises or the bar exceeds `_CONTOUR_BAR`; the smallest bar's r is returned."""
+    p = _CONTOUR_POINTS
+    ks = np.arange(1, kc + 1)
+    turns = np.exp(2j * np.pi * np.arange(p) / p)
+    # rows: h^(k) r^k by the full rule, then by the even samples (weight 2/P each)
+    rule = np.exp(-2j * np.pi * (np.outer(ks, np.arange(p)) % p) / p) / p
+    rule = np.vstack([rule, rule * (np.arange(p) % 2 == 0) * 2])
+    scale = max(1.0, float(np.abs(frame.eigenvalues).max())) * float(_rownorm(frame.left).max())
+    radius = min(0.1, (2.0**-52 * scale / _CONTOUR_TARGET) ** (1 / kc))
+    best, error = None, None
+    for _ in range(_CONTOUR_TRIES):
+        qs = radius * turns
+        vals = np.linalg.eigvals(hamiltonian.at_block(qs))
+        try:  # a raised q is the radius: a finite float
+            picks, margin = _pair_block(_horner(h.T, qs).T, vals, np.full(p, radius),
+                                        frame.gap_tol)
+        except (DegenerateSpectrum, PairingAmbiguous) as exc:
+            error = exc
+        else:
+            paired = np.take_along_axis(vals, picks, 1)
+            full, half = (rule @ paired).reshape(2, kc, -1) / radius ** ks[:, None]
+            bar = float((np.abs(full - half) / np.maximum(1.0, np.abs(full))).max())
+            if best is None or bar < best[2]:
+                best = full, radius, bar, margin
+            if bar <= _CONTOUR_BAR:
+                break
+        radius /= 2
+    if best is None:
+        raise error
+    return best
 
 
 def _ray_residual_block(exact: np.ndarray, corrections: np.ndarray, qs) -> np.ndarray:

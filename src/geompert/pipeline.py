@@ -8,7 +8,7 @@ corrections h^(0..K)) are computed once and passed to the series rows, the
 sweep and every check; each exact-diagonalization check makes one sweep for
 all states, and no per-state object is built.  This module keeps the gates
 and the shape of the report only: the oracle builds every check's sample
-grid and owns every noise floor, finite-difference stencil and the window
+grid and owns every noise floor, the contour's radius rule and the window
 rule, which every run applies before the frame.  The residual window is its
 grid: the check reads the window's ends from the grid's pinned first and
 last samples.  Every check is one line of the `_CHECKS` table, in report
@@ -58,8 +58,8 @@ from .corrections import (
 from .errors import GeompertError, PipelineError
 from .generators import hierarchy_residuals, solve_generators
 from .models import ModelDocument
-from .oracle import (_continued_sweep, _fd_coefficients, _require_window, _residual_grid,
-                     _residual_slopes)
+from .oracle import (_CONTOUR_POINTS, _continued_sweep, _contour_coefficients, _require_window,
+                     _residual_grid, _residual_slopes)
 from .spectral import _conditioning, eigenframe, is_real, require_count
 
 _GAUGE_SEED = 20210707
@@ -69,7 +69,7 @@ MAX_POINTS = 10_000
 # the highest series order a run takes, whatever its checks: a cap on a hostile
 # order until the run bounds its own work (its stacks grow like K N^2)
 MAX_ORDER = 25
-# the highest order the residual, FD and gauge checks and the Hermitian check's
+# the highest order the residual, contour and gauge checks and the Hermitian check's
 # textbook comparison read; its imaginary-part bound reads every order up to K
 _CHECK_ORDER = 3
 
@@ -322,13 +322,16 @@ def _check_residual_order(*, hamiltonian, frame, states, h, kc, residual_qs, **_
 
 def _check_fd(*, hamiltonian, frame, h, kc, **_):
     ref = h[1 : kc + 1]
-    diff = _fd_coefficients(frame, hamiltonian, range(1, kc + 1)) - ref
-    # hypot is Python's abs(complex) bit for bit; numpy's complex abs is not
-    devs = np.hypot(diff.real, diff.imag) / np.maximum(1.0, np.hypot(ref.real, ref.imag))
+    coeffs, radius, bar, margin = _contour_coefficients(frame, hamiltonian, h, kc)
+    devs = np.abs(coeffs - ref) / np.maximum(1.0, np.abs(ref))
     rows = devs.T.ravel().tolist()  # state-major: row i is n, k - 1 = divmod(i, kc)
     entry = {
         "max_deviation": float(devs.max()),
         "threshold": 1e-5,
+        "radius": radius,
+        "points": _CONTOUR_POINTS,
+        "noise_bar": bar,
+        "pair_margin": margin if math.isfinite(margin) else None,  # inf: N = 1 or exact
         "entries": [{"n": i // kc, "k": i % kc + 1, "deviation": d} for i, d in enumerate(rows)],
     }
     return entry["max_deviation"] <= entry["threshold"], entry

@@ -43,15 +43,16 @@ stated here once:
     product makes alone, never one wide GEMM; `_rowdot` (and `_rownorm`) is
     one BLAS dot per entry, that of `np.vdot`, whatever the batch shape;
   - an ordered sum is one `np.add.reduce` (or `np.subtract.reduce`) with
-    `axis=0`, so it runs in order along a leading axis that is never numpy's
-    inner loop; it reads real-pair (float64) views, of the stack and of the
-    item it sums into, because a complex stack of single numbers (a 1 x 1
-    family or one state) would be summed pairwise; the order loops (the
-    generator solve, the series kernel and its contraction, the RS route)
-    take those views and their scratch once per call, before the loop, so
-    each sum lands in its output slice with no per-order `.view` call or
-    temporary; and a sum whose sign of zero matters starts from a zero
-    item: 0 - c is +0 where -c is -0.
+    `axis=0`, in order along a leading axis that is never numpy's inner loop
+    unless each item is one number: such a complex stack would be summed
+    pairwise, so the sums that can meet one with nonzero items (`_contract`
+    on the Bell route's one state, `bellpoly._add_scaled` on a 1 x 1 family,
+    `_series_block` at N = 1 with custom K_0 diagonals) read real-pair
+    (float64) views of the stack and of the item they sum into, as the
+    generator solve's do, taken with their scratch once per call.  The
+    RS route sums its complex stacks: at N = 1 each holds one nonzero item at
+    most.  A sum whose sign of zero matters starts from a zero item: 0 - c is
+    +0 where -c is -0.
 """
 
 from __future__ import annotations

@@ -1,0 +1,158 @@
+"""The run's coefficient check, `fd_concordance`: h^(1..kc) read by the
+trapezoidal rule on |q| = r from exact samples paired with the run's own
+series (`oracle._contour_coefficients`).  Correct series PASS it on seeded,
+manufactured and random families under the unchanged 1e-5 gate; a 1e-4
+error in any one h^(k), k <= kc, FAILs it; and a contour that pairs at no
+radius exits 4 with one JSON line."""
+
+import json
+from functools import cache
+
+import numpy as np
+import pytest
+
+import geompert as g
+from geompert.cli import main
+from geompert.corrections import _all_block
+from geompert.oracle import _CONTOUR_BAR
+from geompert.pipeline import ALL_CHECKS, _check_fd, report_json, run_pipeline
+from geompert.spectral import _conditioning
+from oracles import manufactured_family, seeded_quadratic_family
+
+_GATE = 1e-5  # the check's threshold, unchanged
+_INJECTION = 1e-4  # relative to max(1, |h^(k)|)
+
+
+@cache
+def _family(name):
+    """A model document by name: a built-in, `seeded-N<N>` (seed 0) or
+    `dense-N<N>-t<t>` (manufactured, seed 0)."""
+    if name.startswith("seeded-N"):
+        terms = seeded_quadratic_family(0, int(name[len("seeded-N"):])).terms
+    elif name.startswith("dense-N"):
+        dim, t = name[len("dense-N"):].split("-t")
+        terms = manufactured_family(0, int(dim), int(t), True).hamiltonian.terms
+    else:
+        return g.builtin_model(name)
+    return g.ModelDocument(name, list(terms))
+
+
+@cache
+def _verify(name):
+    return run_pipeline(_family(name), 3, ALL_CHECKS)
+
+
+PASSING = [*g.BUILTIN_MODELS, "seeded-N16", "seeded-N32", "seeded-N64",
+           "dense-N16-t0", "dense-N16-t1", "dense-N64-t1"]
+
+
+@pytest.mark.parametrize("name", [*PASSING, "dense-N64-t0"])
+def test_correct_series_pass_the_contour(name):
+    check = _verify(name).checks["fd_concordance"]
+    assert check["status"] == "pass", check
+    assert check["threshold"] == _GATE
+    assert check["max_deviation"] <= _GATE
+    assert check["noise_bar"] <= _CONTOUR_BAR
+    assert check["points"] == 16 and 0 < check["radius"] <= 0.1
+    assert check["pair_margin"] >= 2
+
+
+@pytest.mark.parametrize("name", PASSING)
+def test_correct_series_pass_verify(name):
+    report = _verify(name)
+    assert report.verdict == "pass", {c: e["status"] for c, e in report.checks.items()}
+
+
+def test_dense_n64_t0_fails_residual_order_alone():
+    # a known failure of the residual window, not of the contour: state 2's
+    # eigenvalue slope reads 3.47 against kc + 0.8 = 3.8, as before the contour
+    report = _verify("dense-N64-t0")
+    failing = [c for c, e in report.checks.items() if e["status"] == "fail"]
+    assert failing == ["residual_order"]
+    slopes = report.checks["residual_order"]["eigenvalue_slopes"]
+    low = [n for n, s in enumerate(slopes) if s is not None and s < 3.8]
+    assert low == [2] and slopes[2] == pytest.approx(3.47, abs=0.01)
+
+
+@pytest.mark.parametrize("name", [*PASSING, "dense-N64-t0"])
+def test_one_wrong_coefficient_fails_the_contour(name):
+    ham = _family(name).to_hamiltonian()
+    frame = g.eigenframe(ham.term(0))
+    _, h = _all_block(g.solve_generators(ham, frame, 3), 3)
+    for k in (1, 2, 3):
+        wrong = h.copy()
+        wrong[k, 0] += _INJECTION * max(1.0, abs(h[k, 0]))
+        ok, entry = _check_fd(hamiltonian=ham, frame=frame, h=wrong, kc=3)
+        assert not ok and entry["max_deviation"] > _GATE, (k, entry["max_deviation"])
+
+
+def _draws(scale, count):
+    """The first `count` kept draws of `default_rng(12345)`: N in 2..12, degree
+    1..3 and order 1..6, H_0 = diag(U(-3, 3)) + 0.05 (G + i G') and
+    H_j = scale (G + i G'), G and G' standard normal, kept when the frame's
+    relative gap is at least 0.05 and its kappa at most 10."""
+    rng = np.random.default_rng(12345)
+    kept = []
+    while len(kept) < count:
+        dim, degree, order = (int(rng.integers(lo, hi)) for lo, hi in ((2, 13), (1, 4), (1, 7)))
+
+        def gaussian():
+            return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+        terms = [np.diag(rng.uniform(-3, 3, dim)) + 0.05 * gaussian()]
+        terms += [scale * gaussian() for _ in range(degree)]
+        frame = _conditioning(g.eigenframe(terms[0]))
+        if frame["relative_gap"] >= 0.05 and frame["kappa"] <= 10:
+            kept.append((g.ModelDocument(f"draw-{len(kept)}", terms), order))
+    return kept
+
+
+# draws whose verify FAILs a check other than the contour, by index: the
+# residual window at its fixed size misreads one well-conditioned draw
+KNOWN_FAILURES = {1.0: {62: ["residual_order"]}, 0.1: {}}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+def test_random_draws_pass_the_contour(scale):
+    failures = {}
+    for i, (doc, order) in enumerate(_draws(scale, 100)):
+        report = run_pipeline(doc, order, ALL_CHECKS)
+        check = report.checks["fd_concordance"]
+        assert check["status"] == "pass" and check["noise_bar"] <= _CONTOUR_BAR, (i, check)
+        failing = [c for c, e in report.checks.items() if e["status"] == "fail"]
+        if failing:
+            failures[i] = failing
+        # one wrong coefficient at k = 1 + i mod kc, in state i mod N
+        ham = doc.to_hamiltonian()
+        frame = g.eigenframe(ham.term(0))
+        kc = min(order, 3)
+        h = _all_block(g.solve_generators(ham, frame, max(order, 2)), order)[1].copy()
+        k, n = 1 + i % kc, i % ham.dim
+        h[k, n] += _INJECTION * max(1.0, abs(h[k, n]))
+        assert not _check_fd(hamiltonian=ham, frame=frame, h=h, kc=kc)[0], i
+    assert failures == KNOWN_FAILURES[scale]
+
+
+def test_unpairable_contour_exits_4(tmp_path, capsys):
+    # branch points at q = +-5e-5 i: the real window's sweep pairs, but no
+    # radius the contour tries is inside them, so its pairing fails at each
+    terms = [np.diag([0.0, 1e-4]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    model = tmp_path / "near.json"
+    model.write_text(g.serialize_model(g.ModelDocument("near", terms)))
+    assert main(["verify", "--model", str(model), "--order", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "PairingAmbiguous"
+    assert diag["stage"] == "check:fd_concordance"
+    assert type(diag["q"]) is float and 0 < diag["q"] < 1e-3
+
+
+def test_one_state_has_no_margin():
+    # nothing to pair: the margin is written as null, and the report is strict JSON
+    doc = g.ModelDocument("one", [np.array([[1.0]]), np.array([[0.5j]])])
+    report = run_pipeline(doc, 3, ALL_CHECKS)
+    check = report.checks["fd_concordance"]
+    assert check["status"] == "pass" and check["pair_margin"] is None
+    assert json.loads(report_json(report))["checks"]["fd_concordance"]["pair_margin"] is None

@@ -1485,14 +1485,19 @@ class TestCli:
     def test_cli_import_stays_lean(self):
         # a fresh interpreter: the thread pool (about 10 ms to import) and
         # numpy.random (12-16 ms to the first default_rng) load only when a
-        # run needs them, unless numpy itself already loads its random module
+        # run needs them, unless numpy itself already loads its random module;
+        # numpy.fft (0.6 MB of peak RSS) not even in a verify run, whose
+        # contour reads its coefficients by one small matrix product
         src = str(Path(g.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
-            "import sys, numpy\n"
-            "by_numpy = 'numpy.random' in sys.modules\n"
+            "import contextlib, io, sys, numpy\n"
+            "by_numpy = ['numpy.random' in sys.modules, 'numpy.fft' in sys.modules]\n"
             "import geompert.cli\n"
-            "print('concurrent.futures' in sys.modules, by_numpy, 'numpy.random' in sys.modules)"
+            "loaded = ['concurrent.futures' in sys.modules, 'numpy.random' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    geompert.cli.main(['verify', '--model', 'toy-sec5', '--order', '3'])\n"
+            "print(*by_numpy, *loaded, 'numpy.fft' in sys.modules)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
@@ -1501,6 +1506,8 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
-        futures, by_numpy, random = (word == "True" for word in proc.stdout.split())
+        words = (word == "True" for word in proc.stdout.split())
+        random_by_numpy, fft_by_numpy, futures, random, fft = words
         assert not futures
-        assert random == by_numpy
+        assert random == random_by_numpy
+        assert fft == fft_by_numpy

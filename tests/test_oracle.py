@@ -7,11 +7,14 @@ import geompert as g
 from geompert.cli import main
 from geompert.corrections import _all_block, _horner
 from geompert.oracle import (
+    _CONTOUR_POINTS,
+    _CONTOUR_TRIES,
     _FD_STEP,
     _STENCILS,
     RAY_FLOOR,
     RESIDUAL_FLOOR,
     _continued_sweep,
+    _contour_coefficients,
     _fd_coefficients,
     _fit_block,
     _ray_residual_block,
@@ -683,7 +686,8 @@ class TestSharedSweep:
         run_pipeline(doc, 3, ALL_CHECKS, points=points)
         assert len(calls["eigenframe"]) == 1
         assert len(calls["eig"]) <= 1 + points
-        assert len(calls["eigvals"]) <= 7  # the union of the k = 1..3 stencils
+        # one stacked call for each radius the contour tries
+        assert len(calls["eigvals"]) <= _CONTOUR_TRIES
         # the run's solve, then the gauge check's to order kc - 1 = 2
         assert [args[2] for args in calls["solve_generators"]] == [3, 2]
         # the run's block and the gauge check's block; the linear crosscheck's
@@ -734,8 +738,8 @@ class TestSharedSweep:
             ham = g.builtin_model(name).to_hamiltonian()
         frame = g.eigenframe(ham.term(0))
         series = g.build_all_series(g.solve_model(ham, 3), 3)
-        estimates = _fd_coefficients(frame, ham, (1, 2, 3))
-        for k, block in zip((1, 2, 3), estimates):
+        for k in (1, 2, 3):
+            block = _fd_coefficients(frame, ham, k)
             for n in range(frame.dim):
                 assert complex(block[n]) == reference_fd_derivative(ham, n, k)
         qs = np.logspace(-4, -2, 25)
@@ -753,28 +757,37 @@ class TestSharedSweep:
             assert np.array_equal(truncations[n], np.polyval(coeffs[n, ::-1], qs))
 
     @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6"])
-    def test_public_fd_is_the_pipeline_estimate(self, monkeypatch, name):
+    def test_run_reads_the_contour_not_the_stencil(self, monkeypatch, name):
+        # the run's fd_concordance entries are the contour's deviations; the
+        # stencil behind the public view is never called
         doc = _model(name)
         seen = []
 
         def record(*args, **kwargs):
-            seen.append(_fd_coefficients(*args, **kwargs))
+            seen.append(_contour_coefficients(*args, **kwargs))
             return seen[-1]
 
-        monkeypatch.setattr(g.pipeline, "_fd_coefficients", record)
-        run_pipeline(doc, 3, {"fd_concordance"})
-        (estimates,) = seen
-        ham = doc.to_hamiltonian()
-        for k, row in zip((1, 2, 3), estimates):
-            for n in range(ham.dim):
-                public = np.complex128(g.fd_eigenvalue_derivatives(ham, n, k))
-                assert public.tobytes() == row[n].tobytes()
+        def stencil(*args, **kwargs):
+            raise AssertionError("the run called the finite-difference stencil")
+
+        monkeypatch.setattr(g.pipeline, "_contour_coefficients", record)
+        monkeypatch.setattr(g.oracle, "_fd_coefficients", stencil)
+        check = run_pipeline(doc, 3, ALL_CHECKS).checks["fd_concordance"]
+        ((coeffs, radius, bar, margin),) = seen
+        ref = g.build_all_series(g.solve_model(doc.to_hamiltonian(), 3), 3)
+        ref = np.array([s.eigenvalue_corrections[1:] for s in ref]).T
+        devs = np.abs(coeffs - ref) / np.maximum(1.0, np.abs(ref))
+        assert check["entries"] == [{"n": n, "k": k, "deviation": float(devs[k - 1, n])}
+                                    for n in range(ref.shape[1]) for k in (1, 2, 3)]
+        assert (check["radius"], check["noise_bar"]) == (radius, bar)
+        assert check["pair_margin"] == (margin if np.isfinite(margin) else None)
+        assert check["points"] == _CONTOUR_POINTS
 
     @pytest.mark.parametrize("name", [*g.BUILTIN_MODELS, "seeded-N6", "seeded-N16"])
     def test_public_views_match_pipeline(self, name):
-        # seeded N = 16 FAILs `verify` (ROADMAP item 1(b)); the views still
-        # reproduce every entry of the failing report.  The report fits above
-        # the floors it measured, the public slope above RESIDUAL_FLOOR.
+        # the contour reproduces every fd_concordance entry from the series
+        # alone; the report fits above the floors it measured, the public
+        # slope above RESIDUAL_FLOOR
         order, q_lo, q_hi, points = 3, 1e-4, 1e-2, 25
         doc = _model(name)
         ham = doc.to_hamiltonian()
@@ -782,12 +795,13 @@ class TestSharedSweep:
             doc, order, {"residual_order", "fd_concordance"}, q_lo=q_lo, q_hi=q_hi, points=points
         )
         series = g.build_all_series(g.solve_model(ham, order), order)
+        h = np.array([s.eigenvalue_corrections for s in series]).T
+        coeffs = _contour_coefficients(g.eigenframe(ham.term(0)), ham, h, order)[0]
+        devs = np.abs(coeffs - h[1:]) / np.maximum(1.0, np.abs(h[1:]))
         entries = iter(report.checks["fd_concordance"]["entries"])
-        for n, s in enumerate(series):
+        for n in range(ham.dim):
             for k in (1, 2, 3):
-                ref = complex(s.eigenvalue_corrections[k])
-                dev = abs(g.fd_eigenvalue_derivatives(ham, n, k) - ref) / max(1.0, abs(ref))
-                assert next(entries) == {"n": n, "k": k, "deviation": dev}
+                assert next(entries) == {"n": n, "k": k, "deviation": float(devs[k - 1, n])}
         check = report.checks["residual_order"]
         qs = np.logspace(np.log10(q_lo), np.log10(q_hi), points)
         curve = g.exact_spectrum_sweep(ham, qs)
