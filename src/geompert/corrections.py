@@ -61,9 +61,9 @@ its tests compare; no command runs it, since its cost grows like 2^order.
 `_rs_block` is the biorthogonal Rayleigh-Schroedinger recursion, for every
 state at any degree and order, from the frame matrices of H_1..H_p alone
 (V^dagger H_j V gives a Hermitian family's textbook values); it serves the
-pipeline's route check at every order, `rs_linear_corrections` and
-`crosscheck_linear`, whose third route reads h^(1..3) of a linear family
-off [[K_1^(j)]] alone.
+pipeline's route check at every order, its `hermitian_reduction` check (the
+textbook values), `rs_linear_corrections` and `crosscheck_linear`, whose
+third route reads h^(1..3) of a linear family off [[K_1^(j)]] alone.
 """
 
 from __future__ import annotations

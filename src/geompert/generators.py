@@ -255,11 +255,10 @@ def solve_generators(
     ka = np.empty((2, degree, n, n), dtype=np.complex128)
     comm0 = np.empty((n, n), dtype=np.complex128)
     scratch = np.empty(n, dtype=np.complex128)
-    # views taken once: the real pairs the sums read and write; for each number
-    # a = min(ell, p) of terms an order takes, its operands and sums; and
-    # rev[:, i] = kf[:, order - i], so an order's lower stacks are one slice
-    pairs, kf_pairs, comm0_pairs = (a.view(np.float64) for a in (comm, kf, comm0))
-    spans = [(terms[:a], comm[:, 1 : a + 1], ka[:, :a], pairs[1, : a + 1], pairs[0, : a + 1])
+    # views taken once: for each number a = min(ell, p) of terms an order takes,
+    # its operands and sums; and rev[:, i] = kf[:, order - i], so an order's
+    # lower stacks are one slice
+    spans = [(terms[:a], comm[:, 1 : a + 1], ka[:, :a], comm[1, : a + 1], comm[0, : a + 1])
              for a in range(degree + 1)]
     rev = kf[:, ::-1]
     for ell in range(order + 1):
@@ -271,8 +270,8 @@ def solve_generators(
         np.matmul(lower, a_terms, out=kas)
         np.subtract(products, kas, out=products)
         # 0 - c_1 - c_2 - ... (into K_1^(ell)'s slot) and 0 + c_1 + c_2 + ..., each in order
-        np.subtract.reduce(sum1, axis=0, out=kf_pairs[1, ell])
-        np.add.reduce(sum0, axis=0, out=comm0_pairs)
+        np.subtract.reduce(sum1, axis=0, out=kf[1, ell])
+        np.add.reduce(sum0, axis=0, out=comm0)
 
         k1 = kf[1, ell]
         k1_diagonal = diagonals[1, ell]
@@ -290,11 +289,11 @@ def solve_generators(
         diagonals[0, ell] = diags[ell]
 
     # step (i)'s implied zero, for every order at once: each order's scale is
-    # the largest max|[[H_a]]| max|K_1^(ell-a)|, at least 1
+    # the largest max|[[H_a]]| max|K_1^(ell-a)|, a <= ell, at least 1
     worst = np.abs(implied).max(axis=1)
     k1_max = np.abs(kf[1]).max(axis=(1, 2))
     scale = np.ones(order + 1)
-    for a, term in enumerate(terms, 1):
+    for a, term in enumerate(terms[:order], 1):
         np.fmax(scale[a:], np.abs(term).max() * k1_max[: order + 1 - a], out=scale[a:])
     failed = np.flatnonzero(worst > _CONSISTENCY_RTOL * scale)
     if failed.size:

@@ -19,11 +19,12 @@ no LAPACK call.  Truncated series are then certified empirically:
 
 All three are one-row views of the all-state helpers `_horner` (with
 `_fit_block`), `_fd_coefficients` and `_ray_residual_block`.  The pipeline
-calls `_residual_slopes` and `_contour_coefficients`, the trapezoidal rule on
-|q| = r (Lyness and Moler 1967), whose exact samples weigh equally where the
-stencil weighs them by step^-k.  The ray residuals have the same bits alone
-or in a block; the slopes do not, since the pipeline fits above measured
-floors and `series_residual_order` above RESIDUAL_FLOOR.
+reads each quantity once: the eigenvalue corrections by
+`_contour_coefficients`, the trapezoidal rule on |q| = r (Lyness and Moler
+1967), whose exact samples weigh equally where the stencil weighs them by
+step^-k, and the states by `_residual_slopes`, their ray slopes over the
+residual window.  The ray residuals have the same bits alone or in a block;
+the ray slopes do not, since the pipeline fits above measured floors.
 
 This module owns every sampling decision of the checks: the grids
 (`_residual_grid`, which the pipeline calls before it builds the frame when
@@ -32,11 +33,11 @@ This module owns every sampling decision of the checks: the grids
 `series_residual_order` to its samples), the rule that q^K is a finite
 float (`_require_power`, for the window and the ray residuals), the noise
 floors and the rule that a window is below the noise floor.  The pipeline's
-floors are measured: `_residual_slopes` compares its sweep with the
-permutation twins P H(q) P^T at three samples (P a fixed pseudo-random
-derangement, then the index reversal, then the derangement), and takes 10
-times each state's noise, never less than RESIDUAL_FLOOR or RAY_FLOOR, the
-constant floors of the public views.  A sweep pairs under the degeneracy
+ray floors are measured: `_residual_slopes` compares its sweep's eigenvectors
+with those of the permutation twins P H(q) P^T at three samples (P a fixed
+pseudo-random derangement, then the index reversal, then the derangement),
+and takes 10 times each state's noise, never less than RAY_FLOOR, the
+constant floor of the public ray view.  A sweep pairs under the degeneracy
 threshold its frame records.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
@@ -306,19 +307,17 @@ def _twin_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
-                     states: np.ndarray, h: np.ndarray, qs: np.ndarray):
-    """Eigenvalue and ray slopes of every state for a (K+1, N, N) state block and (K+1, N)
-    corrections, from one eigenvector sweep over the grid `qs` (a `_residual_grid`) and fitted
-    above each state's noise floors; those value and ray floors (N,); and whether the grid
-    is below the noise floor: every |q_hi^k h_n^(k)|, k >= 1, under its state's value floor,
-    some h_n^(k) not 0, and no eigenvalue slope.
+                     states: np.ndarray, qs: np.ndarray):
+    """Ray slopes of every state for a (K+1, N, N) state block, from one eigenvector sweep
+    over the grid `qs` (a `_residual_grid`) and fitted above each state's ray floor; those
+    floors (N,); and whether the grid is below the noise floor: no ray slope, some
+    S_n^(k) not 0 for k >= 1, and every q_hi^k ||S_n^(k)|| under its state's floor.
 
     The noise is measured against the permutation twins P H(q) P^T of `_twin_permutations`,
     which have the same eigenpairs under other roundoff, at the grid's first, middle and
-    last samples: a state's value noise is its largest |E - E_twin|, its ray noise the
-    largest sine between its two eigenvectors.  A floor is `_NOISE_FACTOR` times the noise,
-    and at least RESIDUAL_FLOOR (values) or RAY_FLOOR (rays), since an exactly computed
-    family has no twin noise."""
+    last samples: a state's noise is the largest sine between its two eigenvectors, the
+    twins' eigenvalues pairing the vectors.  A floor is `_NOISE_FACTOR` times the noise,
+    and at least RAY_FLOOR, since an exactly computed family has no twin noise."""
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
     picked = [0, qs.size // 2, qs.size - 1]
     # the twins' eigenvalues pair with the sweep's as one sample pairs with the next
@@ -327,22 +326,19 @@ def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
     shuffled = hamiltonian.at_block(qs[picked])[sample, perm[:, :, None], perm[:, None, :]]
     twin_values, twin_vectors = np.linalg.eig(shuffled)
     picks, _ = _pair_block(curve.values[:, picked].T, twin_values, qs[picked], frame.gap_tol)
-    value_noise = np.abs(curve.values[:, picked].T - np.take_along_axis(twin_values, picks, 1))
     # undo P on the twin's vectors; each (state, sample) is one row, the twin's vector its
     # order-0 series
     twin = twin_vectors[sample, inverse[:, :, None], picks[:, None, :]].transpose(2, 0, 1)
     rows = (-1, 1, frame.dim)
     sines = _ray_residual_block(vectors[:, picked].reshape(rows), twin.reshape(rows), np.ones(1))
-    value_floors = np.maximum(_NOISE_FACTOR * value_noise.max(axis=0), RESIDUAL_FLOOR)
-    ray_floors = np.maximum(_NOISE_FACTOR * sines.reshape(frame.dim, -1).max(axis=1), RAY_FLOOR)
-    rays = _ray_residual_block(vectors, states.transpose(2, 0, 1), curve.qs)
-    residuals = np.abs(curve.values - _horner(h.T, curve.qs))
-    value_slopes = _fit_block(curve.qs, residuals, value_floors[:, None])
-    ray_slopes = _fit_block(curve.qs, rays, ray_floors[:, None])
-    reach = np.abs(h[1:]) * float(curve.qs[-1]) ** np.arange(1.0, len(h))[:, None]
-    blind = bool(np.any(h[1:] != 0) and np.all(reach.max(axis=0) < value_floors)
-                 and all(s is None for s in value_slopes))
-    return value_slopes, ray_slopes, value_floors.tolist(), ray_floors.tolist(), blind
+    floors = np.maximum(_NOISE_FACTOR * sines.reshape(frame.dim, -1).max(axis=1), RAY_FLOOR)
+    corrections = states.transpose(2, 0, 1)  # (N, K+1, N): row k of state n is S_n^(k)
+    slopes = _fit_block(curve.qs, _ray_residual_block(vectors, corrections, curve.qs),
+                        floors[:, None])
+    reach = _rownorm(corrections[:, 1:]) * float(curve.qs[-1]) ** np.arange(1.0, len(states))
+    blind = bool(np.any(corrections[:, 1:] != 0) and np.all(reach.max(axis=1) < floors)
+                 and all(s is None for s in slopes))
+    return slopes, floors.tolist(), blind
 
 
 def series_residual_order(

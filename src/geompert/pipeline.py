@@ -11,9 +11,12 @@ and the shape of the report only: the oracle builds every check's sample
 grid and owns every noise floor, the contour's radius rule and the window
 rule, which every run applies before the frame.  The residual window is its
 grid: the check reads the window's ends from the grid's pinned first and
-last samples.  Every check is one line of the `_CHECKS` table, in report
-order; it builds its entry first and decides from the entry's own values and
-thresholds, so a reported threshold is the one applied.  It returns whether
+last samples.  Each exact reading covers one quantity: `residual_order`
+reads the states, as ray slopes over the window, and `fd_concordance`'s
+contour the eigenvalue corrections h^(1..kc).  Every check is one line of
+the `_CHECKS` table, in report order; it builds its entry first and decides
+from the entry's own values and thresholds, so a reported threshold is the
+one applied.  It returns whether
 it passed (None when skipped) and its entry, and `run_pipeline` loops the
 table and derives every status in one place.  Reports are deterministic for
 fixed input and flags; the timestamp and the per-stage timings live in the
@@ -299,24 +302,20 @@ def _check_equation(*, hamiltonian, frame, states, h, **_):
             and entry["row_relative_residual"] <= entry["row_threshold"]), entry
 
 
-def _check_residual_order(*, hamiltonian, frame, states, h, kc, residual_qs, **_):
-    value_slopes, ray_slopes, value_floors, ray_floors, blind = _residual_slopes(
-        frame, hamiltonian, states[: kc + 1], h[: kc + 1], residual_qs
-    )
+def _check_residual_order(*, hamiltonian, frame, states, kc, residual_qs, **_):
+    # the window reads the states only, as rays: the contour is h's exact reading
+    slopes, floors, blind = _residual_slopes(frame, hamiltonian, states[: kc + 1], residual_qs)
     entry = {
         **({"reason": "window below the noise floor"} if blind else {}),
         "order_checked": kc,
         "threshold": kc + 0.8,
-        "eigenvalue_slopes": value_slopes,
-        "ray_slopes": ray_slopes,
-        "eigenvalue_floors": value_floors,
-        "ray_floors": ray_floors,
+        "ray_slopes": slopes,
+        "ray_floors": floors,
         "window": [float(residual_qs[0]), float(residual_qs[-1])],
     }
     # a state without a slope has too few residuals above its noise floor:
     # it is better than required, unless no residual can reach the floor
-    slopes = entry["eigenvalue_slopes"] + entry["ray_slopes"]
-    low = any(s is not None and s < entry["threshold"] for s in slopes)
+    low = any(s is not None and s < entry["threshold"] for s in entry["ray_slopes"])
     return "reason" not in entry and not low, entry
 
 

@@ -48,11 +48,12 @@ stated here once:
     pairwise, so the sums that can meet one with nonzero items (`_contract`
     on the Bell route's one state, `bellpoly._add_scaled` on a 1 x 1 family,
     `_series_block` at N = 1 with custom K_0 diagonals) read real-pair
-    (float64) views of the stack and of the item they sum into, as the
-    generator solve's do, taken with their scratch once per call.  The
-    RS route sums its complex stacks: at N = 1 each holds one nonzero item at
-    most.  A sum whose sign of zero matters starts from a zero item: 0 - c is
-    +0 where -c is -0.
+    (float64) views of the stack and of the item they sum into, taken with
+    their scratch once per call.  The RS route and the generator solve sum
+    their complex stacks: at N = 1 each of the route's holds one nonzero item
+    at most, and every commutator the solve sums is an exact zero.  A sum
+    whose sign of zero matters starts from a zero item: 0 - c is +0 where -c
+    is -0.
 """
 
 from __future__ import annotations

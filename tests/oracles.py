@@ -303,6 +303,16 @@ def seeded_quadratic_family(seed, n):
     return PolynomialHamiltonian([h0, h1, h2])
 
 
+def quintic_family(seed, n):
+    """A degree-5 family: H_0 = diag(0..N-1) + 0.01 randn and H_1..H_5 each
+    0.2 (G + i G'), G and G' standard normal, from numpy's default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    terms = [np.diag(np.arange(n, dtype=float)) + 0.01 * rng.standard_normal((n, n))]
+    terms += [0.2 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+              for _ in range(5)]
+    return PolynomialHamiltonian(terms)
+
+
 @dataclass(frozen=True)
 class ManufacturedFamily:
     """A family whose every series coefficient is known exactly.

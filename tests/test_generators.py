@@ -12,6 +12,7 @@ from oracles import (
     k1_order1_diag,
     k1_order2_diag,
     linear_family,
+    quintic_family,
     reference_generator_stacks,
     reference_hierarchy_residuals,
     seeded_quadratic_family,
@@ -321,6 +322,19 @@ class TestStackedSolve:
             assert gens._k0f.tobytes() == k0f.tobytes()
             assert gens._k1f.tobytes() == k1f.tobytes()
             assert gens.gauge == ("zero-diagonal" if diags is None else "custom-diagonal")
+
+    def test_a_degree_five_family_solves_below_its_degree(self):
+        # the consistency scale reads the terms a <= order: at 1 <= order <= 3
+        # a term past the order once sliced K_1's maxima from the end and
+        # raised numpy's broadcast error
+        ham = quintic_family(5, 4)
+        frame = g.eigenframe(ham.term(0))
+        for order in range(7):
+            gens = g.solve_generators(ham, frame, order)
+            k0f, k1f = reference_generator_stacks(ham, frame, order)
+            assert gens._k0f.tobytes() == k0f.tobytes()
+            assert gens._k1f.tobytes() == k1f.tobytes()
+            assert g.hierarchy_residuals(ham, gens).max() < 1e-12
 
     def test_consistency_failure_names_the_first_order(self, toy, toy_frame, monkeypatch):
         # every order's implied zero is read after the sweep; a gate no order

@@ -31,6 +31,7 @@ from geompert.pipeline import (
 )
 from oracles import (
     manufactured_family,
+    quintic_family,
     reference_json_text,
     reference_parse_matrix,
     reference_serialize_model,
@@ -580,8 +581,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("points", [4, 5])
     def test_a_wrong_coefficient_never_passes_a_narrow_window(self, monkeypatch, points):
-        # h^(2) 1% wrong: 4 samples fit no slope, so their window is refused,
-        # and 5 fit every state's slope, each below the threshold
+        # h^(2) 1% wrong: 4 samples fit no slope, so their window is refused;
+        # 5 fit every state's ray slope, and the window reads the states, which
+        # are right, so verify FAILs h through the checks that read it
         original = g.pipeline._all_block
 
         def wrong(gens, order):
@@ -597,9 +599,12 @@ class TestPipeline:
             with pytest.raises(ValueError, match="at least 5 samples in the window"):
                 run_pipeline(doc, 3, {"residual_order"}, **window)
             return
-        entry = run_pipeline(doc, 3, {"residual_order"}, **window).checks["residual_order"]
-        assert entry["status"] == "fail"
-        assert all(s is not None and s < entry["threshold"] for s in entry["eigenvalue_slopes"])
+        report = run_pipeline(doc, 3, ALL_CHECKS, **window)
+        entry = report.checks["residual_order"]
+        assert entry["status"] == "pass"
+        assert all(s is not None and s >= entry["threshold"] for s in entry["ray_slopes"])
+        failing = [c for c, e in report.checks.items() if e["status"] == "fail"]
+        assert failing == ["route_equivalence", "equation_residual", "fd_concordance"]
 
     @pytest.mark.parametrize(
         "window, match",
@@ -1015,6 +1020,18 @@ class TestCli:
         assert err.get("q") == DIAGNOSTIC_Q.get(row)
         assert set(err) == ({"error", "message"} | ({"stage"} if stage else set())
                             | ({"q"} if row in DIAGNOSTIC_Q else set()))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_orders_below_the_degree_run(self, tmp_path, capsys, order):
+        # a degree-5 family below its degree: the solve once exited 2 here,
+        # at stage generators
+        model = tmp_path / "quintic.json"
+        model.write_text(g.serialize_model(g.ModelDocument("quintic",
+                                                           list(quintic_family(5, 4).terms))))
+        argv = ["--model", str(model), "--order", str(order)]
+        assert main(["expand", *argv, "--out", str(tmp_path / "out")]) == 0
+        assert main(["verify", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
     def test_sweep_across_a_branch_point_names_its_q(self, tmp_path, capsys):
         # one dimer, whose two eigenvalues meet at the real q = 104/61
