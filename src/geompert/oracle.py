@@ -34,11 +34,9 @@ This module owns every sampling decision of the checks: the grids
 float (`_require_power`, for the window and the ray residuals), the noise
 floors and the rule that a window is below the noise floor.  The pipeline's
 ray floors are measured: `_residual_slopes` compares its sweep's eigenvectors
-with those of the permutation twins P H(q) P^T at three samples (P a fixed
-pseudo-random derangement, then the index reversal, then the derangement),
-and takes 10 times each state's noise, never less than RAY_FLOOR, the
-constant floor of the public ray view.  A sweep pairs under the degeneracy
-threshold its frame records.
+with those of the twin H(q)/3 at three samples, and takes 10 times each
+state's noise, never less than RAY_FLOOR, the constant floor of the public
+ray view.  A sweep pairs under the degeneracy threshold its frame records.
 
 Pairing is guarded: if the runner-up match is within a factor 2 of the best
 match the continuation is ambiguous and the sweep is rejected instead of
@@ -55,7 +53,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
 from math import factorial
 
 import numpy as np
@@ -80,8 +77,6 @@ _MARGIN_FACTOR = 2.0
 _NOISE_FACTOR = 10.0
 # finite-difference spacing; the stencil also samples at half of it
 _FD_STEP = 1e-3
-# the seed of the twins' fixed derangement
-_TWIN_SEED = 1729
 # the samples, roundoff target, noise bar and radius count of `_contour_coefficients`
 _CONTOUR_POINTS, _CONTOUR_TARGET, _CONTOUR_BAR, _CONTOUR_TRIES = 16, 1e-9, 1e-6, 6
 
@@ -288,24 +283,6 @@ def _residual_grid(window: tuple[float, float], points: int) -> np.ndarray:
     return qs
 
 
-@cache
-def _twin_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The twins' index maps (3, n), (P H P^T)[i, j] = H[perm[i], perm[j]] at each noise
-    sample, and their inverses, read-only: a fixed pseudo-random derangement at the first
-    and last samples, which no structured input shares (under Sylvester-Hadamard mixing
-    the reversal is a sign symmetry), and the index reversal at the middle one, which
-    reverses every contiguous block (a block kept in order has the sweep's roundoff)."""
-    rng = np.random.default_rng(_TWIN_SEED)
-    shuffle = rng.permutation(n)
-    while n > 1 and np.any(shuffle == np.arange(n)):
-        shuffle = rng.permutation(n)
-    perm = np.array([shuffle, np.arange(n)[::-1], shuffle])
-    # not argsort: its first call maps numpy's sort kernels, 0.25 MB of peak RSS
-    inverse = np.empty_like(perm)
-    np.put_along_axis(inverse, perm, np.arange(n), 1)
-    return _frozen(perm), _frozen(inverse)
-
-
 def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
                      states: np.ndarray, qs: np.ndarray):
     """Ray slopes of every state for a (K+1, N, N) state block, from one eigenvector sweep
@@ -313,22 +290,18 @@ def _residual_slopes(frame: SpectralFrame, hamiltonian: PolynomialHamiltonian,
     floors (N,); and whether the grid is below the noise floor: no ray slope, some
     S_n^(k) not 0 for k >= 1, and every q_hi^k ||S_n^(k)|| under its state's floor.
 
-    The noise is measured against the permutation twins P H(q) P^T of `_twin_permutations`,
-    which have the same eigenpairs under other roundoff, at the grid's first, middle and
-    last samples: a state's noise is the largest sine between its two eigenvectors, the
-    twins' eigenvalues pairing the vectors.  A floor is `_NOISE_FACTOR` times the noise,
-    and at least RAY_FLOOR, since an exactly computed family has no twin noise."""
+    The noise is measured against the twin H(q)/3, whose eigenvectors are H(q)'s under
+    other roundoff, at the grid's first, middle and last samples: a state's noise is the
+    largest sine between its two eigenvectors, the twin's eigenvalues times 3 pairing the
+    vectors.  A floor is `_NOISE_FACTOR` times the noise, and at least RAY_FLOOR, since an
+    exactly computed family has no twin noise."""
     curve, vectors = _continued_sweep(frame, hamiltonian, qs, True)
     picked = [0, qs.size // 2, qs.size - 1]
-    # the twins' eigenvalues pair with the sweep's as one sample pairs with the next
-    perm, inverse = _twin_permutations(frame.dim)
-    sample = np.arange(len(picked))[:, None, None]
-    shuffled = hamiltonian.at_block(qs[picked])[sample, perm[:, :, None], perm[:, None, :]]
-    twin_values, twin_vectors = np.linalg.eig(shuffled)
-    picks, _ = _pair_block(curve.values[:, picked].T, twin_values, qs[picked], frame.gap_tol)
-    # undo P on the twin's vectors; each (state, sample) is one row, the twin's vector its
-    # order-0 series
-    twin = twin_vectors[sample, inverse[:, :, None], picks[:, None, :]].transpose(2, 0, 1)
+    twin_values, twin_vectors = np.linalg.eig(hamiltonian.at_block(qs[picked]) / 3)
+    # the twin's eigenvalues, times 3, pair with the sweep's as one sample pairs with the next
+    picks, _ = _pair_block(curve.values[:, picked].T, 3 * twin_values, qs[picked], frame.gap_tol)
+    # each (state, sample) is one row, the twin's vector its order-0 series
+    twin = np.take_along_axis(twin_vectors, picks[:, None, :], 2).transpose(2, 0, 1)
     rows = (-1, 1, frame.dim)
     sines = _ray_residual_block(vectors[:, picked].reshape(rows), twin.reshape(rows), np.ones(1))
     floors = np.maximum(_NOISE_FACTOR * sines.reshape(frame.dim, -1).max(axis=1), RAY_FLOOR)

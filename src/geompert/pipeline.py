@@ -65,7 +65,6 @@ from .oracle import (_CONTOUR_POINTS, _continued_sweep, _contour_coefficients, _
                      _residual_grid, _residual_slopes)
 from .spectral import _conditioning, eigenframe, is_real, require_count
 
-_GAUGE_SEED = 20210707
 # the most q samples a command takes, for the verify window and the sweep: each
 # sample is one eigensolve, and a sweep writes four numbers per state per sample
 MAX_POINTS = 10_000
@@ -367,11 +366,7 @@ def _check_linear(*, hamiltonian, gens, **_):
 
 def _check_gauge(*, hamiltonian, frame, states, h, kc, **_):
     # the order-kc series reads the generators of orders 0..kc-1 only
-    rng = np.random.default_rng(_GAUGE_SEED)
-    diags = [
-        0.5 * (rng.standard_normal(frame.dim) + 1j * rng.standard_normal(frame.dim))
-        for _ in range(kc)
-    ]
+    diags = 0.5 * np.exp(1j * np.arange(1, kc * frame.dim + 1)).reshape(kc, frame.dim)
     shifted = solve_generators(hamiltonian, frame, kc - 1, k0_diagonals=diags)
     shifted_states, h_shifted = _all_block(shifted, kc)
     entry = {
@@ -488,9 +483,9 @@ def run_pipeline(
         parameters={
             "order": order,
             "gauge": gens.gauge,
-            "q_lo": q_lo,
-            "q_hi": q_hi,
-            "points": points,
+            # the window and the sweep are listed only where they are read
+            **({"q_lo": q_lo, "q_hi": q_hi, "points": points} if residual_qs is not None else {}),
+            **({"sweep": {"q_max": sweep[0], "points": sweep[1]}} if sweep is not None else {}),
             "checks": sorted(checks),
         },
         frame_summary={

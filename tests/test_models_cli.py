@@ -627,13 +627,25 @@ class TestPipeline:
              "sweep-none", "sweep-string", "sweep-scalar", "sweep-single", "sweep-triple"],
     )
     def test_the_window_is_vetted_whatever_the_checks(self, monkeypatch, window, match):
-        # the report lists the window whatever the checks, so every run vets it
+        # every run vets the window, read or not: a request is refused or
+        # accepted whatever its checks
         def no_frame(*_args, **_kwargs):
             raise AssertionError("built a frame for a bad request")
 
         monkeypatch.setattr(g.pipeline, "eigenframe", no_frame)
         with pytest.raises(ValueError, match=match):
             run_pipeline(g.builtin_model("toy-sec5"), 3, FAST_CHECKS, **window)
+
+    def test_parameters_list_the_window_and_the_sweep_where_read(self):
+        doc = g.builtin_model("toy-sec5")
+        window = {"q_lo": 1e-4, "q_hi": 1e-2, "points": 25}
+        runs = [({"hierarchy"}, None, {}), ({"residual_order"}, None, window),
+                (set(), (0.2, 5), {"sweep": {"q_max": 0.2, "points": 5}}),
+                (ALL_CHECKS, (0.1, 7), {**window, "sweep": {"q_max": 0.1, "points": 7}})]
+        for checks, sweep, listed in runs:
+            params = run_pipeline(doc, 3, checks, sweep=sweep).parameters
+            assert params == {"order": 3, "gauge": g.generators.GAUGE_ZERO_DIAGONAL, **listed,
+                              "checks": sorted(checks)}
 
     def test_a_sweep_pair_is_a_tuple_or_a_list(self):
         doc = g.builtin_model("toy-sec5")
@@ -1239,6 +1251,19 @@ class TestCli:
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteEntry"
 
+    def test_expand_and_sweep_reports_list_no_window(self, tmp_path):
+        # neither runs residual_order; a sweep lists its own q_max and points
+        expand, sweep = tmp_path / "expand", tmp_path / "sweep"
+        assert main(["expand", "--model", "toy-sec5", "--order", "2", "--out", str(expand)]) == 0
+        assert main(["sweep", "--model", "toy-sec5", "--q-max", "0.2", "--points", "5",
+                     "--out", str(sweep)]) == 0
+        params = [json.loads((out / "report.json").read_text())["parameters"]
+                  for out in (expand, sweep)]
+        gauge, checks = g.generators.GAUGE_ZERO_DIAGONAL, sorted(FAST_CHECKS)
+        assert params[0] == {"order": 2, "gauge": gauge, "checks": checks}
+        assert params[1] == {"order": 3, "gauge": gauge, "sweep": {"q_max": 0.2, "points": 5},
+                             "checks": checks}
+
     def test_parser_built_once(self, capsys):
         from geompert.cli import _build_parser
 
@@ -1500,11 +1525,12 @@ class TestCli:
         assert proc.stdout.splitlines() == list(g.BUILTIN_MODELS)
 
     def test_cli_import_stays_lean(self):
-        # a fresh interpreter: the thread pool (about 10 ms to import) and
-        # numpy.random (12-16 ms to the first default_rng) load only when a
-        # run needs them, unless numpy itself already loads its random module;
-        # numpy.fft (0.6 MB of peak RSS) not even in a verify run, whose
-        # contour reads its coefficients by one small matrix product
+        # a fresh interpreter: the thread pool (about 10 ms to import) loads
+        # only when a run needs it, and numpy.random (12-16 ms to the first
+        # default_rng) and numpy.fft (0.6 MB of peak RSS) not even in a verify
+        # run, unless numpy itself already loads them: its checks draw no
+        # random numbers, and its contour reads its coefficients by one small
+        # matrix product
         src = str(Path(g.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = (
@@ -1514,7 +1540,7 @@ class TestCli:
             "loaded = ['concurrent.futures' in sys.modules, 'numpy.random' in sys.modules]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    geompert.cli.main(['verify', '--model', 'toy-sec5', '--order', '3'])\n"
-            "print(*by_numpy, *loaded, 'numpy.fft' in sys.modules)"
+            "print(*by_numpy, *loaded, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
@@ -1524,7 +1550,7 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         words = (word == "True" for word in proc.stdout.split())
-        random_by_numpy, fft_by_numpy, futures, random, fft = words
+        random_by_numpy, fft_by_numpy, futures, random, verify_random, fft = words
         assert not futures
-        assert random == random_by_numpy
+        assert random == verify_random == random_by_numpy
         assert fft == fft_by_numpy
